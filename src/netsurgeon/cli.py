@@ -106,6 +106,8 @@ def _load_theta(arg: str | None, net: Network):
             seen[lab] = float(val)
         except ValueError:
             raise InputError(f"--theta: line {lineno}: bad number {val!r}") from None
+        if not np.isfinite(seen[lab]):
+            raise InputError(f"--theta: line {lineno}: non-finite number {val!r}")
     missing = [lab for lab in net.labels if lab not in seen]
     extra = [lab for lab in seen if lab not in net.index]
     if missing or extra:

@@ -10,6 +10,7 @@ local complementarity with uniform global substitution.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
@@ -18,9 +19,11 @@ from .graphs import (
     InputError,
     InternalCheckError,
     Network,
-    SPECTRAL_MARGIN,
     SpectralConditionError,
+    check_theta,
+    is_positive_definite,
     spectral_radius,
+    within_bound,
 )
 
 PD_FLOOR = 1e-9
@@ -49,7 +52,7 @@ class MultiActivitySpec:
     theta_b: np.ndarray = field(repr=False)
     delta: float
     beta: float
-    lambda_max: float
+    lambda_max = cached_property(lambda self: spectral_radius(self.network))
 
 
 def certify_multi_activity(
@@ -57,16 +60,14 @@ def certify_multi_activity(
 ) -> MultiActivitySpec:
     if not -1.0 < beta < 1.0:
         raise InputError(f"cross-activity cost must lie in (-1, 1), got {beta:g}")
-    if delta < 0:
-        raise InputError(f"delta must be nonnegative, got {delta:g}")
-    lam = spectral_radius(net)
-    if delta * lam >= (1.0 - abs(beta)) * (1.0 - SPECTRAL_MARGIN):
-        raise SpectralConditionError(delta, lam / (1.0 - abs(beta)))
-    ta = np.asarray(theta_a, dtype=float)
-    tb = np.asarray(theta_b, dtype=float)
-    if ta.shape != (net.n,) or tb.shape != (net.n,):
-        raise InputError(f"characteristics must have shape ({net.n},)")
-    return MultiActivitySpec(net, ta, tb, float(delta), float(beta), lam)
+    if not 0 <= delta < np.inf:
+        raise InputError(f"delta must be nonnegative and finite, got {delta:g}")
+    scale = 1.0 - abs(beta)
+    if not within_bound(net, delta, scale):
+        raise SpectralConditionError(delta, spectral_radius(net) / scale)
+    ta = check_theta(theta_a, net.n, "theta_a")
+    tb = check_theta(theta_b, net.n, "theta_b")
+    return MultiActivitySpec(net, ta, tb, float(delta), float(beta))
 
 
 def multi_activity_equilibrium(spec: MultiActivitySpec) -> dict:
@@ -94,25 +95,35 @@ class CongestionSpec:
     theta: np.ndarray = field(repr=False)
     delta: float
     gamma: float
-    smallest_eigenvalue: float
+
+    @cached_property
+    def smallest_eigenvalue(self) -> float:
+        system = _congestion_system(self.network, self.delta, self.gamma)
+        return float(np.linalg.eigvalsh(system)[0])
+
+
+def _congestion_system(net: Network, delta: float, gamma: float) -> np.ndarray:
+    a = net.adjacency
+    return np.eye(net.n) - delta * a + gamma * (a @ a)
 
 
 def certify_congestion(net: Network, delta: float, gamma: float, theta=None) -> CongestionSpec:
-    if delta < 0 or gamma < 0:
-        raise InputError(f"delta and gamma must be nonnegative, got {delta:g}, {gamma:g}")
+    if not (0 <= delta < np.inf and 0 <= gamma < np.inf):
+        raise InputError(
+            f"delta and gamma must be nonnegative and finite, got {delta:g}, {gamma:g}"
+        )
     if theta is None:
         theta = np.ones(net.n)
-    theta = np.asarray(theta, dtype=float)
-    if theta.shape != (net.n,):
-        raise InputError(f"theta must have shape ({net.n},)")
-    a = net.adjacency
-    system = np.eye(net.n) - delta * a + gamma * (a @ a)
-    smallest = float(np.linalg.eigvalsh(system)[0])
-    if smallest <= PD_FLOOR:
+    theta = check_theta(theta, net.n)
+    spec = CongestionSpec(net, theta, float(delta), float(gamma))
+    shifted = _congestion_system(net, delta, gamma)
+    shifted[np.diag_indices(net.n)] -= PD_FLOOR
+    if not is_positive_definite(shifted):
         raise InputError(
-            f"game system is not positive definite: smallest eigenvalue {smallest:.3g}"
+            "game system is not positive definite: "
+            f"smallest eigenvalue {spec.smallest_eigenvalue:.3g}"
         )
-    return CongestionSpec(net, theta, float(delta), float(gamma), smallest)
+    return spec
 
 
 def congestion_equilibrium(spec: CongestionSpec) -> np.ndarray:
@@ -123,16 +134,14 @@ def congestion_equilibrium(spec: CongestionSpec) -> np.ndarray:
     are complex or nearly repeated, and otherwise must agree with the
     direct solve.
     """
-    a = spec.network.adjacency
-    system = np.eye(spec.network.n) - spec.delta * a + spec.gamma * (a @ a)
+    system = _congestion_system(spec.network, spec.delta, spec.gamma)
     x = cho_solve(cho_factor(system, lower=True), spec.theta)
     disc = spec.delta * spec.delta - 4.0 * spec.gamma
     if disc > 0 and np.sqrt(disc) > ROOT_SPLIT_FLOOR:
         root = float(np.sqrt(disc))
         beta1 = 0.5 * (spec.delta + root)
         beta2 = 0.5 * (spec.delta - root)
-        lam = spectral_radius(spec.network)
-        if beta1 * lam < 1.0 - SPECTRAL_MARGIN:
+        if within_bound(spec.network, beta1):
             y1 = _solve_plain(spec.network, beta1, spec.theta)
             y2 = _solve_plain(spec.network, beta2, spec.theta)
             split = (beta1 * y1 - beta2 * y2) / (beta1 - beta2)
@@ -149,32 +158,28 @@ class GlobalSubstitutionSpec:
     network: Network
     delta: float
     phi: float
-    lambda_max: float
+    lambda_max = cached_property(lambda self: spectral_radius(self.network))
 
 
 def certify_global_substitution(net: Network, delta: float, phi: float) -> GlobalSubstitutionSpec:
-    if phi < 0 or phi >= 1:
+    if not 0 <= phi < 1:
         raise InputError(f"global substitution weight must lie in [0, 1), got {phi:g}")
-    if delta < 0:
-        raise InputError(f"delta must be nonnegative, got {delta:g}")
-    lam = spectral_radius(net)
+    if not 0 <= delta < np.inf:
+        raise InputError(f"delta must be nonnegative and finite, got {delta:g}")
     stretched = delta / (1.0 - phi)
-    if stretched * lam >= 1.0 - SPECTRAL_MARGIN:
-        raise SpectralConditionError(stretched, lam)
-    spec = GlobalSubstitutionSpec(net, float(delta), float(phi), lam)
-    if _rescaled_denominator(spec)[0] <= 1e-12:
-        raise InputError("global rivalry too strong: equilibrium denominator vanishes")
-    return spec
-
-
-def _rescaled_denominator(spec: GlobalSubstitutionSpec) -> tuple[float, np.ndarray]:
-    b = _solve_plain(spec.network, spec.delta / (1.0 - spec.phi), np.ones(spec.network.n))
-    return 1.0 - spec.phi + spec.phi * float(b.sum()), b
+    if not within_bound(net, stretched):
+        raise SpectralConditionError(stretched, spectral_radius(net))
+    return GlobalSubstitutionSpec(net, float(delta), float(phi))
 
 
 def global_substitution_equilibrium(spec: GlobalSubstitutionSpec) -> np.ndarray:
-    """Equilibrium with unit characteristics: a rescaled stretched-weight game."""
-    den, b = _rescaled_denominator(spec)
+    """Equilibrium with unit characteristics: a rescaled stretched-weight game.
+
+    The stretched game's centralities b are at least 1 each, so the
+    denominator 1 - phi + phi * sum(b) is at least 1 on a certified spec.
+    """
+    b = _solve_plain(spec.network, spec.delta / (1.0 - spec.phi), np.ones(spec.network.n))
+    den = 1.0 - spec.phi + spec.phi * float(b.sum())
     if den <= 1e-12:
         raise InternalCheckError("certified spec lost its positive denominator")
     return b / den

@@ -5,6 +5,12 @@ indices are the ranks of the labels under natural order (all-digit labels
 compare numerically and come first, the rest lexicographically), so every
 downstream argmax and tie-break is deterministic across runs and matches
 how people number nodes.
+
+Certification is exact: weight w passes at scale s when the Cholesky
+factorization of s (1 - SPECTRAL_MARGIN) I - w G succeeds, which for w > 0
+is the condition w * lambda_max < s (1 - SPECTRAL_MARGIN), with no
+iteration. lambda_max itself is computed only to word a rejection, or on
+demand.
 """
 
 from __future__ import annotations
@@ -13,14 +19,11 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import cho_factor, cho_solve, eigh
 
 # Safety margin on the spectral condition delta * lambda_max < 1. Keeps
 # (I - delta G) well conditioned for every downstream solve.
 SPECTRAL_MARGIN = 1e-9
-
-POWER_TOL = 1e-12
-POWER_MAX_ITER = 10_000
 
 
 class NetsurgeonError(Exception):
@@ -188,26 +191,39 @@ def load_network(path) -> Network:
 def spectral_radius(net: Network) -> float:
     """Largest eigenvalue of the adjacency matrix.
 
-    Power iteration with a Rayleigh-quotient convergence test. The iteration
-    runs on A + I: the shift keeps the dominant eigenvalue strictly dominant
-    on bipartite graphs (where -lambda_max ties +lambda_max) without moving
-    the Perron vector, and the all-ones start always overlaps that vector.
+    One LAPACK eigenvalue, exact to rounding. Certification never needs it;
+    it words rejections and answers direct queries.
     """
     a = net.adjacency
     n = net.n
     if n == 0 or not a.any():
         return 0.0
-    x = np.ones(n) / np.sqrt(n)
-    rayleigh = 0.0
-    for _ in range(POWER_MAX_ITER):
-        y = a @ x + x
-        norm = np.linalg.norm(y)
-        x = y / norm
-        new = float(x @ (a @ x + x))
-        if abs(new - rayleigh) < POWER_TOL:
-            return new - 1.0
-        rayleigh = new
-    return rayleigh - 1.0
+    return float(eigh(a, eigvals_only=True, subset_by_index=[n - 1, n - 1])[0])
+
+
+def is_positive_definite(matrix: np.ndarray) -> bool:
+    """Whether a symmetric matrix has a Cholesky factor; overwrites matrix.
+
+    Its transpose is the same matrix in Fortran order, which LAPACK factors
+    in place rather than through a second n x n copy.
+    """
+    try:
+        cho_factor(matrix.T, lower=True, overwrite_a=True)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
+def within_bound(net: Network, weight: float, scale: float = 1.0) -> bool:
+    """The spectral certificate: weight * lambda_max(G) < scale * (1 - margin).
+
+    Exact for weight >= 0 and finite scale > 0; an infinite weight fails.
+    """
+    if not np.isfinite(weight):
+        return False
+    system = -weight * net.adjacency
+    system[np.diag_indices(net.n)] = scale * (1.0 - SPECTRAL_MARGIN)
+    return is_positive_definite(system)
 
 
 @dataclass(frozen=True)
@@ -257,13 +273,18 @@ class GameSpec:
 
     Construct through certify(); direct construction skips the spectral check.
     The Cholesky factorization of (I - delta G) is cached and shared by every
-    solve against this spec (read-only, safe across threads).
+    solve against this spec (read-only, safe across threads). lambda_max is
+    computed on first read unless it was passed in.
     """
 
     network: Network
     theta: np.ndarray = field(repr=False)
     delta: float
-    lambda_max: float
+    _lambda_max: float | None = field(default=None, repr=False)
+
+    @cached_property
+    def lambda_max(self) -> float:
+        return spectral_radius(self.network) if self._lambda_max is None else self._lambda_max
 
     @cached_property
     def _factor(self):
@@ -282,8 +303,8 @@ class GameSpec:
         return self.network.n
 
     def with_theta(self, theta: np.ndarray) -> "GameSpec":
-        theta = _check_theta(theta, self.n)
-        spec = GameSpec(self.network, theta, self.delta, self.lambda_max)
+        theta = check_theta(theta, self.n)
+        spec = GameSpec(self.network, theta, self.delta, self._lambda_max)
         # Same network and delta, so the cached factorization carries over.
         spec.__dict__["_factor"] = self._factor
         return spec
@@ -292,10 +313,12 @@ class GameSpec:
         return bool(np.all(self.theta == 1.0))
 
 
-def _check_theta(theta, n: int) -> np.ndarray:
+def check_theta(theta, n: int, name: str = "theta") -> np.ndarray:
     theta = np.asarray(theta, dtype=float)
     if theta.shape != (n,):
-        raise InputError(f"theta must have shape ({n},), got {theta.shape}")
+        raise InputError(f"{name} must have shape ({n},), got {theta.shape}")
+    if not np.all(np.isfinite(theta)):
+        raise InputError(f"{name} must be finite")
     out = theta.copy()
     out.flags.writeable = False
     return out
@@ -306,14 +329,13 @@ def certify(net: Network, delta: float, theta=None) -> GameSpec:
 
     theta defaults to the all-ones vector.
     """
-    if delta <= 0:
-        raise InputError(f"delta must be positive, got {delta:g}")
-    lam = spectral_radius(net)
-    if delta * lam >= 1.0 - SPECTRAL_MARGIN:
-        raise SpectralConditionError(delta, lam)
+    if not 0 < delta < np.inf:
+        raise InputError(f"delta must be positive and finite, got {delta:g}")
+    if not within_bound(net, delta):
+        raise SpectralConditionError(delta, spectral_radius(net))
     if theta is None:
         theta = np.ones(net.n)
-    return GameSpec(net, _check_theta(theta, net.n), float(delta), lam)
+    return GameSpec(net, check_theta(theta, net.n), float(delta))
 
 
 def embed(values: np.ndarray, support: NodeSet, n: int) -> np.ndarray:

@@ -25,7 +25,7 @@ from .graphs import (
     SpectralConditionError,
     embed,
     spectral_radius,
-    SPECTRAL_MARGIN,
+    within_bound,
 )
 
 STRICT_TOL = 1e-12
@@ -36,6 +36,10 @@ class CharacteristicIntervention:
     """A shift of the characteristics vector; support = nonzero coordinates."""
 
     delta_theta: np.ndarray = field(repr=False)
+
+    def __post_init__(self):
+        if not np.all(np.isfinite(self.delta_theta)):
+            raise InputError("delta_theta must be finite")
 
     @staticmethod
     def from_pairs(net: Network, pairs: dict[str, float]) -> "CharacteristicIntervention":
@@ -186,9 +190,8 @@ def _equivalent_on(spec: GameSpec, iv: StructuralIntervention, b_vec: np.ndarray
     """
     iv.check_legal(spec.network)
     post_net = Network(spec.network.labels, spec.network.adjacency + iv.as_matrix(spec.n))
-    lam_post = spectral_radius(post_net)
-    if spec.delta * lam_post >= 1.0 - SPECTRAL_MARGIN:
-        raise SpectralConditionError(spec.delta, lam_post)
+    if not within_bound(post_net, spec.delta):
+        raise SpectralConditionError(spec.delta, spectral_radius(post_net))
     s = iv.support()
     idx = list(s.members)
     c_ss = iv.as_matrix(spec.n)[np.ix_(idx, idx)]

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from netsurgeon import (
@@ -234,5 +234,15 @@ def test_serialize_round_trips(net):
 
 @settings(max_examples=60, deadline=None)
 @given(small_networks())
-def test_power_iteration_agrees_with_eigensolver(net):
+def test_spectral_radius_agrees_with_eigensolver(net):
     assert spectral_radius(net) == pytest.approx(eig_lambda_max(net), abs=1e-8)
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_networks(max_nodes=12))
+def test_certify_is_exact_at_one_part_per_million(net):
+    lam = eig_lambda_max(net)
+    assume(lam > 0)
+    certify(net, 0.999999 / lam)
+    with pytest.raises(SpectralConditionError):
+        certify(net, 1.000001 / lam)
