@@ -4,7 +4,10 @@ A bridge's worth is a closed form in four per-component scalars: the two
 endpoints' centralities and self-loop counts. The same algebra prices any
 single link inside one network, present or absent. All scores are stated
 for unit characteristics, where score times the synergy weight equals the
-realized aggregate change exactly.
+realized aggregate change exactly. The searches read one influence matrix
+per game and score every candidate in array arithmetic: the Pareto
+frontiers and the frontier-by-frontier grid of bridges, and every absent or
+present link of a network.
 """
 
 from __future__ import annotations
@@ -21,9 +24,10 @@ from .graphs import (
     NodeSet,
     certify,
     label_key,
+    links_within_bound,
+    rank_order,
 )
 
-NEAR_TIE = 1e-9
 FRONTIER_SLACK = 1e-12
 
 
@@ -89,14 +93,13 @@ def joined_network(net1: Network, net2: Network, bridge: tuple[str, str] | None 
 
 
 def _endpoint_stats(spec: GameSpec) -> tuple[np.ndarray, np.ndarray]:
-    b = spec.solve(np.ones(spec.n))
-    m_diag = np.diag(spec.solve(np.eye(spec.n)))
-    return b, m_diag
+    return spec.b_unit, np.diag(spec.influence())
 
 
-def _bridge_value(delta: float, b_i: float, m_ii: float, b_j: float, m_jj: float) -> float:
+def _bridge_value(delta: float, b_i, m_ii, b_j, m_jj):
+    """Bridge index from endpoint statistics; scalars or arrays."""
     den = 1.0 - delta * delta * m_ii * m_jj
-    if den <= FRONTIER_SLACK:
+    if np.any(den <= FRONTIER_SLACK):
         raise InputError("bridging these endpoints pushes the joined game outside the certified range")
     return (delta * m_jj * b_i * b_i + delta * m_ii * b_j * b_j + 2.0 * b_i * b_j) / den
 
@@ -106,20 +109,32 @@ def _require_unit_theta(spec: GameSpec, what: str) -> None:
         raise InputError(f"{what} is defined for theta = 1")
 
 
-def bridge_index(spec1: GameSpec, spec2: GameSpec, i: str, j: str) -> BridgeScore:
-    """Score the link joining node i of the first component to j of the second."""
+def _require_shared_delta(spec1: GameSpec, spec2: GameSpec, what: str) -> None:
     if spec1.delta != spec2.delta:
         raise InputError(
             f"components must share one synergy weight, got {spec1.delta:g} and {spec2.delta:g}"
         )
-    _require_unit_theta(spec1, "the bridge index")
-    _require_unit_theta(spec2, "the bridge index")
+    _require_unit_theta(spec1, what)
+    _require_unit_theta(spec2, what)
+
+
+def bridge_index(spec1: GameSpec, spec2: GameSpec, i: str, j: str) -> BridgeScore:
+    """Score the link joining node i of the first component to j of the second."""
+    _require_shared_delta(spec1, spec2, "the bridge index")
     b1, m1 = _endpoint_stats(spec1)
     b2, m2 = _endpoint_stats(spec2)
     ii = spec1.network.index_of(i)
     jj = spec2.network.index_of(j)
     value = _bridge_value(spec1.delta, b1[ii], m1[ii], b2[jj], m2[jj])
     return BridgeScore(i, j, value, spec1.delta * value)
+
+
+def _frontier(b: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """Indices of the nodes no other node strictly beats; see pareto_frontier."""
+    # Entry [i, t] compares challenger t with node i; t = i never beats itself.
+    at_least = (b >= b[:, None] - FRONTIER_SLACK) & (m >= m[:, None] - FRONTIER_SLACK)
+    better = (b > b[:, None] + FRONTIER_SLACK) | (m > m[:, None] + FRONTIER_SLACK)
+    return np.flatnonzero(~np.any(at_least & better, axis=1))
 
 
 def pareto_frontier(spec: GameSpec) -> NodeSet:
@@ -130,19 +145,7 @@ def pareto_frontier(spec: GameSpec) -> NodeSet:
     everywhere and keep every node.
     """
     _require_unit_theta(spec, "the bridge-endpoint frontier")
-    b, m = _endpoint_stats(spec)
-    keep = []
-    for i in range(spec.n):
-        beaten = any(
-            b[t] >= b[i] - FRONTIER_SLACK
-            and m[t] >= m[i] - FRONTIER_SLACK
-            and (b[t] > b[i] + FRONTIER_SLACK or m[t] > m[i] + FRONTIER_SLACK)
-            for t in range(spec.n)
-            if t != i
-        )
-        if not beaten:
-            keep.append(i)
-    return NodeSet.of(keep, spec.n)
+    return NodeSet.of(_frontier(*_endpoint_stats(spec)), spec.n)
 
 
 def rank_bridges(spec1: GameSpec, spec2: GameSpec) -> list[BridgeScore]:
@@ -151,41 +154,69 @@ def rank_bridges(spec1: GameSpec, spec2: GameSpec) -> list[BridgeScore]:
     Only frontier endpoints can host the best bridge, so non-frontier pairs
     are never scored. Near-ties order by label pair.
     """
-    if spec1.delta != spec2.delta:
-        raise InputError(
-            f"components must share one synergy weight, got {spec1.delta:g} and {spec2.delta:g}"
-        )
-    _require_unit_theta(spec1, "the key-bridge search")
-    _require_unit_theta(spec2, "the key-bridge search")
+    _require_shared_delta(spec1, spec2, "the key-bridge search")
     b1, m1 = _endpoint_stats(spec1)
     b2, m2 = _endpoint_stats(spec2)
-    front1 = pareto_frontier(spec1)
-    front2 = pareto_frontier(spec2)
-    scored = []
-    for ii in front1:
-        for jj in front2:
-            u, v = spec1.network.labels[ii], spec2.network.labels[jj]
-            value = _bridge_value(spec1.delta, b1[ii], m1[ii], b2[jj], m2[jj])
-            scored.append(BridgeScore(u, v, value, spec1.delta * value))
-    pair_key = lambda sc: (label_key(sc.i), label_key(sc.j))
-    scored.sort(key=lambda sc: (-sc.index, pair_key(sc)))
-    out: list[BridgeScore] = []
-    k = 0
-    while k < len(scored):
-        t = k + 1
-        while t < len(scored) and (
-            scored[t - 1].index - scored[t].index
-            <= NEAR_TIE * max(1.0, abs(scored[k].index))
-        ):
-            t += 1
-        out.extend(sorted(scored[k:t], key=pair_key))
-        k = t
-    return out
+    front1, front2 = _frontier(b1, m1), _frontier(b2, m2)
+    rows, cols = np.repeat(front1, len(front2)), np.tile(front2, len(front1))
+    value = _bridge_value(spec1.delta, b1[rows], m1[rows], b2[cols], m2[cols])
+    order = rank_order(value, (rows, cols))
+    lab1, lab2 = spec1.network.labels, spec2.network.labels
+    return [
+        BridgeScore(lab1[i], lab2[j], v, spec1.delta * v)
+        for i, j, v in zip(rows[order].tolist(), cols[order].tolist(), value[order].tolist())
+    ]
 
 
 def key_bridge(spec1: GameSpec, spec2: GameSpec) -> BridgeScore:
     """Best single link between the two components."""
     return rank_bridges(spec1, spec2)[0]
+
+
+def _link_value(spec: GameSpec, kind: str, rows, cols, m_ii, m_jj, m_ij) -> np.ndarray:
+    """Values of the links (rows[t], cols[t]) from their influence entries.
+
+    An existing link is priced by the aggregate loss from cutting it, a
+    potential one by the gain from adding it, both over the synergy weight.
+    """
+    delta = spec.delta
+    present = kind == "existing"
+    s = 1.0 + delta * m_ij if present else 1.0 - delta * m_ij
+    # float_power calls the C pow that ** 2 on a float64 scalar calls; ** 2 on
+    # an array squares instead, which can round the last bit differently.
+    den = np.float_power(s, 2) - delta**2 * m_ii * m_jj
+    bad = np.flatnonzero(den <= FRONTIER_SLACK)
+    if bad.size:
+        # Removal only shrinks the certified range, and additions are certified.
+        labels = spec.network.labels
+        raise InternalCheckError(
+            f"nonpositive denominator for {'existing' if present else 'certified'} link "
+            f"({labels[rows[bad[0]]]},{labels[cols[bad[0]]]})"
+        )
+    b_i, b_j = spec.b_unit[rows], spec.b_unit[cols]
+    own = delta * m_ii * b_j * b_j + delta * m_jj * b_i * b_i
+    cross = 2.0 * s * b_i * b_j
+    return (cross - own if present else own + cross) / den
+
+
+def _single_link(spec: GameSpec, i: str, j: str, kind: str) -> LinkValue:
+    _require_unit_theta(spec, f"the {kind}-link value")
+    ii, jj = spec.network.index_of(i), spec.network.index_of(j)
+    if ii == jj:
+        raise InputError(f"no self-link on node {i!r}")
+    if spec.network.adjacency[ii, jj] and kind == "potential":
+        raise InputError(f"link ({i},{j}) already present; use the existing-link value")
+    if not spec.network.adjacency[ii, jj] and kind == "existing":
+        raise InputError(f"link ({i},{j}) not present; use the potential-link value")
+    if kind == "potential":
+        plus = spec.network.adjacency.copy()
+        plus[ii, jj] = plus[jj, ii] = 1.0
+        certify(Network(spec.network.labels, plus), spec.delta)
+    m = spec.solve(np.eye(spec.n)[:, [ii, jj]])  # columns ii and jj of M
+    rows, cols = np.array([ii]), np.array([jj])
+    value = _link_value(spec, kind, rows, cols, m[rows, 0], m[cols, 1], m[cols, 0])[0]
+    u, v = sorted((i, j), key=label_key)
+    return LinkValue(u, v, kind, value)
 
 
 def link_value_potential(spec: GameSpec, i: str, j: str) -> LinkValue:
@@ -194,57 +225,48 @@ def link_value_potential(spec: GameSpec, i: str, j: str) -> LinkValue:
     The synergy weight times this value is exactly the aggregate gain from
     adding the link. The network with the link added must itself certify.
     """
-    _require_unit_theta(spec, "the potential-link value")
-    ii, jj = spec.network.index_of(i), spec.network.index_of(j)
-    if ii == jj:
-        raise InputError(f"no self-link on node {i!r}")
-    if spec.network.adjacency[ii, jj]:
-        raise InputError(f"link ({i},{j}) already present; use the existing-link value")
-    plus = spec.network.adjacency.copy()
-    plus[ii, jj] = plus[jj, ii] = 1.0
-    certify(Network(spec.network.labels, plus), spec.delta)
-    b, m_cols = _pair_stats(spec, ii, jj)
-    b_i, b_j = b[ii], b[jj]
-    m_ii, m_jj, m_ij = m_cols[ii, 0], m_cols[jj, 1], m_cols[jj, 0]
-    den = (1.0 - spec.delta * m_ij) ** 2 - spec.delta**2 * m_ii * m_jj
-    if den <= FRONTIER_SLACK:
-        raise InternalCheckError(
-            f"nonpositive denominator for certified link ({i},{j})"
-        )
-    num = (
-        spec.delta * m_ii * b_j * b_j
-        + spec.delta * m_jj * b_i * b_i
-        + 2.0 * (1.0 - spec.delta * m_ij) * b_i * b_j
-    )
-    u, v = sorted((i, j), key=label_key)
-    return LinkValue(u, v, "potential", num / den)
+    return _single_link(spec, i, j, "potential")
 
 
 def link_value_existing(spec: GameSpec, i: str, j: str) -> LinkValue:
     """Value of an existing link (i, j): the aggregate loss from cutting it,
     divided by the synergy weight."""
-    _require_unit_theta(spec, "the existing-link value")
-    ii, jj = spec.network.index_of(i), spec.network.index_of(j)
-    if ii == jj:
-        raise InputError(f"no self-link on node {i!r}")
-    if not spec.network.adjacency[ii, jj]:
-        raise InputError(f"link ({i},{j}) not present; use the potential-link value")
-    b, m_cols = _pair_stats(spec, ii, jj)
-    b_i, b_j = b[ii], b[jj]
-    m_ii, m_jj, m_ij = m_cols[ii, 0], m_cols[jj, 1], m_cols[jj, 0]
-    den = (1.0 + spec.delta * m_ij) ** 2 - spec.delta**2 * m_ii * m_jj
-    if den <= FRONTIER_SLACK:
-        # Removal only shrinks the certified range, so this cannot happen.
-        raise InternalCheckError(f"nonpositive denominator for existing link ({i},{j})")
-    num = 2.0 * (1.0 + spec.delta * m_ij) * b_i * b_j - (
-        spec.delta * m_ii * b_j * b_j + spec.delta * m_jj * b_i * b_i
-    )
-    u, v = sorted((i, j), key=label_key)
-    return LinkValue(u, v, "existing", num / den)
+    return _single_link(spec, i, j, "existing")
 
 
-def _pair_stats(spec: GameSpec, ii: int, jj: int) -> tuple[np.ndarray, np.ndarray]:
-    """Unweighted centralities plus the two influence columns for (ii, jj)."""
-    b = spec.solve(np.ones(spec.n))
-    m_cols = spec.solve(np.eye(spec.n)[:, [ii, jj]])
-    return b, m_cols
+def link_values(spec: GameSpec, kind: str) -> tuple[list[LinkValue], list[tuple[str, str, str]]]:
+    """Values of every potential (absent) or existing link, best first.
+
+    Exact ties order by label pair. A potential link whose addition would
+    leave the certified range is skipped: skipped lists (i, j, reason) in
+    label order.
+    """
+    if kind not in ("potential", "existing"):
+        raise InputError(f"link kind must be 'potential' or 'existing', got {kind!r}")
+    _require_unit_theta(spec, f"the {kind}-link value")
+    net = spec.network
+    want = 1.0 if kind == "existing" else 0.0
+    rows, cols = np.nonzero(np.triu(net.adjacency == want, 1))
+    skipped = []
+    if kind == "potential":
+        fits = links_within_bound(net, spec.delta, rows, cols)
+        for t in np.flatnonzero(~fits):
+            plus = net.adjacency.copy()
+            plus[rows[t], cols[t]] = plus[cols[t], rows[t]] = 1.0
+            try:
+                # Refusals near the bound are settled by the exact certificate.
+                certify(Network(net.labels, plus), spec.delta)
+                fits[t] = True
+            except InputError as exc:
+                skipped.append((net.labels[rows[t]], net.labels[cols[t]], str(exc)))
+        rows, cols = rows[fits], cols[fits]
+    if not len(rows):  # also keeps delta**2 from overflowing when nothing certifies
+        return [], skipped
+    m = spec.influence()
+    value = _link_value(spec, kind, rows, cols, m[rows, rows], m[cols, cols], m[cols, rows])
+    order = rank_order(value, (rows, cols), tie=0.0)
+    ranked = [
+        LinkValue(net.labels[i], net.labels[j], kind, v)
+        for i, j, v in zip(rows[order].tolist(), cols[order].tolist(), value[order].tolist())
+    ]
+    return ranked, skipped

@@ -43,9 +43,9 @@ def katz_bonacich(spec: GameSpec) -> CentralityReport:
     """Equilibrium actions, unweighted centralities, and self-loops m_ii."""
     n = spec.n
     b = spec.solve(spec.theta)
-    b_unw = spec.solve(np.ones(n))
+    b_unw = spec.b_unit
     # Self-loops are the diagonal of the solves for all unit right-hand sides.
-    self_loops = np.diag(spec.solve(np.eye(n))).copy() if n else np.zeros(0)
+    self_loops = np.diag(spec.influence()).copy() if n else np.zeros(0)
     return CentralityReport(spec.network.labels, b, b_unw, self_loops, float(b.sum()))
 
 
@@ -63,4 +63,4 @@ def leontief_block(spec: GameSpec, rows: NodeSet, cols: NodeSet) -> LeontiefBloc
 
 def leontief_matrix(spec: GameSpec) -> np.ndarray:
     """The full M(G); used where many blocks of one spec are needed."""
-    return spec.solve(np.eye(spec.n))
+    return spec.influence()

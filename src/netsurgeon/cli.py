@@ -11,13 +11,12 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 
 import numpy as np
 
 from . import extensions, reference
-from .bridge import LinkValue, link_value_existing, link_value_potential, rank_bridges
+from .bridge import link_value_existing, link_value_potential, link_values, rank_bridges
 from .centrality import katz_bonacich
 from .graphs import (
     GameSpec,
@@ -45,19 +44,6 @@ class _Parser(argparse.ArgumentParser):
     # failures, so surface usage problems as InputError -> exit 1 instead.
     def error(self, message):
         raise InputError(message)
-
-
-def _workers() -> int:
-    raw = os.environ.get("NETSURGEON_THREADS", "")
-    if raw:
-        try:
-            cap = int(raw)
-        except ValueError:
-            raise InputError(f"NETSURGEON_THREADS must be an integer, got {raw!r}") from None
-        if cap < 1:
-            raise InputError(f"NETSURGEON_THREADS must be positive, got {cap}")
-        return cap
-    return os.cpu_count() or 1
 
 
 def _sig6(obj):
@@ -259,7 +245,7 @@ def _cmd_key_group(args, out) -> int:
     if args.mode == "greedy":
         results = [key_group_greedy(spec, args.k)]
     else:
-        results = key_group_exhaustive(spec, args.k, workers=_workers())[: args.top]
+        results = key_group_exhaustive(spec, args.k)[: args.top]
     payload = {
         "mode": args.mode,
         "k": args.k,
@@ -305,38 +291,20 @@ def _cmd_key_bridge(args, out) -> int:
 def _cmd_link_value(args, out) -> int:
     spec = _spec_from(args)
     net = spec.network
-    values: list[LinkValue] = []
-    skipped, order = [], []
+    skipped = []
     if args.pair:
         u, v = _parse_pair(args.pair, "--pair")
-        ii, jj = net.index_of(u), net.index_of(v)
-        if net.adjacency[ii, jj]:
-            values.append(link_value_existing(spec, u, v))
-        else:
-            values.append(link_value_potential(spec, u, v))
+        present = net.adjacency[net.index_of(u), net.index_of(v)]
+        values = [(link_value_existing if present else link_value_potential)(spec, u, v)]
     else:
-        want = 0.0 if args.all_potential else 1.0
-        for ii in range(net.n):
-            for jj in range(ii + 1, net.n):
-                if net.adjacency[ii, jj] != want:
-                    continue
-                order.append((net.labels[ii], net.labels[jj]))
-        for u, v in order:
-            try:
-                if args.all_potential:
-                    values.append(link_value_potential(spec, u, v))
-                else:
-                    values.append(link_value_existing(spec, u, v))
-            except InputError as exc:
-                skipped.append({"i": u, "j": v, "reason": str(exc)})
-        values.sort(key=lambda lv: (-lv.value, (label_key(lv.i), label_key(lv.j))))
+        values, skipped = link_values(spec, "potential" if args.all_potential else "existing")
     if args.format == "csv":
         rows = [(lv.i, lv.j, lv.kind, lv.value) for lv in values]
         _emit_csv(("i", "j", "kind", "value"), rows, out)
     else:
         payload = {"values": [lv.to_json_dict() for lv in values]}
         if skipped:
-            payload["skipped"] = skipped
+            payload["skipped"] = [{"i": u, "j": v, "reason": why} for u, v, why in skipped]
         _emit_json(payload, out)
     return 0
 

@@ -20,10 +20,15 @@ from functools import cached_property
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, eigh
+from scipy.linalg.lapack import dpotri
 
 # Safety margin on the spectral condition delta * lambda_max < 1. Keeps
 # (I - delta G) well conditioned for every downstream solve.
 SPECTRAL_MARGIN = 1e-9
+
+# Two scores this close count as tied and fall through to the lexicographic
+# rule, so automorphic nodes rank identically despite rounding noise.
+NEAR_TIE = 1e-9
 
 
 class NetsurgeonError(Exception):
@@ -69,6 +74,31 @@ def label_key(label: str) -> tuple[int, int, str]:
     if label.isdigit():
         return (0, int(label), label)
     return (1, 0, label)
+
+
+def rank_order(values: np.ndarray, keys: tuple, tie: float = NEAR_TIE) -> np.ndarray:
+    """Positions of values, best first.
+
+    A run of values whose consecutive gaps stay within tie * max(1, |v|), v
+    the run's first value, counts as tied and is ordered by the key arrays,
+    compared lexicographically. tie = 0 ties equal values only.
+    """
+    order = np.lexsort(keys[::-1] + (-values,))
+    v = values[order]
+    gap = v[:-1] - v[1:]
+    # Only a gap within the loosest tolerance can join two values into a run.
+    near = np.flatnonzero(gap <= tie * max(1.0, float(np.abs(v).max(initial=0.0))))
+    end = 0
+    for start in near:
+        if start < end:
+            continue
+        limit = tie * max(1.0, abs(v[start]))
+        end = start + 1
+        while end < len(v) and gap[end - 1] <= limit:
+            end += 1
+        run = order[start:end]
+        order[start:end] = run[np.lexsort(tuple(k[run] for k in keys[::-1]))]
+    return order
 
 
 @dataclass(frozen=True, eq=False)
@@ -226,6 +256,26 @@ def within_bound(net: Network, weight: float, scale: float = 1.0) -> bool:
     return is_positive_definite(system)
 
 
+def links_within_bound(net: Network, weight: float, rows, cols) -> np.ndarray:
+    """Whether each absent link (rows[t], cols[t]) keeps within_bound(net + link, weight).
+
+    With W = ((1 - margin) I - weight G)^-1, one factor and one inverse for
+    all pairs, adding link ij keeps the system positive definite exactly when
+    weight (w_ij + sqrt(w_ii w_jj)) < 1 (inertia additivity on the rank-two
+    update). Exact up to rounding at the bound; all False if net itself fails.
+    """
+    system = -weight * net.adjacency
+    system[np.diag_indices(net.n)] = 1.0 - SPECTRAL_MARGIN
+    try:
+        low = cho_factor(system.T, lower=True, overwrite_a=True)[0]
+    except np.linalg.LinAlgError:
+        return np.zeros(len(rows), dtype=bool)
+    w = dpotri(low, lower=True, overwrite_c=True)[0]  # W in the lower triangle
+    w_ii, w_jj = np.diag(w)[rows], np.diag(w)[cols]
+    w_ij = w[np.maximum(rows, cols), np.minimum(rows, cols)]
+    return w_ij + np.sqrt(w_ii * w_jj) < 1.0 / weight
+
+
 @dataclass(frozen=True)
 class NodeSet:
     """Sorted, duplicate-free internal node indices."""
@@ -297,6 +347,17 @@ class GameSpec:
             return cho_solve(self._factor, rhs)
         except np.linalg.LinAlgError as exc:  # pragma: no cover - barred by certification
             raise InternalCheckError(f"solve failed on certified spec: {exc}") from exc
+
+    @cached_property
+    def b_unit(self) -> np.ndarray:
+        """Unweighted centralities (I - delta G)^-1 1, read-only."""
+        b = self.solve(np.ones(self.n))
+        b.flags.writeable = False
+        return b
+
+    def influence(self) -> np.ndarray:
+        """M = (I - delta G)^-1, made afresh by each call: n^2 floats are not kept."""
+        return self.solve(np.eye(self.n))
 
     @property
     def n(self) -> int:

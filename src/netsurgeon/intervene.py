@@ -175,7 +175,7 @@ def characteristic_effect(spec: GameSpec, iv: CharacteristicIntervention) -> Eff
             spec.network.labels, zero, 0.0, zero.copy(), spec.solve(spec.theta)
         )
     delta_x = spec.solve(dtheta)
-    b_unw = spec.solve(np.ones(spec.n))
+    b_unw = spec.b_unit
     delta_aggregate = float(b_unw[list(s.members)] @ dtheta[list(s.members)])
     pre_b = spec.solve(spec.theta)
     return EffectReport(
@@ -252,7 +252,7 @@ def sufficient_increase_check(spec: GameSpec, iv: StructuralIntervention) -> dic
     if not spec.theta_is_ones():
         raise InputError("the sufficient-increase test requires theta = 1")
     iv.check_legal(spec.network)
-    b = spec.solve(np.ones(spec.n))
+    b = spec.b_unit
     quad = 0.0
     for i, j, sign in iv.entries:
         quad += 2.0 * sign * b[i] * b[j]

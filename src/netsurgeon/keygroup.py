@@ -4,24 +4,26 @@ The intercentrality of a set S prices its removal: it equals the drop in
 aggregate play when S leaves the game, yet is computed from the intact
 network through one |S| x |S| solve. Search strategies: exhaustive over all
 size-k subsets, greedy one node at a time, and a dominance filter that
-discards provably inferior candidates before scoring.
+discards provably inferior candidates before scoring. Each search reads one
+influence matrix M = (I - delta G)^-1: exhaustive search gathers the k x k
+blocks of M in chunks and solves each chunk in one stacked call; greedy
+search drops each pick from M by a Schur-complement downdate, O(n^2) a step.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import GameSpec, InputError, InternalCheckError, Network, NodeSet, certify
+from .graphs import NEAR_TIE, GameSpec, InputError, InternalCheckError, Network, NodeSet, rank_order
 
 ENUMERATION_CAP = 10_000_000
 
-# Two scores this close count as tied and fall through to the lexicographic
-# rule, so automorphic nodes rank identically despite rounding noise.
-NEAR_TIE = 1e-9
+# Subsets scored per stacked solve; bounds the gathered k x k blocks.
+CHUNK = 4096
 
 DOMINANCE_SLACK = 1e-12
 
@@ -47,7 +49,9 @@ class GroupScore:
                 tuple(spec.network.labels[i] for i in idx),
                 spec.network.adjacency[np.ix_(idx, idx)].copy(),
             )
-            residual = float(certify(sub, spec.delta, spec.theta[idx]).solve(spec.theta[idx]).sum())
+            # Deleting nodes never raises lambda_max, so the subgame stays certified.
+            subgame = GameSpec(sub, spec.theta[idx], spec.delta)
+            residual = float(subgame.solve(spec.theta[idx]).sum())
         if abs(full - residual - self.intercentrality) > tol:
             raise InternalCheckError(
                 f"intercentrality {self.intercentrality:.12g} disagrees with subgame "
@@ -63,13 +67,22 @@ class GroupScore:
         }
 
 
-def _score(m_ss, b_theta_s, b_unw_s) -> tuple[float, float]:
+def _score(m_ss, b_theta_s, b_unw_s) -> tuple[np.ndarray, np.ndarray]:
+    """Scores of stacked groups: m_ss (c, k, k), centralities (c, k)."""
     try:
-        v = np.linalg.solve(m_ss, b_theta_s)
+        v = np.linalg.solve(m_ss, b_theta_s[..., None])
     except np.linalg.LinAlgError as exc:
         # Principal submatrices of the SPD influence matrix stay SPD.
         raise InternalCheckError(f"singular principal influence block: {exc}") from exc
-    return float(b_unw_s @ v), float(b_theta_s.sum())
+    # matmul of (1, k) by (k, 1) is the same dot product as one group's b @ v.
+    return (b_unw_s[:, None, :] @ v)[:, 0, 0], b_theta_s.sum(axis=1)
+
+
+def _group_scores(groups, d, direct) -> list[GroupScore]:
+    return [
+        GroupScore(NodeSet(tuple(g)), x, y, x - y)
+        for g, x, y in zip(groups.tolist(), d.tolist(), direct.tolist())
+    ]
 
 
 def intercentrality(spec: GameSpec, s: NodeSet) -> GroupScore:
@@ -79,37 +92,11 @@ def intercentrality(spec: GameSpec, s: NodeSet) -> GroupScore:
     if s.members[-1] >= spec.n:
         raise InputError(f"node index {s.members[-1]} out of range for n={spec.n}")
     b_theta = spec.solve(spec.theta)
-    b_unw = b_theta if spec.theta_is_ones() else spec.solve(np.ones(spec.n))
-    idx = list(s.members)
-    m_ss = spec.solve(np.eye(spec.n)[:, idx])[idx, :]
-    d, direct = _score(m_ss, b_theta[idx], b_unw[idx])
-    return GroupScore(s, d, direct, d - direct)
-
-
-def _ranked(scores: list[GroupScore]) -> list[GroupScore]:
-    scores.sort(key=lambda gs: (-gs.intercentrality, gs.group.members))
-    out: list[GroupScore] = []
-    i = 0
-    while i < len(scores):
-        j = i + 1
-        while j < len(scores) and (
-            scores[j - 1].intercentrality - scores[j].intercentrality
-            <= NEAR_TIE * max(1.0, abs(scores[i].intercentrality))
-        ):
-            j += 1
-        out.extend(sorted(scores[i:j], key=lambda gs: gs.group.members))
-        i = j
-    return out
-
-
-def _colex_combinations(n: int, k: int):
-    """Size-k subsets of range(n), ordered by largest element first."""
-    if k == 0:
-        yield ()
-        return
-    for last in range(k - 1, n):
-        for rest in _colex_combinations(last, k - 1):
-            yield rest + (last,)
+    b_unw = b_theta if spec.theta_is_ones() else spec.b_unit
+    idx = np.array([s.members])  # one group, shape (1, k)
+    m_ss = spec.solve(np.eye(spec.n)[:, idx[0]])[idx[0], :]
+    d, direct = _score(m_ss[None], b_theta[idx], b_unw[idx])
+    return _group_scores(idx, d, direct)[0]
 
 
 def key_group_exhaustive(
@@ -118,7 +105,8 @@ def key_group_exhaustive(
     """Score every size-k subset; full ranking, best first.
 
     Larger groups always score higher than their subsets, so only subsets of
-    size exactly k are candidates for the size-at-most-k optimum.
+    size exactly k are candidates for the size-at-most-k optimum. `workers`
+    is accepted and ignored: the search runs in one thread.
     """
     if not 1 <= k <= spec.n:
         raise InputError(f"k must be between 1 and {spec.n}, got {k}")
@@ -128,26 +116,18 @@ def key_group_exhaustive(
             f"{count} subsets exceed the enumeration cap ({cap}); use the greedy mode"
         )
     b_theta = spec.solve(spec.theta)
-    b_unw = b_theta if spec.theta_is_ones() else spec.solve(np.ones(spec.n))
-    m_full = spec.solve(np.eye(spec.n))
-
-    def evaluate(chunk):
-        local = []
-        for comb in chunk:
-            idx = list(comb)
-            d, direct = _score(m_full[np.ix_(idx, idx)], b_theta[idx], b_unw[idx])
-            local.append(GroupScore(NodeSet(comb), d, direct, d - direct))
-        return local
-
-    combos = list(_colex_combinations(spec.n, k))
-    if workers > 1 and len(combos) > 1:
-        chunks = [combos[i::workers] for i in range(workers)]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(evaluate, chunks))
-        scores = [gs for part in parts for gs in part]
-    else:
-        scores = evaluate(combos)
-    return _ranked(scores)
+    b_unw = b_theta if spec.theta_is_ones() else spec.b_unit
+    m_full = spec.influence()
+    combos = itertools.chain.from_iterable(itertools.combinations(range(spec.n), k))
+    groups = np.fromiter(combos, dtype=np.intp, count=count * k).reshape(count, k)
+    d, direct = np.empty(count), np.empty(count)
+    for lo in range(0, count, CHUNK):
+        idx = groups[lo : lo + CHUNK]
+        d[lo : lo + CHUNK], direct[lo : lo + CHUNK] = _score(
+            m_full[idx[:, :, None], idx[:, None, :]], b_theta[idx], b_unw[idx]
+        )
+    order = rank_order(d, tuple(groups.T))
+    return _group_scores(groups[order], d[order], direct[order])
 
 
 def key_group_greedy(spec: GameSpec, k: int) -> GroupScore:
@@ -155,30 +135,27 @@ def key_group_greedy(spec: GameSpec, k: int) -> GroupScore:
 
     The returned score is measured in the original network, so it compares
     directly with exhaustive output. Can be strictly suboptimal: the best
-    pair need not contain the best singleton.
+    pair need not contain the best singleton. The residual network's
+    influence matrix is the Schur complement of the pick in the current one,
+    and deleting nodes never breaks the spectral certificate.
     """
     if not 1 <= k <= spec.n:
         raise InputError(f"k must be between 1 and {spec.n}, got {k}")
     chosen: list[int] = []
-    cur = spec
-    to_orig = list(range(spec.n))
+    alive = np.arange(spec.n)
+    m = spec.influence()
     for step in range(k):
-        b_theta = cur.solve(cur.theta)
-        b_unw = b_theta if cur.theta_is_ones() else cur.solve(np.ones(cur.n))
-        m_diag = np.diag(cur.solve(np.eye(cur.n)))
-        single = b_unw * b_theta / m_diag
+        b_theta = m @ spec.theta[alive]
+        b_unw = b_theta if spec.theta_is_ones() else m.sum(axis=1)
+        single = b_unw * b_theta / np.diag(m)
         best = float(single.max())
         pick = int(np.flatnonzero(single >= best - NEAR_TIE * max(1.0, abs(best)))[0])
-        chosen.append(to_orig[pick])
+        chosen.append(int(alive[pick]))
         if step + 1 == k:
             break
-        keep = [t for t in range(cur.n) if t != pick]
-        to_orig = [to_orig[t] for t in keep]
-        sub = Network(
-            tuple(cur.network.labels[t] for t in keep),
-            cur.network.adjacency[np.ix_(keep, keep)].copy(),
-        )
-        cur = certify(sub, spec.delta, cur.theta[keep])
+        keep = np.delete(np.arange(len(alive)), pick)
+        m = m[np.ix_(keep, keep)] - np.outer(m[keep, pick], m[pick, keep]) / m[pick, pick]
+        alive = alive[keep]
     return intercentrality(spec, NodeSet.of(chosen, spec.n))
 
 
@@ -218,8 +195,8 @@ def dominance_prune(spec: GameSpec, candidates: list[NodeSet]) -> list[NodeSet]:
     for c in candidates:
         if c.members[-1] >= spec.n:
             raise InputError(f"node index {c.members[-1]} out of range for n={spec.n}")
-    b = spec.solve(np.ones(spec.n))
-    m_full = spec.solve(np.eye(spec.n))
+    b = spec.b_unit
+    m_full = spec.influence()
     kept = []
     for x, s in enumerate(candidates):
         dropped = False

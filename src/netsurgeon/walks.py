@@ -20,6 +20,12 @@ from .keygroup import intercentrality
 CROSS_ROUTE_TOL = 1e-9
 
 
+def _require_agreement(gap: float, what: str) -> None:
+    """Raise unless gap is within CROSS_ROUTE_TOL; a NaN gap fails."""
+    if not gap <= CROSS_ROUTE_TOL:
+        raise InternalCheckError(f"{what} by {gap:.3g}")
+
+
 @dataclass(frozen=True, eq=False)
 class WalkMatrix:
     """The four blocks of avoiding-walk totals for one excluded set."""
@@ -67,7 +73,7 @@ def walk_matrix(spec: GameSpec, s: NodeSet) -> WalkMatrix:
     kept = s.complement(spec.n)
     c = list(kept.members)
     e = list(s.members)
-    m = spec.solve(np.eye(spec.n))
+    m = spec.influence()
     m_cc = m[np.ix_(c, c)]
     m_cs = m[np.ix_(c, e)]
     m_ss = m[np.ix_(e, e)]
@@ -87,7 +93,7 @@ def walk_matrix(spec: GameSpec, s: NodeSet) -> WalkMatrix:
     alt_cc = cho_solve(kept_factor, np.eye(len(c)))
     alt_cs = spec.delta * cho_solve(kept_factor, g_cs)
     alt_ss = (
-        spec.delta * spec.delta * (g_cs.T @ cho_solve(kept_factor, g_cs))
+        spec.delta * (spec.delta * (g_cs.T @ cho_solve(kept_factor, g_cs)))
         + spec.delta * g_ss
         + np.eye(len(e))
     )
@@ -97,10 +103,7 @@ def walk_matrix(spec: GameSpec, s: NodeSet) -> WalkMatrix:
         ("excluded-excluded", w_ss, alt_ss),
     ):
         gap = float(np.max(np.abs(ours - alt)))
-        if gap > CROSS_ROUTE_TOL:
-            raise InternalCheckError(
-                f"walk-count routes disagree on the {name} block by {gap:.3g}"
-            )
+        _require_agreement(gap, f"walk-count routes disagree on the {name} block")
     return WalkMatrix(s, kept, w_cc, w_cs, w_sc, w_ss)
 
 
@@ -118,7 +121,7 @@ def avoidance_block(spec: GameSpec, a: NodeSet, b: NodeSet) -> np.ndarray:
     if hi >= spec.n:
         raise InputError(f"node index {hi} out of range for n={spec.n}")
     ia, ib = list(a.members), list(b.members)
-    m = spec.solve(np.eye(spec.n))
+    m = spec.influence()
     m_aa = m[np.ix_(ia, ia)]
     m_ab = m[np.ix_(ia, ib)]
     m_bb = m[np.ix_(ib, ib)]
@@ -129,9 +132,7 @@ def avoidance_block(spec: GameSpec, a: NodeSet, b: NodeSet) -> np.ndarray:
         second = np.linalg.solve(w_aa_no_b, np.linalg.solve(m_bb, m_ab.T).T)
     except np.linalg.LinAlgError as exc:
         raise InternalCheckError(f"singular block in avoidance factorization: {exc}") from exc
-    gap = float(np.max(np.abs(first - second)))
-    if gap > CROSS_ROUTE_TOL:
-        raise InternalCheckError(f"avoidance factorizations disagree by {gap:.3g}")
+    _require_agreement(float(np.max(np.abs(first - second))), "avoidance factorizations disagree")
     return first
 
 
@@ -146,16 +147,14 @@ def intercentrality_decomposition(spec: GameSpec, s: NodeSet) -> dict:
     if not spec.theta_is_ones():
         raise InputError("the decomposition requires theta = 1")
     wm = walk_matrix(spec, s)
-    b = spec.solve(np.ones(spec.n))
+    b = spec.b_unit
     idx = list(s.members)
     direct = float(b[idx].sum())
     walk_mediated = float(wm.kept_excluded.sum(axis=0) @ b[idx])
     d = intercentrality(spec, s).intercentrality
-    gap = abs(direct + walk_mediated - d)
-    if gap > CROSS_ROUTE_TOL:
-        raise InternalCheckError(
-            f"decomposition misses the removal value by {gap:.3g} for {s.members}"
-        )
+    _require_agreement(
+        abs(direct + walk_mediated - d), f"decomposition of {s.members} misses the removal value"
+    )
     return {"direct": direct, "walk_mediated": walk_mediated}
 
 

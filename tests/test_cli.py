@@ -198,12 +198,14 @@ class TestKeyGroup:
         monkeypatch.setenv("NETSURGEON_THREADS", "1")
         assert invoke(argv)[1] == out
 
-    def test_thread_cap_validated(self, reg_file, monkeypatch):
-        monkeypatch.setenv("NETSURGEON_THREADS", "zero")
-        code, _, err = invoke(
-            ["key-group", "--graph", reg_file, "--delta", "0.2", "--k", "2"]
-        )
-        assert code == 1 and "NETSURGEON_THREADS" in err
+    def test_thread_variable_is_ignored(self, reg_file, monkeypatch):
+        argv = ["key-group", "--graph", reg_file, "--delta", "0.2", "--k", "2"]
+        monkeypatch.delenv("NETSURGEON_THREADS", raising=False)
+        want = invoke(argv)
+        assert want[0] == 0
+        for raw in ("1", "2", "zero"):
+            monkeypatch.setenv("NETSURGEON_THREADS", raw)
+            assert invoke(argv) == want
 
     def test_bad_top(self, reg_file):
         code, _, err = invoke(

@@ -20,6 +20,9 @@ from netsurgeon import (
     cli,
 )
 
+# A warning here marks arithmetic that overflowed on the way to an answer.
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 GRAPHS = {
     "path": "1 2\n2 3\n3 4\n",
     "other": "x y\ny z\n",

@@ -9,7 +9,9 @@ import numpy as np
 import pytest
 
 from netsurgeon import (
+    GroupScore,
     InputError,
+    InternalCheckError,
     Network,
     NodeSet,
     avoidance_block,
@@ -22,6 +24,7 @@ from netsurgeon import (
     spectral_radius,
     truncation_tail_bound,
     walk_matrix,
+    walks,
 )
 
 from .conftest import dense_inverse, dyad, path, random_connected_graph, random_graph, safe_delta
@@ -87,6 +90,23 @@ class TestWalkMatrix:
             wm = walk_matrix(spec, s)
             for block in (wm.kept_kept, wm.kept_excluded, wm.excluded_kept, wm.excluded_excluded):
                 assert np.all(block >= -1e-12)
+
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_edgeless_graph_at_huge_delta(self):
+        # delta * delta overflows here; the check route must not form inf * 0
+        net = Network.from_edges([], isolated=["1", "2", "3"])
+        wm = walk_matrix(certify(net, 1e308), NodeSet.of([1]))
+        np.testing.assert_array_equal(wm.excluded_excluded, [[1.0]])
+        np.testing.assert_array_equal(wm.kept_kept, np.eye(2))
+
+    def test_nan_gap_is_refused(self, regular10, monkeypatch):
+        spec = certify(regular10, 0.2)
+        s = NodeSet.of([0])
+        nan_score = GroupScore(s, float("nan"), 0.0, float("nan"))
+        monkeypatch.setattr(walks, "intercentrality", lambda spec, s: nan_score)
+        with pytest.raises(InternalCheckError, match="by nan"):
+            intercentrality_decomposition(spec, s)
 
 
 class TestSingleNodeIdentities:
