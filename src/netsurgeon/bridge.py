@@ -23,6 +23,7 @@ from .graphs import (
     Network,
     NodeSet,
     certify,
+    certify_change,
     label_key,
     links_within_bound,
     rank_order,
@@ -43,9 +44,9 @@ class BridgeScore:
     def check_prediction(self, spec1: GameSpec, spec2: GameSpec, tol: float = 1e-9) -> None:
         """Re-solve the physically joined game and compare; raises on mismatch."""
         joined = joined_network(spec1.network, spec2.network, bridge=(self.i, self.j))
-        before = float(spec1.solve(spec1.theta).sum() + spec2.solve(spec2.theta).sum())
+        before = float(spec1.b.sum() + spec2.b.sum())
         spec = certify(joined, spec1.delta)
-        after = float(spec.solve(spec.theta).sum())
+        after = float(spec.b.sum())
         gap = abs(after - before - self.predicted_delta_aggregate)
         if gap > tol:
             raise InternalCheckError(
@@ -209,10 +210,8 @@ def _single_link(spec: GameSpec, i: str, j: str, kind: str) -> LinkValue:
     if not spec.network.adjacency[ii, jj] and kind == "existing":
         raise InputError(f"link ({i},{j}) not present; use the potential-link value")
     if kind == "potential":
-        plus = spec.network.adjacency.copy()
-        plus[ii, jj] = plus[jj, ii] = 1.0
-        certify(Network(spec.network.labels, plus), spec.delta)
-    m = spec.solve(np.eye(spec.n)[:, [ii, jj]])  # columns ii and jj of M
+        certify_change(spec.network, spec.delta, [(ii, jj, 1)])
+    m = spec.columns([ii, jj])
     rows, cols = np.array([ii]), np.array([jj])
     value = _link_value(spec, kind, rows, cols, m[rows, 0], m[cols, 1], m[cols, 0])[0]
     u, v = sorted((i, j), key=label_key)
@@ -251,11 +250,9 @@ def link_values(spec: GameSpec, kind: str) -> tuple[list[LinkValue], list[tuple[
     if kind == "potential":
         fits = links_within_bound(net, spec.delta, rows, cols)
         for t in np.flatnonzero(~fits):
-            plus = net.adjacency.copy()
-            plus[rows[t], cols[t]] = plus[cols[t], rows[t]] = 1.0
             try:
                 # Refusals near the bound are settled by the exact certificate.
-                certify(Network(net.labels, plus), spec.delta)
+                certify_change(net, spec.delta, [(rows[t], cols[t], 1)])
                 fits[t] = True
             except InputError as exc:
                 skipped.append((net.labels[rows[t]], net.labels[cols[t]], str(exc)))

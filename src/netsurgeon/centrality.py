@@ -42,7 +42,7 @@ class LeontiefBlock:
 def katz_bonacich(spec: GameSpec) -> CentralityReport:
     """Equilibrium actions, unweighted centralities, and self-loops m_ii."""
     n = spec.n
-    b = spec.solve(spec.theta)
+    b = spec.b.copy()
     b_unw = spec.b_unit
     # Self-loops are the diagonal of the solves for all unit right-hand sides.
     self_loops = np.diag(spec.influence()).copy() if n else np.zeros(0)
@@ -50,14 +50,8 @@ def katz_bonacich(spec: GameSpec) -> CentralityReport:
 
 
 def leontief_block(spec: GameSpec, rows: NodeSet, cols: NodeSet) -> LeontiefBlock:
-    """M_{rows,cols}: one solve per column index, rows sliced from the result."""
-    n = spec.n
-    col_idx = list(cols.members)
-    rhs = np.zeros((n, len(col_idx)))
-    for k, j in enumerate(col_idx):
-        rhs[j, k] = 1.0
-    full_cols = spec.solve(rhs)
-    values = full_cols[list(rows.members), :]
+    """M_{rows,cols}: one solve for the columns, rows sliced from the result."""
+    values = spec.columns(cols.members)[list(rows.members), :]
     return LeontiefBlock(rows, cols, values)
 
 

@@ -169,16 +169,14 @@ class Network:
 
     def edges(self) -> list[tuple[str, str]]:
         """Edges as (min-label, max-label) pairs, ascending."""
-        out = []
-        for i in range(self.n):
-            for j in range(i + 1, self.n):
-                if self.adjacency[i, j]:
-                    out.append((self.labels[i], self.labels[j]))
-        return sorted(out, key=lambda e: (label_key(e[0]), label_key(e[1])))
+        # Indices rank labels in natural order, so row-major order is label order.
+        rows, cols = np.nonzero(np.triu(self.adjacency, 1))
+        return [(self.labels[i], self.labels[j]) for i, j in zip(rows.tolist(), cols.tolist())]
 
     def serialize(self) -> str:
-        lines = [f"{u} {v}" for u, v in self.edges()]
-        touched = {u for e in self.edges() for u in e}
+        edges = self.edges()
+        lines = [f"{u} {v}" for u, v in edges]
+        touched = {u for e in edges for u in e}
         lines.extend(lab for lab in self.labels if lab not in touched)
         return "\n".join(lines) + "\n"
 
@@ -244,6 +242,13 @@ def is_positive_definite(matrix: np.ndarray) -> bool:
     return True
 
 
+def _bound_system(net: Network, weight: float, scale: float = 1.0) -> np.ndarray:
+    """scale (1 - margin) I - weight G, a fresh array."""
+    system = -weight * net.adjacency
+    system[np.diag_indices(net.n)] = scale * (1.0 - SPECTRAL_MARGIN)
+    return system
+
+
 def within_bound(net: Network, weight: float, scale: float = 1.0) -> bool:
     """The spectral certificate: weight * lambda_max(G) < scale * (1 - margin).
 
@@ -251,9 +256,27 @@ def within_bound(net: Network, weight: float, scale: float = 1.0) -> bool:
     """
     if not np.isfinite(weight):
         return False
-    system = -weight * net.adjacency
-    system[np.diag_indices(net.n)] = scale * (1.0 - SPECTRAL_MARGIN)
-    return is_positive_definite(system)
+    return is_positive_definite(_bound_system(net, weight, scale))
+
+
+def certify_change(net: Network, weight: float, changes) -> None:
+    """Raise SpectralConditionError unless net, changed, passes within_bound at weight.
+
+    changes are signed link changes (i, j, +1 create / -1 delete), legal for
+    net. The certificate system of the changed network is written over net's
+    entry for entry, with within_bound's arithmetic, and tested in place; the
+    changed network is built only to word a refusal.
+    """
+    if np.isfinite(weight):
+        system = _bound_system(net, weight)
+        for i, j, sign in changes:
+            system[i, j] = system[j, i] = -weight * (net.adjacency[i, j] + sign)
+        if is_positive_definite(system):
+            return
+    changed = net.adjacency.copy()
+    for i, j, sign in changes:
+        changed[i, j] = changed[j, i] = net.adjacency[i, j] + sign
+    raise SpectralConditionError(weight, spectral_radius(Network(net.labels, changed)))
 
 
 def links_within_bound(net: Network, weight: float, rows, cols) -> np.ndarray:
@@ -264,8 +287,7 @@ def links_within_bound(net: Network, weight: float, rows, cols) -> np.ndarray:
     weight (w_ij + sqrt(w_ii w_jj)) < 1 (inertia additivity on the rank-two
     update). Exact up to rounding at the bound; all False if net itself fails.
     """
-    system = -weight * net.adjacency
-    system[np.diag_indices(net.n)] = 1.0 - SPECTRAL_MARGIN
+    system = _bound_system(net, weight)
     try:
         low = cho_factor(system.T, lower=True, overwrite_a=True)[0]
     except np.linalg.LinAlgError:
@@ -322,9 +344,12 @@ class GameSpec:
     """A certified game: network, characteristics theta, synergy delta.
 
     Construct through certify(); direct construction skips the spectral check.
-    The Cholesky factorization of (I - delta G) is cached and shared by every
-    solve against this spec (read-only, safe across threads). lambda_max is
-    computed on first read unless it was passed in.
+    The Cholesky factorization of (I - delta G) is cached, read-only, and
+    shared by every solve against this spec. Queries read what they need of
+    M = (I - delta G)^-1 through it: columns(idx) solves for |idx| columns,
+    O(n^2 |idx|); influence() solves for all of M, O(n^3), and is not kept.
+    The centralities b_unit (theta = 1) and b (this theta) are cached and
+    read-only. lambda_max is computed on first read unless it was passed in.
     """
 
     network: Network
@@ -339,12 +364,19 @@ class GameSpec:
     @cached_property
     def _factor(self):
         n = self.network.n
-        return cho_factor(np.eye(n) - self.delta * self.network.adjacency, lower=True)
+        low, lower = cho_factor(np.eye(n) - self.delta * self.network.adjacency, lower=True)
+        low.flags.writeable = False
+        return low, lower
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """Solve (I - delta G) x = rhs; rhs may be a vector or a matrix of columns."""
+        """Solve (I - delta G) x = rhs; rhs may be a vector or a matrix of columns.
+
+        A non-finite rhs raises ValueError. The factor is finite by
+        construction, so it is not scanned again on every solve.
+        """
+        rhs = np.asarray_chkfinite(rhs)
         try:
-            return cho_solve(self._factor, rhs)
+            return cho_solve(self._factor, rhs, check_finite=False)
         except np.linalg.LinAlgError as exc:  # pragma: no cover - barred by certification
             raise InternalCheckError(f"solve failed on certified spec: {exc}") from exc
 
@@ -354,6 +386,20 @@ class GameSpec:
         b = self.solve(np.ones(self.n))
         b.flags.writeable = False
         return b
+
+    @cached_property
+    def b(self) -> np.ndarray:
+        """Weighted centralities (I - delta G)^-1 theta, the equilibrium; read-only."""
+        b = self.solve(self.theta)
+        b.flags.writeable = False
+        return b
+
+    def columns(self, idx) -> np.ndarray:
+        """M[:, idx] for a sequence of node indices, through one solve on unit columns."""
+        idx = np.asarray(idx, dtype=np.intp)
+        rhs = np.zeros((self.n, idx.size))
+        rhs[idx, np.arange(idx.size)] = 1.0
+        return self.solve(rhs)
 
     def influence(self) -> np.ndarray:
         """M = (I - delta G)^-1, made afresh by each call: n^2 floats are not kept."""

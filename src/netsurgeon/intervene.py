@@ -22,10 +22,8 @@ from .graphs import (
     InternalCheckError,
     Network,
     NodeSet,
-    SpectralConditionError,
+    certify_change,
     embed,
-    spectral_radius,
-    within_bound,
 )
 
 STRICT_TOL = 1e-12
@@ -97,13 +95,12 @@ class StructuralIntervention:
     @staticmethod
     def node_removal(net: Network, labels) -> "StructuralIntervention":
         """Delete every link touching the given nodes."""
-        drop = {net.index_of(lab) for lab in labels}
-        entries = set()
-        for i in range(net.n):
-            for j in range(i + 1, net.n):
-                if net.adjacency[i, j] and (i in drop or j in drop):
-                    entries.add((i, j, -1))
-        return StructuralIntervention(frozenset(entries))
+        drop = np.zeros(net.n, dtype=bool)
+        drop[[net.index_of(lab) for lab in labels]] = True
+        rows, cols = np.nonzero(np.triu(net.adjacency, 1) * (drop[:, None] | drop))
+        return StructuralIntervention(
+            frozenset((i, j, -1) for i, j in zip(rows.tolist(), cols.tolist()))
+        )
 
     def support(self) -> NodeSet:
         return NodeSet.of({i for i, _, _ in self.entries} | {j for _, j, _ in self.entries})
@@ -171,31 +168,31 @@ def characteristic_effect(spec: GameSpec, iv: CharacteristicIntervention) -> Eff
     s = iv.support()
     if len(s) == 0:
         zero = np.zeros(spec.n)
-        return EffectReport(
-            spec.network.labels, zero, 0.0, zero.copy(), spec.solve(spec.theta)
-        )
+        return EffectReport(spec.network.labels, zero, 0.0, zero.copy(), spec.b.copy())
     delta_x = spec.solve(dtheta)
     b_unw = spec.b_unit
     delta_aggregate = float(b_unw[list(s.members)] @ dtheta[list(s.members)])
-    pre_b = spec.solve(spec.theta)
     return EffectReport(
-        spec.network.labels, delta_x, delta_aggregate, dtheta.copy(), pre_b + delta_x
+        spec.network.labels, delta_x, delta_aggregate, dtheta.copy(), spec.b + delta_x
     )
 
 
 def _equivalent_on(spec: GameSpec, iv: StructuralIntervention, b_vec: np.ndarray) -> np.ndarray:
     """dtheta*_S for intervention iv priced at the weighted centralities b_vec.
 
-    Solves only an |S| x |S| system; the full game is never re-factorized.
+    Solves only an |S| x |S| system against |S| columns of M; the full game is
+    never re-factorized, and the changed network is certified by one Cholesky
+    test of its system, built in place.
     """
     iv.check_legal(spec.network)
-    post_net = Network(spec.network.labels, spec.network.adjacency + iv.as_matrix(spec.n))
-    if not within_bound(post_net, spec.delta):
-        raise SpectralConditionError(spec.delta, spectral_radius(post_net))
+    certify_change(spec.network, spec.delta, iv.entries)
     s = iv.support()
     idx = list(s.members)
-    c_ss = iv.as_matrix(spec.n)[np.ix_(idx, idx)]
-    m_ss = spec.solve(np.eye(spec.n)[:, idx])[idx, :]
+    pos = {node: t for t, node in enumerate(idx)}
+    c_ss = np.zeros((len(idx), len(idx)))
+    for i, j, sign in iv.entries:
+        c_ss[pos[i], pos[j]] = c_ss[pos[j], pos[i]] = float(sign)
+    m_ss = spec.columns(idx)[idx, :]
     b_s = b_vec[idx]
     system = np.eye(len(idx)) - spec.delta * m_ss @ c_ss
     try:
@@ -212,8 +209,7 @@ def equivalent_theta(spec: GameSpec, iv: StructuralIntervention) -> Characterist
     """The endogenous theta shift on S replicating the structural intervention."""
     if iv.is_empty():
         return CharacteristicIntervention(np.zeros(spec.n))
-    b = spec.solve(spec.theta)
-    values = _equivalent_on(spec, iv, b)
+    values = _equivalent_on(spec, iv, spec.b)
     return CharacteristicIntervention(embed(values, iv.support(), spec.n))
 
 

@@ -40,7 +40,7 @@ class GroupScore:
     def check_definition(self, spec: GameSpec, tol: float = 1e-9) -> None:
         """Verify against a literal subgame solve; raises on disagreement."""
         rest = self.group.complement(spec.n)
-        full = float(spec.solve(spec.theta).sum())
+        full = float(spec.b.sum())
         if len(rest) == 0:
             residual = 0.0
         else:
@@ -91,10 +91,10 @@ def intercentrality(spec: GameSpec, s: NodeSet) -> GroupScore:
         raise InputError("group must be nonempty")
     if s.members[-1] >= spec.n:
         raise InputError(f"node index {s.members[-1]} out of range for n={spec.n}")
-    b_theta = spec.solve(spec.theta)
+    b_theta = spec.b
     b_unw = b_theta if spec.theta_is_ones() else spec.b_unit
     idx = np.array([s.members])  # one group, shape (1, k)
-    m_ss = spec.solve(np.eye(spec.n)[:, idx[0]])[idx[0], :]
+    m_ss = spec.columns(idx[0])[idx[0], :]
     d, direct = _score(m_ss[None], b_theta[idx], b_unw[idx])
     return _group_scores(idx, d, direct)[0]
 
@@ -115,7 +115,7 @@ def key_group_exhaustive(
         raise InputError(
             f"{count} subsets exceed the enumeration cap ({cap}); use the greedy mode"
         )
-    b_theta = spec.solve(spec.theta)
+    b_theta = spec.b
     b_unw = b_theta if spec.theta_is_ones() else spec.b_unit
     m_full = spec.influence()
     combos = itertools.chain.from_iterable(itertools.combinations(range(spec.n), k))

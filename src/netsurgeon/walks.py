@@ -4,7 +4,10 @@ Entry (i, j) of the walk matrix totals delta^length over all i-to-j walks
 whose interior nodes avoid the excluded set; endpoints are exempt, so walks
 may start or end inside it. Closed forms fall out of block inversion of the
 influence matrix. Every operation here recomputes its result a second way
-on the node-deleted network and refuses to return if the routes disagree.
+and refuses to return if the routes disagree: the walk matrix on the
+node-deleted network, whose kept-to-kept block is inverted from its Cholesky
+factor by LAPACK dpotri; the avoidance block by peeling the constraint off
+the other end, from the |a| + |b| columns of the influence matrix.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg.lapack import dpotri
 
 from .graphs import GameSpec, InputError, InternalCheckError, Network, NodeSet
 from .keygroup import intercentrality
@@ -53,8 +57,9 @@ class WalkMatrix:
 
 
 def _spd_factor(matrix: np.ndarray, what: str):
+    """Cholesky factor of matrix, in place where its layout allows."""
     try:
-        return cho_factor(matrix, lower=True)
+        return cho_factor(matrix, lower=True, overwrite_a=True)
     except np.linalg.LinAlgError as exc:
         raise InternalCheckError(f"{what} is not positive definite: {exc}") from exc
 
@@ -64,7 +69,8 @@ def walk_matrix(spec: GameSpec, s: NodeSet) -> WalkMatrix:
 
     Primary route: Schur-complement algebra on the intact influence matrix.
     Check route: solve the game on the network with s deleted, where kept-to-
-    kept totals are a plain inverse and crossings peel off one explicit step.
+    kept totals are a plain inverse (LAPACK dpotri on the Cholesky factor of
+    the kept system) and crossings peel off one explicit step.
     """
     if len(s) == 0 or len(s) >= spec.n:
         raise InputError("excluded set must be a nonempty proper subset of the nodes")
@@ -77,26 +83,29 @@ def walk_matrix(spec: GameSpec, s: NodeSet) -> WalkMatrix:
     m_cc = m[np.ix_(c, c)]
     m_cs = m[np.ix_(c, e)]
     m_ss = m[np.ix_(e, e)]
+    del m
     inv_ss = cho_solve(_spd_factor(m_ss, "excluded-block of the influence matrix"), np.eye(len(e)))
     w_cs = m_cs @ inv_ss
     w_sc = inv_ss @ m_cs.T
     w_cc = m_cc - w_cs @ m_cs.T
+    del m_cc
     w_ss = 2.0 * np.eye(len(e)) - inv_ss
 
     a = spec.network.adjacency
-    g_cc = a[np.ix_(c, c)]
-    g_cs = a[np.ix_(c, e)]
-    g_ss = a[np.ix_(e, e)]
-    kept_factor = _spd_factor(
-        np.eye(len(c)) - spec.delta * g_cc, "kept-node system of the deleted network"
-    )
-    alt_cc = cho_solve(kept_factor, np.eye(len(c)))
-    alt_cs = spec.delta * cho_solve(kept_factor, g_cs)
-    alt_ss = (
-        spec.delta * (spec.delta * (g_cs.T @ cho_solve(kept_factor, g_cs)))
-        + spec.delta * g_ss
-        + np.eye(len(e))
-    )
+    g_cs = a.take(e, axis=1).take(c, axis=0)
+    g_ss = a.take(e, axis=0).take(e, axis=1)
+    # I - delta G_cc, written in place; its transpose is the same matrix in
+    # the Fortran order LAPACK factors and inverts without a copy.
+    system = a.take(c, axis=0).take(c, axis=1)
+    system *= -spec.delta
+    system[np.diag_indices(len(c))] = 1.0
+    kept_factor = _spd_factor(system.T, "kept-node system of the deleted network")
+    peeled = cho_solve(kept_factor, g_cs)
+    alt_cs = spec.delta * peeled
+    alt_ss = spec.delta * (spec.delta * (g_cs.T @ peeled)) + spec.delta * g_ss + np.eye(len(e))
+    inverse = dpotri(kept_factor[0], lower=True, overwrite_c=True)[0]  # lower triangle
+    alt_cc = np.tril(inverse)
+    alt_cc += np.tril(inverse, -1).T
     for name, ours, alt in (
         ("kept-kept", w_cc, alt_cc),
         ("kept-excluded", w_cs, alt_cs),
@@ -121,10 +130,10 @@ def avoidance_block(spec: GameSpec, a: NodeSet, b: NodeSet) -> np.ndarray:
     if hi >= spec.n:
         raise InputError(f"node index {hi} out of range for n={spec.n}")
     ia, ib = list(a.members), list(b.members)
-    m = spec.influence()
-    m_aa = m[np.ix_(ia, ia)]
-    m_ab = m[np.ix_(ia, ib)]
-    m_bb = m[np.ix_(ib, ib)]
+    m = spec.columns(ia + ib)  # M[:, a] then M[:, b]
+    m_aa = m[ia, : len(ia)]
+    m_ab = m[ia, len(ia) :]
+    m_bb = m[ib, len(ia) :]
     try:
         w_bb_no_a = m_bb - m_ab.T @ np.linalg.solve(m_aa, m_ab)
         first = np.linalg.solve(m_aa, m_ab) @ np.linalg.inv(w_bb_no_a)
