@@ -24,12 +24,16 @@ from .graphs import (
     NodeSet,
     certify,
     certify_change,
+    certify_local,
     label_key,
-    links_within_bound,
+    links_certified,
     rank_order,
 )
 
 FRONTIER_SLACK = 1e-12
+
+# C_SS of one created link, on its two endpoints.
+_ONE_LINK = np.array([[0.0, 1.0], [1.0, 0.0]])
 
 
 @dataclass(frozen=True)
@@ -209,9 +213,9 @@ def _single_link(spec: GameSpec, i: str, j: str, kind: str) -> LinkValue:
         raise InputError(f"link ({i},{j}) already present; use the existing-link value")
     if not spec.network.adjacency[ii, jj] and kind == "existing":
         raise InputError(f"link ({i},{j}) not present; use the potential-link value")
-    if kind == "potential":
-        certify_change(spec.network, spec.delta, [(ii, jj, 1)])
     m = spec.columns([ii, jj])
+    if kind == "potential":
+        certify_local(spec, [(ii, jj, 1)], [ii, jj], m, _ONE_LINK)
     rows, cols = np.array([ii]), np.array([jj])
     value = _link_value(spec, kind, rows, cols, m[rows, 0], m[cols, 1], m[cols, 0])[0]
     u, v = sorted((i, j), key=label_key)
@@ -246,20 +250,22 @@ def link_values(spec: GameSpec, kind: str) -> tuple[list[LinkValue], list[tuple[
     net = spec.network
     want = 1.0 if kind == "existing" else 0.0
     rows, cols = np.nonzero(np.triu(net.adjacency == want, 1))
+    if not len(rows):
+        return [], []
+    m = spec.influence()
     skipped = []
     if kind == "potential":
-        fits = links_within_bound(net, spec.delta, rows, cols)
+        fits = links_certified(spec, m, rows, cols)
         for t in np.flatnonzero(~fits):
             try:
-                # Refusals near the bound are settled by the exact certificate.
+                # The sliver and every refusal are settled by the exact certificate.
                 certify_change(net, spec.delta, [(rows[t], cols[t], 1)])
                 fits[t] = True
             except InputError as exc:
                 skipped.append((net.labels[rows[t]], net.labels[cols[t]], str(exc)))
         rows, cols = rows[fits], cols[fits]
-    if not len(rows):  # also keeps delta**2 from overflowing when nothing certifies
-        return [], skipped
-    m = spec.influence()
+        if not len(rows):  # also keeps delta**2 from overflowing when nothing certifies
+            return [], skipped
     value = _link_value(spec, kind, rows, cols, m[rows, rows], m[cols, cols], m[cols, rows])
     order = rank_order(value, (rows, cols), tie=0.0)
     ranked = [

@@ -31,6 +31,8 @@ PD_FLOOR = 1e-9
 # solves is amplified by 1/gap; below this separation the 1e-9 agreement
 # check would only measure that amplification.
 ROOT_SPLIT_FLOOR = 1e-5
+# Largest gap allowed between the congestion split and the direct solve.
+SPLIT_TOL = 1e-9
 
 
 def _solve_plain(net: Network, weight: float, rhs: np.ndarray) -> np.ndarray:
@@ -126,14 +128,24 @@ def certify_congestion(net: Network, delta: float, gamma: float, theta=None) -> 
     return spec
 
 
+def _sup(v: np.ndarray) -> float:
+    return float(np.max(np.abs(v), initial=0.0))
+
+
 def congestion_equilibrium(spec: CongestionSpec) -> np.ndarray:
     """Solve the congestion game directly; cross-check the two-game split.
 
-    With distinct real roots of z^2 - delta z + gamma, the solution is a
-    weighted difference of two plain games; the split is skipped when roots
-    are complex or nearly repeated, and otherwise must agree with the
-    direct solve.
+    With distinct real roots beta1 > beta2 of z^2 - delta z + gamma, the
+    solution is (beta1 y1 - beta2 y2) / (beta1 - beta2), y_k solving the
+    plain game at weight beta_k. The split is skipped when roots are complex
+    or nearly repeated. Near the bound both routes lose accuracy like
+    u / (1 - beta1 lambda_max): with h_k = max row sum of (I - beta_k G)^-1,
+    at least 1 / (1 - beta_k lambda_max), the split carries about
+    sqrt(n) u h1 (beta1 |y1| + beta2 |y2|) / (beta1 - beta2) and the direct
+    solve sqrt(n) u h1 h2 |x|. The two are compared at SPLIT_TOL only where
+    that sum is below it, so a disagreement marks a fault, not rounding.
     """
+    n = spec.network.n
     system = _congestion_system(spec.network, spec.delta, spec.gamma)
     x = cho_solve(cho_factor(system, lower=True), spec.theta)
     disc = spec.delta * spec.delta - 4.0 * spec.gamma
@@ -142,11 +154,18 @@ def congestion_equilibrium(spec: CongestionSpec) -> np.ndarray:
         beta1 = 0.5 * (spec.delta + root)
         beta2 = 0.5 * (spec.delta - root)
         if within_bound(spec.network, beta1):
-            y1 = _solve_plain(spec.network, beta1, spec.theta)
-            y2 = _solve_plain(spec.network, beta2, spec.theta)
+            # The second column gives the unit centralities, whose maximum is h_k.
+            rhs = np.column_stack((spec.theta, np.ones(n)))
+            y1 = _solve_plain(spec.network, beta1, rhs)
+            y2 = _solve_plain(spec.network, beta2, rhs)
+            h1, h2 = _sup(y1[:, 1]), _sup(y2[:, 1])
+            y1, y2 = y1[:, 0], y2[:, 0]
             split = (beta1 * y1 - beta2 * y2) / (beta1 - beta2)
-            gap = float(np.max(np.abs(split - x)))
-            if gap > 1e-9:
+            rounding = np.sqrt(n) * np.finfo(float).eps * h1 * (
+                (beta1 * _sup(y1) + beta2 * _sup(y2)) / (beta1 - beta2) + h2 * _sup(x)
+            )
+            gap = _sup(split - x)
+            if rounding <= SPLIT_TOL and gap > SPLIT_TOL:
                 raise InternalCheckError(f"congestion split disagrees by {gap:.3g}")
     return x
 

@@ -1,30 +1,42 @@
 """Graph representation, edge-list parsing, and spectral certification.
 
-Networks are labeled, undirected, simple 0/1 graphs stored densely. Node
-indices are the ranks of the labels under natural order (all-digit labels
-compare numerically and come first, the rest lexicographically), so every
-downstream argmax and tie-break is deterministic across runs and matches
-how people number nodes.
+Networks are labeled, undirected, simple 0/1 graphs stored densely as
+float64. Node indices are the ranks of the labels under natural order
+(all-digit labels compare numerically and come first, the rest
+lexicographically), so every downstream argmax and tie-break is
+deterministic across runs and matches how people number nodes.
 
-Certification is exact: weight w passes at scale s when the Cholesky
-factorization of s (1 - SPECTRAL_MARGIN) I - w G succeeds, which for w > 0
-is the condition w * lambda_max < s (1 - SPECTRAL_MARGIN), with no
-iteration. lambda_max itself is computed only to word a rejection, or on
-demand.
+Certification is exact and reads the solver's own factor. For delta > 0 and
+a 0/1 G, a positive-definite I - delta G has an entrywise nonnegative
+inverse M (Perron-Frobenius), so 1 / (1 - delta lambda_max) = lambda_max(M)
+is at most the largest row sum of M, max(b_unit). certify factors
+I - delta G once, for good: a failed factor rejects, and max(b_unit) < 1e8
+accepts, because then delta * lambda_max < 1 - 1e-8 clears the margin.
+Only the sliver in between runs the margin test itself (within_bound: the
+Cholesky factorization of s (1 - SPECTRAL_MARGIN) I - w G succeeds exactly
+when w * lambda_max < s (1 - SPECTRAL_MARGIN)). A change C to the links
+among nodes S is certified the same way from the columns M[:, S] alone
+(certify_local), and only its sliver factors the changed n x n system
+(certify_change). lambda_max itself is computed only to word a rejection,
+or on demand.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, eigh
-from scipy.linalg.lapack import dpotri
 
 # Safety margin on the spectral condition delta * lambda_max < 1. Keeps
 # (I - delta G) well conditioned for every downstream solve.
 SPECTRAL_MARGIN = 1e-9
+
+# A certified game whose influence matrix has every row sum below this clears
+# the margin tenfold: 1 - delta * lambda_max >= 1 / max row sum > 1e-8.
+ROW_SUM_BOUND = 1e8
 
 # Two scores this close count as tied and fall through to the lexicographic
 # rule, so automorphic nodes rank identically despite rounding noise.
@@ -117,7 +129,13 @@ class Network:
         return hash(self.labels)
 
     def __post_init__(self):
-        a = self.adjacency
+        a = np.asarray(self.adjacency)
+        if a.dtype.kind not in "biuf":
+            raise InputError(f"adjacency must be a numeric 0/1 array, got dtype {a.dtype}")
+        # Every solver assumes a float64 G: boolean matmul or integer scaling
+        # in place would compute something else.
+        a = a.astype(np.float64, copy=False)
+        object.__setattr__(self, "adjacency", a)
         n = len(self.labels)
         if len(set(self.labels)) != n:
             raise InputError("duplicate node labels")
@@ -136,18 +154,17 @@ class Network:
     @staticmethod
     def from_edges(edges, isolated=()) -> "Network":
         """Build a Network from (label, label) pairs plus optional isolated nodes."""
-        names = set(isolated)
+        edges = list(edges)
         for u, v in edges:
             if u == v:
                 raise InputError(f"self-loop on node {u!r}")
-            names.add(u)
-            names.add(v)
-        labels = tuple(sorted(names, key=label_key))
+        ends = list(itertools.chain.from_iterable(edges))
+        labels = tuple(sorted(set(isolated).union(ends), key=label_key))
         index = {lab: i for i, lab in enumerate(labels)}
+        at = np.fromiter(map(index.__getitem__, ends), dtype=np.intp, count=len(ends))
         a = np.zeros((len(labels), len(labels)))
-        for u, v in edges:
-            a[index[u], index[v]] = 1.0
-            a[index[v], index[u]] = 1.0
+        a[at[0::2], at[1::2]] = 1.0
+        a[at[1::2], at[0::2]] = 1.0
         return Network(labels, a)
 
     @property
@@ -279,25 +296,6 @@ def certify_change(net: Network, weight: float, changes) -> None:
     raise SpectralConditionError(weight, spectral_radius(Network(net.labels, changed)))
 
 
-def links_within_bound(net: Network, weight: float, rows, cols) -> np.ndarray:
-    """Whether each absent link (rows[t], cols[t]) keeps within_bound(net + link, weight).
-
-    With W = ((1 - margin) I - weight G)^-1, one factor and one inverse for
-    all pairs, adding link ij keeps the system positive definite exactly when
-    weight (w_ij + sqrt(w_ii w_jj)) < 1 (inertia additivity on the rank-two
-    update). Exact up to rounding at the bound; all False if net itself fails.
-    """
-    system = _bound_system(net, weight)
-    try:
-        low = cho_factor(system.T, lower=True, overwrite_a=True)[0]
-    except np.linalg.LinAlgError:
-        return np.zeros(len(rows), dtype=bool)
-    w = dpotri(low, lower=True, overwrite_c=True)[0]  # W in the lower triangle
-    w_ii, w_jj = np.diag(w)[rows], np.diag(w)[cols]
-    w_ij = w[np.maximum(rows, cols), np.minimum(rows, cols)]
-    return w_ij + np.sqrt(w_ii * w_jj) < 1.0 / weight
-
-
 @dataclass(frozen=True)
 class NodeSet:
     """Sorted, duplicate-free internal node indices."""
@@ -344,8 +342,9 @@ class GameSpec:
     """A certified game: network, characteristics theta, synergy delta.
 
     Construct through certify(); direct construction skips the spectral check.
-    The Cholesky factorization of (I - delta G) is cached, read-only, and
-    shared by every solve against this spec. Queries read what they need of
+    The Cholesky factorization of (I - delta G), which certify made and
+    tested, is cached, read-only, and shared by every solve against this
+    spec. Queries read what they need of
     M = (I - delta G)^-1 through it: columns(idx) solves for |idx| columns,
     O(n^2 |idx|); influence() solves for all of M, O(n^3), and is not kept.
     The centralities b_unit (theta = 1) and b (this theta) are cached and
@@ -363,8 +362,11 @@ class GameSpec:
 
     @cached_property
     def _factor(self):
-        n = self.network.n
-        low, lower = cho_factor(np.eye(n) - self.delta * self.network.adjacency, lower=True)
+        # np.eye(n) - delta * G bit for bit, in one array factored in place.
+        system = self.delta * self.network.adjacency
+        np.subtract(0.0, system, out=system)
+        system[np.diag_indices(self.n)] = 1.0
+        low, lower = cho_factor(system.T, lower=True, overwrite_a=True)
         low.flags.writeable = False
         return low, lower
 
@@ -412,8 +414,9 @@ class GameSpec:
     def with_theta(self, theta: np.ndarray) -> "GameSpec":
         theta = check_theta(theta, self.n)
         spec = GameSpec(self.network, theta, self.delta, self._lambda_max)
-        # Same network and delta, so the cached factorization carries over.
+        # Same network and delta, so the factor and b_unit carry over.
         spec.__dict__["_factor"] = self._factor
+        spec.__dict__["b_unit"] = self.b_unit
         return spec
 
     def theta_is_ones(self) -> bool:
@@ -431,18 +434,91 @@ def check_theta(theta, n: int, name: str = "theta") -> np.ndarray:
     return out
 
 
+def _row_sums_clear(b_unit: np.ndarray) -> bool:
+    """Whether centralities b_unit = M 1 of a positive-definite system prove the margin.
+
+    A nonnegative M has lambda_max(M) <= max row sum; the positivity test
+    sends rounding-level answers of a barely indefinite system to the exact
+    test instead.
+    """
+    return bool(b_unit.min(initial=np.inf) > 0.0 and b_unit.max(initial=0.0) < ROW_SUM_BOUND)
+
+
 def certify(net: Network, delta: float, theta=None) -> GameSpec:
     """Certify delta * lambda_max(G) < 1 - margin and build the GameSpec.
 
-    theta defaults to the all-ones vector.
+    theta defaults to the all-ones vector. The certificate is the spec's own
+    factor of I - delta G and its b_unit; only when max(b_unit) reaches
+    ROW_SUM_BOUND does within_bound factor the margin system as well.
     """
     if not 0 < delta < np.inf:
         raise InputError(f"delta must be positive and finite, got {delta:g}")
-    if not within_bound(net, delta):
+    spec = GameSpec(net, check_theta(np.ones(net.n), net.n), float(delta))
+    try:
+        spec._factor  # the solver's factor, made here once and kept
+    except np.linalg.LinAlgError:
+        fits = False
+    else:
+        fits = _row_sums_clear(spec.b_unit) or within_bound(net, delta)
+    if not fits:
         raise SpectralConditionError(delta, spectral_radius(net))
-    if theta is None:
-        theta = np.ones(net.n)
-    return GameSpec(net, check_theta(theta, net.n), float(delta))
+    return spec if theta is None else spec.with_theta(theta)
+
+
+def certify_local(spec: GameSpec, changes, idx, cols: np.ndarray, c_ss: np.ndarray) -> None:
+    """certify_change(spec.network, spec.delta, changes), decided from M[:, S].
+
+    idx lists the touched nodes S, cols = M[:, idx] and c_ss is C restricted
+    to S. Removing links cannot raise lambda_max, so removal-only changes
+    pass. Otherwise, with M_SS = R R^T, I - delta (G + C) is positive definite
+    exactly when the |S| x |S| matrix I - delta R^T C_SS R is (inertia
+    additivity), and its centralities are
+    b_unit + delta M[:, S] C_SS (I - delta M_SS C_SS)^-1 b_unit,S, whose row
+    sums prove the margin as in certify. That is O(n |S|) work; the sliver
+    these tests cannot clear, and every refusal, goes to certify_change.
+    """
+    if not (c_ss > 0).any():
+        return
+    m_ss = cols[idx, :]
+    eye = np.eye(len(idx))
+    try:
+        r = np.linalg.cholesky(m_ss)
+        np.linalg.cholesky(eye - spec.delta * (r.T @ c_ss @ r))
+        y = np.linalg.solve(eye - spec.delta * m_ss @ c_ss, spec.b_unit[idx])
+    except np.linalg.LinAlgError:
+        pass
+    else:
+        if _row_sums_clear(spec.b_unit + spec.delta * (cols @ (c_ss @ y))):
+            return
+    certify_change(spec.network, spec.delta, changes)
+
+
+def links_certified(spec: GameSpec, m: np.ndarray, rows, cols) -> np.ndarray:
+    """Whether adding each absent link (rows[t], cols[t]) provably keeps the game certified.
+
+    certify_local's two tests in closed form on the influence matrix m, for
+    all links at once. With S = {i, j}, I - delta R^T C_SS R is positive
+    definite exactly when delta (m_ij + sqrt(m_ii m_jj)) < 1, and the grown
+    row sums are at most max(b_unit) + delta (max_k m_ki |y_j| + max_k m_kj |y_i|).
+    False leaves the link to certify_change.
+    """
+    delta, b = spec.delta, spec.b_unit
+    m_ii, m_jj = np.diag(m)[rows], np.diag(m)[cols]
+    m_ij = m[np.maximum(rows, cols), np.minimum(rows, cols)]
+    # Links past the 2 x 2 test go no further; for the rest delta < 1, so
+    # nothing below overflows.
+    t = np.flatnonzero(delta * (m_ij + np.sqrt(m_ii * m_jj)) < 1.0)
+    s = 1.0 - delta * m_ij[t]
+    den = s * s - (delta * m_ii[t]) * (delta * m_jj[t])
+    t, s, den = t[den > 0.0], s[den > 0.0], den[den > 0.0]  # rounding at the bound
+    b_i, b_j = b[rows[t]], b[cols[t]]
+    y_i = (s * b_i + delta * m_ii[t] * b_j) / den
+    y_j = (delta * m_jj[t] * b_i + s * b_j) / den
+    top = m.max(axis=0)
+    grown = b.max() + delta * (top[rows[t]] * np.abs(y_j) + top[cols[t]] * np.abs(y_i))
+    fits = np.zeros(len(rows), dtype=bool)
+    fits[t] = grown < ROW_SUM_BOUND
+    return fits
 
 
 def embed(values: np.ndarray, support: NodeSet, n: int) -> np.ndarray:

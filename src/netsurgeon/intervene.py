@@ -22,7 +22,7 @@ from .graphs import (
     InternalCheckError,
     Network,
     NodeSet,
-    certify_change,
+    certify_local,
     embed,
 )
 
@@ -181,18 +181,18 @@ def _equivalent_on(spec: GameSpec, iv: StructuralIntervention, b_vec: np.ndarray
     """dtheta*_S for intervention iv priced at the weighted centralities b_vec.
 
     Solves only an |S| x |S| system against |S| columns of M; the full game is
-    never re-factorized, and the changed network is certified by one Cholesky
-    test of its system, built in place.
+    never re-factorized, and the same columns certify the changed network.
     """
     iv.check_legal(spec.network)
-    certify_change(spec.network, spec.delta, iv.entries)
     s = iv.support()
     idx = list(s.members)
     pos = {node: t for t, node in enumerate(idx)}
     c_ss = np.zeros((len(idx), len(idx)))
     for i, j, sign in iv.entries:
         c_ss[pos[i], pos[j]] = c_ss[pos[j], pos[i]] = float(sign)
-    m_ss = spec.columns(idx)[idx, :]
+    cols = spec.columns(idx)
+    certify_local(spec, iv.entries, idx, cols, c_ss)
+    m_ss = cols[idx, :]
     b_s = b_vec[idx]
     system = np.eye(len(idx)) - spec.delta * m_ss @ c_ss
     try:

@@ -22,6 +22,7 @@ from netsurgeon import (
     certify_congestion,
     certify_global_substitution,
     certify_multi_activity,
+    congestion_equilibrium,
     structural_effect,
 )
 from netsurgeon import cli, extensions, graphs
@@ -192,3 +193,33 @@ class TestAcceptPathComputesNoEigenvalue:
         cong = certify_congestion(long_path, 0.3, 0.01)
         mu = np.linalg.eigvalsh(long_path.adjacency)
         assert cong.smallest_eigenvalue == pytest.approx(np.min(1 - 0.3 * mu + 0.01 * mu**2))
+
+
+class TestCongestionNearTheBound:
+    """The congestion model answers certified games up to its bound.
+
+    Its split check compares the two-game route with the direct solve at
+    1e-9, but near the bound both carry rounding of about
+    u / (1 - beta1 lambda_max), which at 0.9999 of an ER graph's bound
+    already exceeded 1e-9 and raised InternalCheckError.
+    """
+
+    GAMMA = 0.01
+
+    @pytest.fixture(scope="class")
+    def er100(self):
+        rng = np.random.default_rng(1)
+        a = np.triu((rng.random((100, 100)) < 0.05).astype(float), 1)
+        return Network(tuple(str(i + 1) for i in range(100)), a + a.T)
+
+    @pytest.mark.parametrize("frac", [0.9999, 0.999999])
+    def test_matches_a_dense_solve(self, er100, frac):
+        g = er100.adjacency
+        mu = np.linalg.eigvalsh(g)
+        # I - delta mu + gamma mu^2 > 0 for every eigenvalue mu > 0.
+        bound = float(np.min(1.0 / mu[mu > 0] + self.GAMMA * mu[mu > 0]))
+        delta = frac * bound
+        theta = np.random.default_rng(2).uniform(0.5, 1.5, 100)
+        x = congestion_equilibrium(certify_congestion(er100, delta, self.GAMMA, theta))
+        want = np.linalg.solve(np.eye(100) - delta * g + self.GAMMA * (g @ g), theta)
+        np.testing.assert_allclose(x, want, rtol=1e-6)

@@ -2,6 +2,7 @@
 
 import io
 import json
+import os
 import subprocess
 import sys
 
@@ -373,10 +374,14 @@ class TestReproduce:
 
 
 def test_console_script_installed(dyad_file):
+    # The child imports the package these tests import, installed or not.
+    package_root = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "netsurgeon.cli", "centrality", "--graph", dyad_file, "--delta", "0.25"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["aggregate"] == 2.66667

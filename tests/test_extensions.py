@@ -3,6 +3,7 @@ import pytest
 
 from netsurgeon import (
     InputError,
+    InternalCheckError,
     Network,
     SpectralConditionError,
     StructuralIntervention,
@@ -17,6 +18,7 @@ from netsurgeon import (
     spectral_radius,
     structural_effect,
 )
+from netsurgeon import extensions
 
 from .conftest import random_connected_graph, safe_delta
 
@@ -131,6 +133,17 @@ class TestCongestion:
         # the library's own cross-check runs on the same regime without tripping
         x = congestion_equilibrium(certify_congestion(net, delta, gamma))
         np.testing.assert_allclose(x, lhs @ np.ones(4), atol=1e-10)
+
+    def test_split_check_refuses_a_wrong_direct_solve(self, monkeypatch):
+        # Well inside the bound the check is live: a system off by 1e-6 trips it.
+        net = Network.from_edges([("1", "2"), ("2", "3"), ("3", "4")])
+        spec = certify_congestion(net, 0.3, 0.02)
+        right = extensions._congestion_system
+        monkeypatch.setattr(
+            extensions, "_congestion_system", lambda *args: right(*args) + 1e-6 * np.eye(4)
+        )
+        with pytest.raises(InternalCheckError, match="congestion split disagrees"):
+            congestion_equilibrium(spec)
 
     def test_complex_root_regime_still_solves(self):
         net = Network.from_edges([("1", "2"), ("2", "3")])

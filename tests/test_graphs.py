@@ -97,6 +97,22 @@ class TestNetworkValidation:
         with pytest.raises(ValueError):
             net.adjacency[0, 1] = 0.0
 
+    @pytest.mark.parametrize("dtype", [bool, np.int64, np.float32])
+    def test_numeric_adjacency_is_stored_as_float64(self, dtype):
+        a = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]])
+        net = Network(("a", "b", "c"), a.astype(dtype))
+        assert net.adjacency.dtype == np.float64
+        assert net == Network(("a", "b", "c"), a.astype(float))
+
+    def test_float64_adjacency_is_kept_without_a_copy(self):
+        a = np.array([[0.0, 1.0], [1.0, 0.0]])
+        assert Network(("a", "b"), a).adjacency is a
+
+    @pytest.mark.parametrize("values", [[["0", "1"], ["1", "0"]], [[0j, 1j], [1j, 0j]]])
+    def test_non_numeric_adjacency_rejected(self, values):
+        with pytest.raises(InputError, match="numeric 0/1"):
+            Network(("a", "b"), np.array(values))
+
     def test_unknown_label(self):
         net = Network.from_edges([("a", "b")])
         with pytest.raises(InputError):
@@ -177,6 +193,7 @@ class TestCertify:
         spec = certify(Network.from_edges([("a", "b")]), 0.25)
         other = spec.with_theta(np.array([2.0, 3.0]))
         assert other._factor is spec._factor
+        assert other.b_unit is spec.b_unit
         assert not other.theta_is_ones() and spec.theta_is_ones()
 
     def test_direct_spec_construction_still_solves(self):
@@ -246,3 +263,41 @@ def test_certify_is_exact_at_one_part_per_million(net):
     certify(net, 0.999999 / lam)
     with pytest.raises(SpectralConditionError):
         certify(net, 1.000001 / lam)
+
+
+def loop_from_edges(edges, isolated=()):
+    """Network.from_edges as one Python step per edge: (labels, adjacency)."""
+    names = set(isolated)
+    for u, v in edges:
+        if u == v:
+            raise InputError(f"self-loop on node {u!r}")
+        names.add(u)
+        names.add(v)
+    labels = tuple(sorted(names, key=label_key))
+    index = {lab: i for i, lab in enumerate(labels)}
+    a = np.zeros((len(labels), len(labels)))
+    for u, v in edges:
+        a[index[u], index[v]] = 1.0
+        a[index[v], index[u]] = 1.0
+    return labels, a
+
+
+LABELS = st.sampled_from(["1", "2", "3", "10", "07", "a", "b", "ab"])
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(st.tuples(LABELS, LABELS), max_size=25),
+    st.lists(LABELS, max_size=4),
+)
+def test_from_edges_matches_the_loop(edges, isolated):
+    try:
+        labels, a = loop_from_edges(edges, isolated)
+    except InputError as exc:
+        with pytest.raises(InputError) as got:
+            Network.from_edges(edges, isolated)
+        assert str(got.value) == str(exc)
+        return
+    net = Network.from_edges(iter(edges), isolated)
+    assert net.labels == labels
+    assert net.adjacency.dtype == a.dtype and np.array_equal(net.adjacency, a)

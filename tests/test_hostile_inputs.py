@@ -13,11 +13,17 @@ from netsurgeon import (
     CharacteristicIntervention,
     InputError,
     Network,
+    NodeSet,
+    StructuralIntervention,
     certify,
     certify_congestion,
     certify_global_substitution,
     certify_multi_activity,
     cli,
+    congestion_equilibrium,
+    link_values,
+    structural_effect,
+    walk_matrix,
 )
 
 # A warning here marks arithmetic that overflowed on the way to an answer.
@@ -186,3 +192,47 @@ class TestLibraryRejectsNonFinite:
             CharacteristicIntervention(theta - 1.0)
         with pytest.raises(InputError):
             CharacteristicIntervention.from_pairs(net, {"2": bad})
+
+
+class TestAdjacencyDtypes:
+    """A bool or integer adjacency is the float64 network it describes.
+
+    A 30-node path with a chord, at half of each bound: walks once raised a
+    numpy UFuncTypeError on these dtypes, and a boolean adjacency squared by
+    boolean matmul broke the congestion split check.
+    """
+
+    @staticmethod
+    def adjacency():
+        a = np.zeros((30, 30))
+        i = np.arange(29)
+        a[i, i + 1] = a[i + 1, i] = 1.0
+        a[4, 20] = a[20, 4] = 1.0
+        return a
+
+    @pytest.mark.parametrize("dtype", [bool, np.int64])
+    def test_every_model_answers_as_for_float64(self, dtype):
+        a = self.adjacency()
+        labels = tuple(str(i + 1) for i in range(30))
+        net, ref = Network(labels, a.astype(dtype)), Network(labels, a)
+        mu = np.linalg.eigvalsh(a)
+        delta = 0.5 / mu[-1]
+        spec, ref_spec = certify(net, delta), certify(ref, delta)
+        np.testing.assert_array_equal(spec.b, ref_spec.b)
+        got, want = walk_matrix(spec, NodeSet.of([3])), walk_matrix(ref_spec, NodeSet.of([3]))
+        np.testing.assert_array_equal(got.kept_kept, want.kept_kept)
+        iv = StructuralIntervention(frozenset({(0, 2, 1)}))
+        np.testing.assert_array_equal(
+            structural_effect(spec, iv).post_b, structural_effect(ref_spec, iv).post_b
+        )
+        assert link_values(spec, "potential") == link_values(ref_spec, "potential")
+        gamma = 0.01
+        bound = float(np.min(1.0 / mu[mu > 0] + gamma * mu[mu > 0]))
+        np.testing.assert_array_equal(
+            congestion_equilibrium(certify_congestion(net, 0.5 * bound, gamma)),
+            congestion_equilibrium(certify_congestion(ref, 0.5 * bound, gamma)),
+        )
+
+    def test_other_dtypes_are_input_errors(self):
+        with pytest.raises(InputError):
+            Network(("1", "2"), np.array([[None, 1], [1, None]]))

@@ -28,7 +28,7 @@ from netsurgeon import (
     pareto_frontier,
     rank_bridges,
 )
-from netsurgeon.graphs import NEAR_TIE, links_within_bound, rank_order, within_bound
+from netsurgeon.graphs import NEAR_TIE, links_certified, rank_order, within_bound
 
 from .conftest import eig_lambda_max, random_graph
 from .test_graphs import small_networks
@@ -227,5 +227,7 @@ def test_two_by_two_link_test_is_exact_at_one_part_per_million(net, data):
     for frac, fits in ((0.999999, True), (1.000001, False)):
         delta = frac / lam_plus
         assert within_bound(grown, delta) == fits
-        assert links_within_bound(net, delta, rows, cols)[0] == fits
-        assert links_within_bound(net, delta, cols, rows)[0] == fits
+        spec = certify(net, delta)
+        m = spec.influence()
+        assert links_certified(spec, m, rows, cols)[0] == fits
+        assert links_certified(spec, m, cols, rows)[0] == fits
