@@ -4,10 +4,10 @@ A bridge's worth is a closed form in four per-component scalars: the two
 endpoints' centralities and self-loop counts. The same algebra prices any
 single link inside one network, present or absent. All scores are stated
 for unit characteristics, where score times the synergy weight equals the
-realized aggregate change exactly. The searches read one influence matrix
-per game and score every candidate in array arithmetic: the Pareto
-frontiers and the frontier-by-frontier grid of bridges, and every absent or
-present link of a network.
+realized aggregate change exactly. The searches score every candidate in
+array arithmetic: the Pareto frontiers and the frontier-by-frontier grid of
+bridges from each game's centralities and self-loops, and every absent or
+present link of a network from one influence matrix.
 """
 
 from __future__ import annotations
@@ -98,7 +98,7 @@ def joined_network(net1: Network, net2: Network, bridge: tuple[str, str] | None 
 
 
 def _endpoint_stats(spec: GameSpec) -> tuple[np.ndarray, np.ndarray]:
-    return spec.b_unit, np.diag(spec.influence())
+    return spec.b_unit, spec.self_loops
 
 
 def _bridge_value(delta: float, b_i, m_ii, b_j, m_jj):
@@ -240,7 +240,7 @@ def link_value_existing(spec: GameSpec, i: str, j: str) -> LinkValue:
 def link_values(spec: GameSpec, kind: str) -> tuple[list[LinkValue], list[tuple[str, str, str]]]:
     """Values of every potential (absent) or existing link, best first.
 
-    Exact ties order by label pair. A potential link whose addition would
+    Near-ties order by label pair. A potential link whose addition would
     leave the certified range is skipped: skipped lists (i, j, reason) in
     label order.
     """
@@ -267,7 +267,7 @@ def link_values(spec: GameSpec, kind: str) -> tuple[list[LinkValue], list[tuple[
         if not len(rows):  # also keeps delta**2 from overflowing when nothing certifies
             return [], skipped
     value = _link_value(spec, kind, rows, cols, m[rows, rows], m[cols, cols], m[cols, rows])
-    order = rank_order(value, (rows, cols), tie=0.0)
+    order = rank_order(value, (rows, cols))
     ranked = [
         LinkValue(net.labels[i], net.labels[j], kind, v)
         for i, j, v in zip(rows[order].tolist(), cols[order].tolist(), value[order].tolist())

@@ -3,7 +3,8 @@
 b(G, theta, delta) = (I - delta G)^-1 theta is the unique equilibrium of the
 baseline game; entry m_ij of M(G) = (I - delta G)^-1 is the discounted count
 of walks from i to j. Everything here runs against the game's cached
-factorization, never an explicit inverse.
+factorization: blocks of M through solves for their columns, the self-loops
+m_ii from the inverse of the Cholesky factor, and the full M only on request.
 """
 
 from __future__ import annotations
@@ -41,12 +42,8 @@ class LeontiefBlock:
 
 def katz_bonacich(spec: GameSpec) -> CentralityReport:
     """Equilibrium actions, unweighted centralities, and self-loops m_ii."""
-    n = spec.n
     b = spec.b.copy()
-    b_unw = spec.b_unit
-    # Self-loops are the diagonal of the solves for all unit right-hand sides.
-    self_loops = np.diag(spec.influence()).copy() if n else np.zeros(0)
-    return CentralityReport(spec.network.labels, b, b_unw, self_loops, float(b.sum()))
+    return CentralityReport(spec.network.labels, b, spec.b_unit, spec.self_loops, float(b.sum()))
 
 
 def leontief_block(spec: GameSpec, rows: NodeSet, cols: NodeSet) -> LeontiefBlock:

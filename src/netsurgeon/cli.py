@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 
@@ -116,7 +117,9 @@ def _spec_from(args) -> GameSpec:
     return certify(net, args.delta, theta)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parsing leaves it unchanged."""
     top = _Parser(prog="netsurgeon", description=__doc__.splitlines()[0])
     sub = top.add_subparsers(dest="command", required=True)
 

@@ -29,6 +29,7 @@ from functools import cached_property
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, eigh
+from scipy.linalg.lapack import dpotri, dtrtri
 
 # Safety margin on the spectral condition delta * lambda_max < 1. Keeps
 # (I - delta G) well conditioned for every downstream solve.
@@ -41,6 +42,10 @@ ROW_SUM_BOUND = 1e8
 # Two scores this close count as tied and fall through to the lexicographic
 # rule, so automorphic nodes rank identically despite rounding noise.
 NEAR_TIE = 1e-9
+
+# Rows per step when the second triangle of a LAPACK inverse is filled in;
+# bounds the temporaries to one strip of the matrix.
+_STRIP = 256
 
 
 class NetsurgeonError(Exception):
@@ -88,23 +93,23 @@ def label_key(label: str) -> tuple[int, int, str]:
     return (1, 0, label)
 
 
-def rank_order(values: np.ndarray, keys: tuple, tie: float = NEAR_TIE) -> np.ndarray:
+def rank_order(values: np.ndarray, keys: tuple) -> np.ndarray:
     """Positions of values, best first.
 
-    A run of values whose consecutive gaps stay within tie * max(1, |v|), v
-    the run's first value, counts as tied and is ordered by the key arrays,
-    compared lexicographically. tie = 0 ties equal values only.
+    A run of values whose consecutive gaps stay within NEAR_TIE * max(1, |v|),
+    v the run's first value, counts as tied and is ordered by the key arrays,
+    compared lexicographically.
     """
     order = np.lexsort(keys[::-1] + (-values,))
     v = values[order]
     gap = v[:-1] - v[1:]
     # Only a gap within the loosest tolerance can join two values into a run.
-    near = np.flatnonzero(gap <= tie * max(1.0, float(np.abs(v).max(initial=0.0))))
+    near = np.flatnonzero(gap <= NEAR_TIE * max(1.0, float(np.abs(v).max(initial=0.0))))
     end = 0
     for start in near:
         if start < end:
             continue
-        limit = tie * max(1.0, abs(v[start]))
+        limit = NEAR_TIE * max(1.0, abs(v[start]))
         end = start + 1
         while end < len(v) and gap[end - 1] <= limit:
             end += 1
@@ -296,6 +301,22 @@ def certify_change(net: Network, weight: float, changes) -> None:
     raise SpectralConditionError(weight, spectral_radius(Network(net.labels, changed)))
 
 
+def fill_upper(a: np.ndarray, mirror: bool) -> np.ndarray:
+    """Overwrite the strict upper triangle of square a: the lower one mirrored, or zeros.
+
+    LAPACK's inverses fill one triangle and leave the other as they found it.
+    This completes them in place, strip by strip, with no second n x n array.
+    """
+    n = len(a)
+    for lo in range(0, n, _STRIP):
+        hi = min(lo + _STRIP, n)
+        block = a[lo:hi, lo:hi]
+        upper = np.triu_indices(hi - lo, 1)
+        block[upper] = block.T[upper] if mirror else 0.0
+        a[lo:hi, hi:] = a[hi:, lo:hi].T if mirror else 0.0
+    return a
+
+
 @dataclass(frozen=True)
 class NodeSet:
     """Sorted, duplicate-free internal node indices."""
@@ -342,13 +363,16 @@ class GameSpec:
     """A certified game: network, characteristics theta, synergy delta.
 
     Construct through certify(); direct construction skips the spectral check.
-    The Cholesky factorization of (I - delta G), which certify made and
+    The Cholesky factorization I - delta G = L L^T, which certify made and
     tested, is cached, read-only, and shared by every solve against this
-    spec. Queries read what they need of
-    M = (I - delta G)^-1 through it: columns(idx) solves for |idx| columns,
-    O(n^2 |idx|); influence() solves for all of M, O(n^3), and is not kept.
-    The centralities b_unit (theta = 1) and b (this theta) are cached and
-    read-only. lambda_max is computed on first read unless it was passed in.
+    spec. Queries read what they need of M = (I - delta G)^-1 through it:
+    columns(idx) solves for |idx| columns, O(n^2 |idx|); influence() inverts
+    the factor by LAPACK dpotri, about 2n^3/3 flops, and is not kept. The two
+    routes round differently, so columns(idx) and influence()[:, idx] can
+    differ in the last bit. self_loops, the diagonal of M, comes from L^-1
+    (dtrtri, about n^3/3 flops). It and the centralities b_unit (theta = 1)
+    and b (this theta) are cached and read-only. lambda_max is computed on
+    first read unless it was passed in.
     """
 
     network: Network
@@ -403,9 +427,26 @@ class GameSpec:
         rhs[idx, np.arange(idx.size)] = 1.0
         return self.solve(rhs)
 
+    def _inverted_factor(self, routine) -> np.ndarray:
+        """LAPACK routine (dpotri or dtrtri) run on a copy of the lower factor L."""
+        if not self.n:  # LAPACK rejects an empty matrix
+            return np.zeros((0, 0))
+        out, info = routine(self._factor[0], lower=True)
+        if info:  # pragma: no cover - a finished Cholesky factor has a positive diagonal
+            raise InternalCheckError(f"{routine.__name__} failed on a certified spec ({info})")
+        return out
+
     def influence(self) -> np.ndarray:
-        """M = (I - delta G)^-1, made afresh by each call: n^2 floats are not kept."""
-        return self.solve(np.eye(self.n))
+        """M = (I - delta G)^-1, exactly symmetric; made afresh by each call, not kept."""
+        return fill_upper(self._inverted_factor(dpotri), mirror=True)
+
+    @cached_property
+    def self_loops(self) -> np.ndarray:
+        """The diagonal of M, read-only: M = L^-T L^-1, so m_ii = sum_k (L^-1)_ki^2."""
+        inv_low = fill_upper(self._inverted_factor(dtrtri), mirror=False)
+        loops = np.einsum("ki,ki->i", inv_low, inv_low)
+        loops.flags.writeable = False
+        return loops
 
     @property
     def n(self) -> int:

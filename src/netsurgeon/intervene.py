@@ -7,7 +7,13 @@ S had been shifted by
     dtheta*_S = delta C_SS (I - delta M_SS(G) C_SS)^-1 b_S(G, theta),
 
 computed entirely from pre-intervention quantities. Per-node and aggregate
-effects then follow linearly through M(G).
+effects then follow linearly through M(G). The |S| x |S| system carries
+relative rounding error up to about u * cond(I - delta M_SS C_SS). Since its
+inverse is I + delta M_SS(G + C) C_SS, that condition number grows like the
+product of 1 / (1 - delta lambda_max) over the game before and after the
+change: a change that both adds and removes links can leave both near the
+bound and lose u / (1 - delta lambda_max)^2. Past LOCAL_ROUNDING_TOL the
+changed game is solved from its own Cholesky factor instead.
 """
 
 from __future__ import annotations
@@ -19,7 +25,6 @@ import numpy as np
 from .graphs import (
     GameSpec,
     InputError,
-    InternalCheckError,
     Network,
     NodeSet,
     certify_local,
@@ -27,6 +32,9 @@ from .graphs import (
 )
 
 STRICT_TOL = 1e-12
+
+# Largest estimated relative rounding error, eps * cond, of the local system.
+LOCAL_ROUNDING_TOL = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
@@ -177,11 +185,13 @@ def characteristic_effect(spec: GameSpec, iv: CharacteristicIntervention) -> Eff
     )
 
 
-def _equivalent_on(spec: GameSpec, iv: StructuralIntervention, b_vec: np.ndarray) -> np.ndarray:
-    """dtheta*_S for intervention iv priced at the weighted centralities b_vec.
+def _equivalent_on(spec: GameSpec, iv: StructuralIntervention, theta, b_vec):
+    """dtheta*_S for iv in the game with characteristics theta and equilibrium b_vec.
 
-    Solves only an |S| x |S| system against |S| columns of M; the full game is
-    never re-factorized, and the same columns certify the changed network.
+    Also returns that game's equilibrium after the change when it had to be
+    solved in full, else None. The local route solves only an |S| x |S|
+    system against |S| columns of M; the same columns certify the changed
+    network. Its solution is the changed equilibrium on S.
     """
     iv.check_legal(spec.network)
     s = iv.support()
@@ -195,27 +205,35 @@ def _equivalent_on(spec: GameSpec, iv: StructuralIntervention, b_vec: np.ndarray
     m_ss = cols[idx, :]
     b_s = b_vec[idx]
     system = np.eye(len(idx)) - spec.delta * m_ss @ c_ss
-    try:
-        y = np.linalg.solve(system, b_s)
-    except np.linalg.LinAlgError as exc:
-        # Both networks certify, so this system is provably nonsingular.
-        raise InternalCheckError(
-            f"singular local system for a certified intervention: {exc}"
-        ) from exc
-    return spec.delta * (c_ss @ y)
+    if np.finfo(float).eps * np.linalg.cond(system) <= LOCAL_ROUNDING_TOL:
+        return spec.delta * (c_ss @ np.linalg.solve(system, b_s)), None
+    # Certified above, so the changed game has a Cholesky factor.
+    post = GameSpec(iv.applied_to(spec.network), theta, spec.delta).b
+    return spec.delta * (c_ss @ post[idx]), post
+
+
+def _effect(spec: GameSpec, shift: np.ndarray, post) -> EffectReport:
+    """The report of the theta shift, through M(G) or from the solved changed game post."""
+    if post is None:
+        return characteristic_effect(spec, CharacteristicIntervention(shift))
+    delta_x = post - spec.b
+    return EffectReport(spec.network.labels, delta_x, float(delta_x.sum()), shift, post)
 
 
 def equivalent_theta(spec: GameSpec, iv: StructuralIntervention) -> CharacteristicIntervention:
     """The endogenous theta shift on S replicating the structural intervention."""
     if iv.is_empty():
         return CharacteristicIntervention(np.zeros(spec.n))
-    values = _equivalent_on(spec, iv, spec.b)
+    values, _ = _equivalent_on(spec, iv, spec.theta, spec.b)
     return CharacteristicIntervention(embed(values, iv.support(), spec.n))
 
 
 def structural_effect(spec: GameSpec, iv: StructuralIntervention) -> EffectReport:
     """Effect of changing the network from G to G + C, at fixed theta."""
-    return characteristic_effect(spec, equivalent_theta(spec, iv))
+    if iv.is_empty():
+        return characteristic_effect(spec, equivalent_theta(spec, iv))
+    values, post = _equivalent_on(spec, iv, spec.theta, spec.b)
+    return _effect(spec, embed(values, iv.support(), spec.n), post)
 
 
 def hybrid_effect(
@@ -225,17 +243,17 @@ def hybrid_effect(
 
     Equivalent to the structural intervention applied to the theta-shifted
     game: the local system is priced at b(G, theta + dtheta), obtained with
-    the existing factorization, and the combined shift acts through M(G).
+    the existing factorization, and the combined shift acts through M(G),
+    unless the local system is too inexact and the changed game is solved.
     """
     dv = np.asarray(dtheta.delta_theta, dtype=float)
     if dv.shape != (spec.n,):
         raise InputError(f"delta_theta must have shape ({spec.n},), got {dv.shape}")
     if c.is_empty():
         return characteristic_effect(spec, dtheta)
-    b_shifted = spec.solve(spec.theta + dv)
-    values = _equivalent_on(spec, c, b_shifted)
-    combined = dv + embed(values, c.support(), spec.n)
-    return characteristic_effect(spec, CharacteristicIntervention(combined))
+    shifted = spec.theta + dv
+    values, post = _equivalent_on(spec, c, shifted, spec.solve(shifted))
+    return _effect(spec, dv + embed(values, c.support(), spec.n), post)
 
 
 def sufficient_increase_check(spec: GameSpec, iv: StructuralIntervention) -> dict:

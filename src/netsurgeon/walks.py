@@ -18,7 +18,7 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 from scipy.linalg.lapack import dpotri
 
-from .graphs import GameSpec, InputError, InternalCheckError, Network, NodeSet
+from .graphs import GameSpec, InputError, InternalCheckError, Network, NodeSet, fill_upper
 from .keygroup import intercentrality
 
 CROSS_ROUTE_TOL = 1e-9
@@ -103,9 +103,7 @@ def walk_matrix(spec: GameSpec, s: NodeSet) -> WalkMatrix:
     peeled = cho_solve(kept_factor, g_cs)
     alt_cs = spec.delta * peeled
     alt_ss = spec.delta * (spec.delta * (g_cs.T @ peeled)) + spec.delta * g_ss + np.eye(len(e))
-    inverse = dpotri(kept_factor[0], lower=True, overwrite_c=True)[0]  # lower triangle
-    alt_cc = np.tril(inverse)
-    alt_cc += np.tril(inverse, -1).T
+    alt_cc = fill_upper(dpotri(kept_factor[0], lower=True, overwrite_c=True)[0], mirror=True)
     for name, ours, alt in (
         ("kept-kept", w_cc, alt_cc),
         ("kept-excluded", w_cs, alt_cs),

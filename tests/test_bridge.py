@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from netsurgeon import (
     leontief_matrix,
     link_value_existing,
     link_value_potential,
+    link_values,
     pareto_frontier,
     rank_bridges,
     spectral_radius,
@@ -223,6 +226,30 @@ class TestWalkCensus:
 
 
 class TestLinkValues:
+    def test_tied_values_rank_in_label_order(self):
+        # On a circulant graph, the links at one circular distance are
+        # automorphic: their values tie up to rounding, and must come out as
+        # one run in label order.
+        n = 10
+        net = Network.from_edges(
+            [(str(i + 1), str((i + o) % n + 1)) for i in range(n) for o in (1, 2)]
+        )
+        spec = certify(net, 0.2)
+        for kind in ("existing", "potential"):
+            values, skipped = link_values(spec, kind)
+            assert not skipped
+
+            def distance(lv):
+                gap = abs(int(lv.i) - int(lv.j))
+                return min(gap, n - gap)
+
+            runs = [list(run) for _, run in itertools.groupby(values, key=distance)]
+            assert len(runs) == len({distance(lv) for lv in values})
+            for run in runs:
+                pairs = [(int(lv.i), int(lv.j)) for lv in run]
+                assert pairs == sorted(pairs)
+                assert max(lv.value for lv in run) - min(lv.value for lv in run) < 1e-9
+
     def test_dyad_existing_link(self):
         spec = certify(Network.from_edges([("a", "b")]), 0.25)
         lv = link_value_existing(spec, "a", "b")

@@ -67,6 +67,25 @@ class TestReportShape:
 
 
 class TestLeontief:
+    # Sizes past one strip of the in-place triangle fill, and its boundary.
+    @pytest.mark.parametrize("n", [2, 9, 256, 600])
+    def test_influence_is_the_identity_solve_exactly_symmetric(self, n):
+        net = random_graph(np.random.default_rng(n), n, p=min(0.5, 8 / n))
+        spec = certify(net, 0.9 / max(spectral_radius(net), 1.0))
+        m = spec.influence()
+        assert np.array_equal(m, m.T)
+        want = spec.solve(np.eye(n))
+        assert np.max(np.abs(m - want)) <= 1e-14 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("n", [0, 1, 9, 256, 600])
+    def test_self_loops_are_the_diagonal_of_the_inverse(self, n):
+        net = random_graph(np.random.default_rng(n), n, p=min(0.5, 8 / max(n, 1)))
+        spec = certify(net, 0.9 / max(spectral_radius(net), 1.0))
+        np.testing.assert_allclose(
+            spec.self_loops, np.diag(dense_inverse(net, spec.delta)), rtol=1e-13, atol=0
+        )
+        assert not spec.self_loops.flags.writeable
+
     def test_block_matches_dense_inverse(self):
         rng = np.random.default_rng(9)
         net = random_graph(rng, 8, p=0.5)

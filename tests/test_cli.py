@@ -2,9 +2,11 @@
 
 import io
 import json
+import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -166,6 +168,35 @@ class TestIntervene:
             ["intervene", "--graph", path4_file, "--delta", "0.2", "--add", "1,2"]
         )
         assert code == 1
+
+
+    def test_list_flags_do_not_carry_over_between_runs(self, path4_file):
+        # One parser serves every run of the process.
+        assert cli.build_parser() is cli.build_parser()
+        base = ["intervene", "--graph", path4_file, "--delta", "0.2"]
+        code, _, _ = invoke(base + ["--add", "1,3", "--dtheta", "2=0.5"])
+        assert code == 0
+        code, out, err = invoke(base + ["--dtheta", "1=0.25"])
+        assert (code, err) == (0, "")
+        assert json.loads(out)["equivalent_delta_theta"] == [0.25, 0.0, 0.0, 0.0]
+        args = cli.build_parser().parse_args(base + ["--remove", "1,2"])
+        assert (args.add, args.remove, args.dtheta) == ([], ["1,2"], [])
+
+    def test_mixed_change_next_to_the_bound(self, tmp_path):
+        # The path 1-2-3 rewired into 1-3-2 at 1 - 2e-9 of the bound, where
+        # the local |S| x |S| system alone printed negative equilibria.
+        graph = tmp_path / "path3.txt"
+        graph.write_text("1 2\n2 3\n")
+        delta = (1 - 2e-9) / math.sqrt(2)
+        code, out, err = invoke(
+            ["intervene", "--graph", str(graph), "--delta", repr(delta),
+             "--add", "1,3", "--remove", "1,2"]
+        )
+        assert (code, err) == (0, "")
+        d = Fraction(delta)
+        end, middle = (1 + d) / (1 - 2 * d * d), (1 + 2 * d) / (1 - 2 * d * d)
+        want = [float(end), float(end), float(middle)]
+        assert json.loads(out)["post_b"] == pytest.approx(want, rel=1e-5)
 
 
 class TestKeyGroup:

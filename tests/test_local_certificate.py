@@ -7,14 +7,17 @@ decides every absent link from M at once. Each must give the decision of the
 n x n margin test it replaces (within_bound, or certify_change on the same
 changed network), refusal messages included, at fractions of the eigvalsh
 bound on both sides of the margin. The two fractions in the sliver between
-the row-sum bound and the margin must reach that margin test.
+the row-sum bound and the margin must reach that margin test. Interventions
+that certify must also price the changed network as an exact rational solve
+of it does, up to the sliver.
 """
 
 import itertools
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from netsurgeon import (
@@ -50,6 +53,21 @@ class Recorder:
     def __call__(self, *args):
         self.calls.append(args)
         return self.fn(*args)
+
+
+class Draws:
+    """Stands in for st.data() in an @example: returns the given draws in turn."""
+
+    def __init__(self, *values):
+        self.next = itertools.cycle(values).__next__
+
+    def draw(self, strategy):
+        return self.next()
+
+
+# A 3-node path rewired into another path: the change both adds and removes a
+# link and leaves lambda_max where it was.
+PATH3 = Network.from_edges([("1", "2"), ("2", "3")])
 
 
 def refusal(call):
@@ -107,6 +125,7 @@ def draw_changes(net, kind, data):
     st.sampled_from(FRACTIONS),
     st.data(),
 )
+@example(PATH3, "mixed", SLIVER[0], Draws([(0, 2)], [(0, 1)]))
 def test_local_certificate_decides_as_certify_change(net, kind, frac, data):
     changes = draw_changes(net, kind, data)
     lam = max(eig_lambda_max(net), eig_lambda_max(with_links(net, changes)))
@@ -125,6 +144,61 @@ def test_local_certificate_decides_as_certify_change(net, kind, frac, data):
     if kind == "add":
         # The |S| x |S| test refuses past the bound and hands over the refusal.
         assert bool(fallback.calls) == (frac in SLIVER or frac == 1.000001)
+
+
+def exact_equilibrium(net, delta, theta):
+    """(I - delta G)^-1 theta in rational arithmetic, rounded to floats."""
+    n, d = net.n, Fraction(delta)
+    rows = [
+        [Fraction(int(i == j)) - d * int(net.adjacency[i, j]) for j in range(n)]
+        + [Fraction(theta[i])]
+        for i in range(n)
+    ]
+    # Gauss-Jordan; the system is positive definite, so no pivot is zero.
+    for k in range(n):
+        rows[k] = [v / rows[k][k] for v in rows[k]]
+        for i in range(n):
+            if i != k and rows[i][k]:
+                rows[i] = [v - rows[i][k] * w for v, w in zip(rows[i], rows[k])]
+    return np.array([float(r[n]) for r in rows])
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    small_networks(max_nodes=10),
+    st.sampled_from(["add", "remove", "mixed"]),
+    st.sampled_from((0.5, 0.999999) + SLIVER),
+    st.booleans(),
+    st.data(),
+)
+@example(PATH3, "mixed", SLIVER[0], False, Draws([(0, 2)], [(0, 1)]))
+@example(PATH3, "mixed", 0.999999, False, Draws([(0, 2)], [(0, 1)]))
+@example(PATH3, "mixed", 0.999999, True, Draws([(0, 2)], [(0, 1)]))
+def test_interventions_match_an_exact_solve_up_to_the_bound(net, kind, frac, hybrid, data):
+    # The local |S| x |S| system of a change that adds and removes links can
+    # lose u / (1 - delta lambda_max)^2; such changes must be solved in full.
+    changes = draw_changes(net, kind, data)
+    grown = with_links(net, changes)
+    lam = max(eig_lambda_max(net), eig_lambda_max(grown))
+    assume(lam > 0)
+    delta = frac / lam
+    assume(within_bound(net, delta))
+    spec = certify(net, delta)
+    iv = StructuralIntervention(frozenset(changes))
+    shift = np.zeros(net.n)
+    shift[0] = 0.5 if hybrid else 0.0
+    try:
+        if hybrid:
+            report = hybrid_effect(spec, iv, CharacteristicIntervention(shift))
+        else:
+            report = structural_effect(spec, iv)
+    except SpectralConditionError:
+        assert frac in SLIVER
+        return
+    want = exact_equilibrium(grown, delta, 1.0 + shift)
+    rtol = 1e-6 if frac in SLIVER else 1e-8
+    np.testing.assert_allclose(report.post_b, want, rtol=rtol, atol=0)
+    np.testing.assert_allclose(report.post_b, spec.b + report.delta_x, rtol=rtol, atol=0)
 
 
 @settings(max_examples=100, deadline=None)

@@ -180,9 +180,13 @@ def test_link_values_match_one_value_per_pair(net, kind, data):
     for lv in values:
         assert lv.kind == kind
         assert lv.value == pytest.approx(want_values[(lv.i, lv.j)], rel=1e-12, abs=1e-12)
-    # Best first; only exactly equal values fall back to the label order.
-    keys = [(-lv.value, net.index_of(lv.i), net.index_of(lv.j)) for lv in values]
-    assert keys == sorted(keys)
+    # Best first; near-ties (NEAR_TIE) fall back to the label order.
+    want = loop_ranked(
+        values,
+        lambda lv: lv.value,
+        lambda lv: (net.index_of(lv.i), net.index_of(lv.j)),
+    )
+    assert values == want
 
 
 def scalar_link_value(delta, b, m, i, j, present):

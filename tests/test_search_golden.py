@@ -7,7 +7,10 @@ bytes in tests/data/search_golden.json, which were recorded from the
 per-subset, per-pair search code that the array searches replaced. To record
 them from another checkout:
 
-    PYTHONPATH=<checkout>/src python tests/test_search_golden.py
+    PYTHONPATH=<checkout>/src python tests/test_search_golden.py [NAME ...]
+
+Named cases (such as potential_circ10_0.2.json) are re-recorded and every
+other recorded output is kept; with no names, all cases are recorded afresh.
 """
 
 import io
@@ -118,8 +121,15 @@ def test_every_case_is_recorded(argvs):
 
 
 if __name__ == "__main__":
+    names = sys.argv[1:]
     with tempfile.TemporaryDirectory() as root:
-        recorded = {name: run(argv) for name, argv in sorted(cases(root).items())}
+        argvs = cases(root)
+        unknown = sorted(set(names) - set(argvs))
+        if unknown:
+            sys.exit(f"unknown cases: {' '.join(unknown)}")
+        recorded = dict(RECORDED) if names else {}
+        for name in names or sorted(argvs):
+            recorded[name] = run(argvs[name])
     GOLDEN.parent.mkdir(exist_ok=True)
     GOLDEN.write_text(json.dumps(recorded, indent=1, sort_keys=True) + "\n")
-    print(f"recorded {len(recorded)} outputs to {GOLDEN}", file=sys.stderr)
+    print(f"recorded {len(names or argvs)} outputs to {GOLDEN}", file=sys.stderr)
