@@ -47,19 +47,103 @@ class _Parser(argparse.ArgumentParser):
         raise InputError(message)
 
 
-def _sig6(obj):
-    if isinstance(obj, float):
-        return float(f"{obj:.6g}")
-    if isinstance(obj, dict):
-        return {k: _sig6(v) for k, v in obj.items()}
+# The JSON writer: the bytes of json.dump(payload, indent=2) with every float
+# rounded to 6 significant digits first, built as one string; keys must be
+# strings. Lists of scalars are formatted a column at a time and lists of
+# same-shaped records through one %-template, so the cost per printed number
+# is a few C calls.
+
+_SCALARS = {str, float, int, bool, type(None)}
+_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+class _Escaped(dict):
+    """JSON text of each distinct string, escaped once per document."""
+
+    def __missing__(self, s):
+        text = self[s] = json.encoder.encode_basestring_ascii(s)
+        return text
+
+
+def _floats(values) -> list[str]:
+    texts = list(map(float.__repr__, map(float, map("{:.6g}".format, values))))
+    if "nan" in texts or "inf" in texts or "-inf" in texts:
+        texts = [_NONFINITE.get(t, t) for t in texts]
+    return texts
+
+
+def _scalar(v, esc: _Escaped) -> str:
+    if isinstance(v, str):
+        return esc[v]
+    if v is None:
+        return "null"
+    if v is True:
+        return "true"
+    if v is False:
+        return "false"
+    if isinstance(v, int):
+        return int.__repr__(v)
+    if isinstance(v, float):
+        return _floats((v,))[0]
+    raise TypeError(f"Object of type {type(v).__name__} is not JSON serializable")
+
+
+def _scalars(values, kinds: set, esc: _Escaped) -> list[str]:
+    if kinds == {float}:
+        return _floats(values)
+    if kinds == {str}:
+        return [esc[s] for s in values]
+    return [_scalar(v, esc) for v in values]
+
+
+def _records(rows: list, indent: str, esc: _Escaped) -> list[str]:
+    """Texts of dicts at indent; one template when all share keys and hold scalars."""
+    keys = list(rows[0])
+    if not keys or any(map(keys.__ne__, map(list, rows))):
+        return [_dict(row, indent, esc) for row in rows]
+    columns = [[row[k] for row in rows] for k in keys]
+    kinds = [set(map(type, col)) for col in columns]
+    if not all(kind <= _SCALARS for kind in kinds):
+        return [_dict(row, indent, esc) for row in rows]
+    columns = [_scalars(col, kind, esc) for col, kind in zip(columns, kinds)]
+    inner = indent + "  "
+    fields = ",\n".join(f"{inner}{esc[k].replace('%', '%%')}: %s" for k in keys)
+    template = "{\n" + fields + "\n" + indent + "}"
+    return [template % texts for texts in zip(*columns)]
+
+
+def _list(items, indent: str, esc: _Escaped) -> str:
+    if not items:
+        return "[]"
+    inner = indent + "  "
+    kinds = set(map(type, items))
+    if kinds <= _SCALARS:
+        texts = _scalars(items, kinds, esc)
+    elif kinds == {dict}:
+        texts = _records(items, inner, esc)
+    else:
+        texts = [_value(v, inner, esc) for v in items]
+    return "[\n" + inner + (",\n" + inner).join(texts) + "\n" + indent + "]"
+
+
+def _dict(obj: dict, indent: str, esc: _Escaped) -> str:
+    if not obj:
+        return "{}"
+    inner = indent + "  "
+    texts = [f"{esc[k]}: {_value(v, inner, esc)}" for k, v in obj.items()]
+    return "{\n" + inner + (",\n" + inner).join(texts) + "\n" + indent + "}"
+
+
+def _value(obj, indent: str, esc: _Escaped) -> str:
     if isinstance(obj, (list, tuple)):
-        return [_sig6(v) for v in obj]
-    return obj
+        return _list(obj, indent, esc)
+    if isinstance(obj, dict):
+        return _dict(obj, indent, esc)
+    return _scalar(obj, esc)
 
 
 def _emit_json(payload, stream) -> None:
-    json.dump(_sig6(payload), stream, indent=2)
-    stream.write("\n")
+    stream.write(_value(payload, "", _Escaped()) + "\n")
 
 
 def _emit_csv(header, rows, stream) -> None:
@@ -248,7 +332,7 @@ def _cmd_key_group(args, out) -> int:
     if args.mode == "greedy":
         results = [key_group_greedy(spec, args.k)]
     else:
-        results = key_group_exhaustive(spec, args.k)[: args.top]
+        results = key_group_exhaustive(spec, args.k, top=args.top)
     payload = {
         "mode": args.mode,
         "k": args.k,

@@ -43,9 +43,10 @@ ROW_SUM_BOUND = 1e8
 # rule, so automorphic nodes rank identically despite rounding noise.
 NEAR_TIE = 1e-9
 
-# Rows per step when the second triangle of a LAPACK inverse is filled in;
+# Rows per step when an n x n matrix is worked on a strip at a time (filling
+# the second triangle of a LAPACK inverse, comparing two routes' results);
 # bounds the temporaries to one strip of the matrix.
-_STRIP = 256
+STRIP = 256
 
 
 class NetsurgeonError(Exception):
@@ -308,8 +309,8 @@ def fill_upper(a: np.ndarray, mirror: bool) -> np.ndarray:
     This completes them in place, strip by strip, with no second n x n array.
     """
     n = len(a)
-    for lo in range(0, n, _STRIP):
-        hi = min(lo + _STRIP, n)
+    for lo in range(0, n, STRIP):
+        hi = min(lo + STRIP, n)
         block = a[lo:hi, lo:hi]
         upper = np.triu_indices(hi - lo, 1)
         block[upper] = block.T[upper] if mirror else 0.0

@@ -8,6 +8,8 @@ discards provably inferior candidates before scoring. Each search reads one
 influence matrix M = (I - delta G)^-1: exhaustive search gathers the k x k
 blocks of M in chunks and solves each chunk in one stacked call; greedy
 search drops each pick from M by a Schur-complement downdate, O(n^2) a step.
+Exhaustive search scores and ranks every subset, but builds result objects
+only for the `top` groups it returns.
 """
 
 from __future__ import annotations
@@ -100,16 +102,20 @@ def intercentrality(spec: GameSpec, s: NodeSet) -> GroupScore:
 
 
 def key_group_exhaustive(
-    spec: GameSpec, k: int, cap: int = ENUMERATION_CAP, workers: int = 1
+    spec: GameSpec, k: int, cap: int = ENUMERATION_CAP, workers: int = 1, top: int | None = None
 ) -> list[GroupScore]:
-    """Score every size-k subset; full ranking, best first.
+    """Score and rank every size-k subset; the best `top` of them, best first.
 
     Larger groups always score higher than their subsets, so only subsets of
-    size exactly k are candidates for the size-at-most-k optimum. `workers`
-    is accepted and ignored: the search runs in one thread.
+    size exactly k are candidates for the size-at-most-k optimum. Every
+    subset is scored and ranked whatever `top` is; only the returned ones
+    become GroupScore objects, and top=None returns the full ranking.
+    `workers` is accepted and ignored: the search runs in one thread.
     """
     if not 1 <= k <= spec.n:
         raise InputError(f"k must be between 1 and {spec.n}, got {k}")
+    if top is not None and top < 1:
+        raise InputError(f"top must be positive, got {top}")
     count = math.comb(spec.n, k)
     if count > cap:
         raise InputError(
@@ -126,7 +132,7 @@ def key_group_exhaustive(
         d[lo : lo + CHUNK], direct[lo : lo + CHUNK] = _score(
             m_full[idx[:, :, None], idx[:, None, :]], b_theta[idx], b_unw[idx]
         )
-    order = rank_order(d, tuple(groups.T))
+    order = rank_order(d, tuple(groups.T))[:top]
     return _group_scores(groups[order], d[order], direct[order])
 
 

@@ -18,7 +18,7 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 from scipy.linalg.lapack import dpotri
 
-from .graphs import GameSpec, InputError, InternalCheckError, Network, NodeSet, fill_upper
+from .graphs import STRIP, GameSpec, InputError, InternalCheckError, Network, NodeSet, fill_upper
 from .keygroup import intercentrality
 
 CROSS_ROUTE_TOL = 1e-9
@@ -28,6 +28,17 @@ def _require_agreement(gap: float, what: str) -> None:
     """Raise unless gap is within CROSS_ROUTE_TOL; a NaN gap fails."""
     if not gap <= CROSS_ROUTE_TOL:
         raise InternalCheckError(f"{what} by {gap:.3g}")
+
+
+def _max_gap(ours: np.ndarray, alt: np.ndarray) -> float:
+    """max |ours - alt| through one buffer a strip of rows tall, so no
+    full-size difference is built; a NaN anywhere makes the gap NaN."""
+    buf = np.empty_like(ours[:STRIP])
+    gaps = []
+    for lo in range(0, len(ours), STRIP):
+        diff = np.subtract(ours[lo : lo + STRIP], alt[lo : lo + STRIP], out=buf[: len(ours) - lo])
+        gaps.append(np.abs(diff, out=diff).max())
+    return float(np.max(gaps))
 
 
 @dataclass(frozen=True, eq=False)
@@ -80,23 +91,23 @@ def walk_matrix(spec: GameSpec, s: NodeSet) -> WalkMatrix:
     c = list(kept.members)
     e = list(s.members)
     m = spec.influence()
-    m_cc = m[np.ix_(c, c)]
+    w_cc = m[np.ix_(c, c)]
     m_cs = m[np.ix_(c, e)]
     m_ss = m[np.ix_(e, e)]
     del m
     inv_ss = cho_solve(_spd_factor(m_ss, "excluded-block of the influence matrix"), np.eye(len(e)))
     w_cs = m_cs @ inv_ss
     w_sc = inv_ss @ m_cs.T
-    w_cc = m_cc - w_cs @ m_cs.T
-    del m_cc
+    w_cc -= w_cs @ m_cs.T
     w_ss = 2.0 * np.eye(len(e)) - inv_ss
 
     a = spec.network.adjacency
     g_cs = a.take(e, axis=1).take(c, axis=0)
     g_ss = a.take(e, axis=0).take(e, axis=1)
-    # I - delta G_cc, written in place; its transpose is the same matrix in
-    # the Fortran order LAPACK factors and inverts without a copy.
-    system = a.take(c, axis=0).take(c, axis=1)
+    # I - delta G_cc, gathered in one copy and written in place; its transpose
+    # is the same matrix in the Fortran order LAPACK factors and inverts
+    # without a copy.
+    system = a[np.ix_(c, c)]
     system *= -spec.delta
     system[np.diag_indices(len(c))] = 1.0
     kept_factor = _spd_factor(system.T, "kept-node system of the deleted network")
@@ -109,8 +120,7 @@ def walk_matrix(spec: GameSpec, s: NodeSet) -> WalkMatrix:
         ("kept-excluded", w_cs, alt_cs),
         ("excluded-excluded", w_ss, alt_ss),
     ):
-        gap = float(np.max(np.abs(ours - alt)))
-        _require_agreement(gap, f"walk-count routes disagree on the {name} block")
+        _require_agreement(_max_gap(ours, alt), f"walk-count routes disagree on the {name} block")
     return WalkMatrix(s, kept, w_cc, w_cs, w_sc, w_ss)
 
 

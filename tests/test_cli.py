@@ -243,7 +243,7 @@ class TestKeyGroup:
         code, _, err = invoke(
             ["key-group", "--graph", reg_file, "--delta", "0.2", "--k", "2", "--top", "0"]
         )
-        assert code == 1 and "--top" in err
+        assert code == 1 and err == "error: --top must be positive, got 0\n"
 
 
 class TestKeyBridge:

@@ -1,8 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
 from netsurgeon import (
     InputError,
+    Network,
     NodeSet,
     certify,
     dominance_prune,
@@ -13,7 +16,7 @@ from netsurgeon import (
     leontief_matrix,
 )
 
-from .conftest import oracle_b, random_connected_graph, safe_delta
+from .conftest import oracle_b, random_connected_graph, random_graph, safe_delta
 
 
 @pytest.fixture(scope="module")
@@ -108,6 +111,62 @@ class TestExhaustive:
             key_group_exhaustive(reg_spec, 0)
         with pytest.raises(InputError):
             key_group_exhaustive(reg_spec, 11)
+
+
+def _circulant(n, offsets):
+    return Network.from_edges(
+        [(str(i + 1), str((i + o) % n + 1)) for i in range(n) for o in offsets]
+    )
+
+
+def _top_games():
+    rng = np.random.default_rng(5)
+    games = []
+    for n, weighted in ((9, False), (12, True), (14, False)):
+        net = random_graph(rng, n, 0.35)
+        theta = rng.uniform(0.5, 2.0, n) if weighted else None
+        games.append(certify(net, safe_delta(rng, net), theta))
+    for n, offsets in ((12, (1, 3)), (10, (1, 2)), (9, (1,))):
+        net = _circulant(n, offsets)
+        games.append(certify(net, safe_delta(rng, net)))
+    return games
+
+
+class TestTop:
+    """top=t returns the first t groups of the full ranking, and only those."""
+
+    @pytest.mark.parametrize("spec", _top_games())
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_top_is_a_prefix_of_the_full_ranking(self, spec, k):
+        full = key_group_exhaustive(spec, k)
+        count = math.comb(spec.n, k)
+        assert len(full) == count
+        for t in (1, 2, 7, count - 1, count, count + 5):
+            assert key_group_exhaustive(spec, k, top=t) == full[:t]
+        assert key_group_exhaustive(spec, k, top=None) == full
+
+    def test_circulant_near_ties_order_by_label(self):
+        spec = certify(_circulant(10, (1, 2)), 0.2)
+        # Pairs at one distance tie by symmetry: the 5 antipodal pairs first,
+        # then the 10 at distance 4, each run in label order.
+        top = key_group_exhaustive(spec, 2, top=15)
+        for run in (top[:5], top[5:]):
+            values = [gs.intercentrality for gs in run]
+            assert max(values) - min(values) <= 1e-12
+            groups = [gs.group.labels(spec.network) for gs in run]
+            assert groups == sorted(groups, key=lambda g: tuple(map(int, g)))
+        assert top[0].intercentrality > top[5].intercentrality + 0.5
+        assert top == key_group_exhaustive(spec, 2)[:15]
+
+    def test_workers_is_still_accepted(self, reg_spec):
+        assert key_group_exhaustive(reg_spec, 2, workers=2, top=3) == key_group_exhaustive(
+            reg_spec, 2
+        )[:3]
+
+    @pytest.mark.parametrize("t", [0, -1])
+    def test_nonpositive_top_rejected(self, reg_spec, t):
+        with pytest.raises(InputError, match="top must be positive"):
+            key_group_exhaustive(reg_spec, 2, top=t)
 
 
 class TestGreedy:

@@ -5,8 +5,12 @@ oracle of record is direct enumeration: a dynamic program over the adjacency
 matrix that masks the forbidden set everywhere except the walk's endpoints.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg.lapack import dpotri
 
 from netsurgeon import (
     GroupScore,
@@ -26,6 +30,8 @@ from netsurgeon import (
     walk_matrix,
     walks,
 )
+
+from netsurgeon.graphs import fill_upper
 
 from .conftest import dense_inverse, dyad, path, random_connected_graph, random_graph, safe_delta
 
@@ -107,6 +113,83 @@ class TestWalkMatrix:
         monkeypatch.setattr(walks, "intercentrality", lambda spec, s: nan_score)
         with pytest.raises(InternalCheckError, match="by nan"):
             intercentrality_decomposition(spec, s)
+
+
+def _core_periphery_game(n, seed):
+    """Sparse ER links plus two hubs tied to about a third of the nodes."""
+    rng = np.random.default_rng(seed)
+    a = np.triu(rng.random((n, n)) < 6.0 / n, 1)
+    a[0, 1:] |= rng.random(n - 1) < 0.3
+    a[1, 2:] |= rng.random(n - 2) < 0.3
+    net = Network(tuple(str(i + 1) for i in range(n)), (a | a.T).astype(float))
+    return certify(net, 0.5 / spectral_radius(net))
+
+
+def _walk_matrix_whole_arrays(spec, s):
+    """walk_matrix as first written, with whole-matrix temporaries: the four
+    blocks, then the kept-kept, kept-excluded and excluded-excluded gaps."""
+    c, e = list(s.complement(spec.n).members), list(s.members)
+    m = spec.influence()
+    m_cc, m_cs, m_ss = m[np.ix_(c, c)], m[np.ix_(c, e)], m[np.ix_(e, e)]
+    inv_ss = cho_solve(cho_factor(m_ss, lower=True), np.eye(len(e)))
+    w_cs = m_cs @ inv_ss
+    w_sc = inv_ss @ m_cs.T
+    w_cc = m_cc - w_cs @ m_cs.T
+    w_ss = 2.0 * np.eye(len(e)) - inv_ss
+    a = spec.network.adjacency
+    g_cs = a.take(e, axis=1).take(c, axis=0)
+    g_ss = a.take(e, axis=0).take(e, axis=1)
+    system = a.take(c, axis=0).take(c, axis=1)
+    system *= -spec.delta
+    system[np.diag_indices(len(c))] = 1.0
+    kept_factor = cho_factor(system.T, lower=True, overwrite_a=True)
+    peeled = cho_solve(kept_factor, g_cs)
+    alt_cs = spec.delta * peeled
+    alt_ss = spec.delta * (spec.delta * (g_cs.T @ peeled)) + spec.delta * g_ss + np.eye(len(e))
+    alt_cc = fill_upper(dpotri(kept_factor[0], lower=True, overwrite_c=True)[0], mirror=True)
+    gaps = [float(np.max(np.abs(ours - alt)))
+            for ours, alt in ((w_cc, alt_cc), (w_cs, alt_cs), (w_ss, alt_ss))]
+    return (w_cc, w_cs, w_sc, w_ss), gaps
+
+
+class TestWalkMatrixFootprint:
+    """walk_matrix updates in place and compares its routes a strip at a time."""
+
+    @pytest.mark.parametrize(
+        "n, excluded", [(40, [5]), (300, [0, 1, 150]), (600, [7, 299, 598])]
+    )
+    def test_blocks_and_gaps_match_the_whole_array_route(self, monkeypatch, n, excluded):
+        spec = _core_periphery_game(n, seed=n)
+        s = NodeSet.of(excluded, n)
+        want_blocks, want_gaps = _walk_matrix_whole_arrays(spec, s)
+        gaps = []
+        monkeypatch.setattr(walks, "_require_agreement", lambda gap, what: gaps.append(gap))
+        wm = walk_matrix(spec, s)
+        got = (wm.kept_kept, wm.kept_excluded, wm.excluded_kept, wm.excluded_excluded)
+        assert all(np.array_equal(x, y) for x, y in zip(got, want_blocks))
+        assert gaps == want_gaps
+        assert max(gaps) <= walks.CROSS_ROUTE_TOL
+
+    def test_a_nan_anywhere_makes_the_gap_nan(self):
+        ours = np.zeros((700, 5))
+        alt = ours.copy()
+        alt[600, 3] = np.nan
+        assert np.isnan(walks._max_gap(ours, alt))
+        alt[600, 3] = -2.5
+        assert walks._max_gap(ours, alt) == 2.5
+
+    def test_peak_memory_stays_under_three_full_arrays(self):
+        n = 600
+        spec = _core_periphery_game(n, seed=1)
+        s = NodeSet.of([3, 100, 300], n)
+        walk_matrix(spec, s)  # untraced first call: lazy imports and caches
+        tracemalloc.start()
+        try:
+            walk_matrix(spec, s)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.2 * n * n * 8
 
 
 class TestSingleNodeIdentities:
