@@ -2,9 +2,11 @@
 
 Each variant reduces to one or two plain synergy games with transformed
 weights, so solutions reuse the centrality solver and the intervention
-calculus applies unchanged. Variants: two interdependent activities with a
-cross-activity cost, congestion through distance-two substitution, and
-local complementarity with uniform global substitution.
+calculus applies unchanged. Each plain game is a GameSpec: the one at the
+largest weight is certified from its own factor as certify does, and a game
+at a smaller weight is certified by it. Variants: two interdependent
+activities with a cross-activity cost, congestion through distance-two
+substitution, and local complementarity with uniform global substitution.
 """
 
 from __future__ import annotations
@@ -16,14 +18,15 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
 from .graphs import (
+    GameSpec,
     InputError,
     InternalCheckError,
     Network,
     SpectralConditionError,
+    certified_game,
     check_theta,
     is_positive_definite,
     spectral_radius,
-    within_bound,
 )
 
 PD_FLOOR = 1e-9
@@ -35,14 +38,15 @@ ROOT_SPLIT_FLOOR = 1e-5
 SPLIT_TOL = 1e-9
 
 
-def _solve_plain(net: Network, weight: float, rhs: np.ndarray) -> np.ndarray:
-    system = np.eye(net.n) - weight * net.adjacency
-    try:
-        return cho_solve(cho_factor(system, lower=True), rhs)
-    except np.linalg.LinAlgError as exc:
-        raise InternalCheckError(
-            f"solve failed at certified weight {weight:g}: {exc}"
-        ) from exc
+def _plain_game(net: Network, weight: float) -> GameSpec | None:
+    """The unit-theta game I - weight G for weight >= 0, certified; None past the bound.
+
+    Weight 0 is the identity game, which needs no certificate (and which
+    certify, for delta > 0 only, would refuse).
+    """
+    if weight == 0:
+        return GameSpec(net, check_theta(np.ones(net.n), net.n), 0.0)
+    return certified_game(net, weight) if np.isfinite(weight) else None
 
 
 @dataclass(frozen=True, eq=False)
@@ -54,6 +58,8 @@ class MultiActivitySpec:
     theta_b: np.ndarray = field(repr=False)
     delta: float
     beta: float
+    # The sum game at weight delta / (1 + beta), the difference game at delta / (1 - beta).
+    games: tuple[GameSpec, GameSpec] = field(repr=False)
     lambda_max = cached_property(lambda self: spectral_radius(self.network))
 
 
@@ -65,11 +71,16 @@ def certify_multi_activity(
     if not 0 <= delta < np.inf:
         raise InputError(f"delta must be nonnegative and finite, got {delta:g}")
     scale = 1.0 - abs(beta)
-    if not within_bound(net, delta, scale):
+    wide = _plain_game(net, delta / scale)
+    if wide is None:
         raise SpectralConditionError(delta, spectral_radius(net) / scale)
+    # The game at the smaller weight is certified by wide's certificate.
+    weight = delta / (1.0 + abs(beta))
+    narrow = wide if weight == wide.delta else GameSpec(net, wide.theta, weight)
     ta = check_theta(theta_a, net.n, "theta_a")
     tb = check_theta(theta_b, net.n, "theta_b")
-    return MultiActivitySpec(net, ta, tb, float(delta), float(beta))
+    games = (narrow, wide) if beta >= 0 else (wide, narrow)
+    return MultiActivitySpec(net, ta, tb, float(delta), float(beta), games)
 
 
 def multi_activity_equilibrium(spec: MultiActivitySpec) -> dict:
@@ -78,12 +89,9 @@ def multi_activity_equilibrium(spec: MultiActivitySpec) -> dict:
     Sums of the two activities play a game at weight delta/(1+beta);
     differences at delta/(1-beta). Averaging recovers each activity.
     """
-    b_sum = _solve_plain(
-        spec.network, spec.delta / (1.0 + spec.beta), spec.theta_a + spec.theta_b
-    )
-    b_diff = _solve_plain(
-        spec.network, spec.delta / (1.0 - spec.beta), spec.theta_a - spec.theta_b
-    )
+    sum_game, diff_game = spec.games
+    b_sum = sum_game.solve(spec.theta_a + spec.theta_b)
+    b_diff = diff_game.solve(spec.theta_a - spec.theta_b)
     half_sum = 0.5 * b_sum / (1.0 + spec.beta)
     half_diff = 0.5 * b_diff / (1.0 - spec.beta)
     return {"activity_a": half_sum + half_diff, "activity_b": half_sum - half_diff}
@@ -153,13 +161,12 @@ def congestion_equilibrium(spec: CongestionSpec) -> np.ndarray:
         root = float(np.sqrt(disc))
         beta1 = 0.5 * (spec.delta + root)
         beta2 = 0.5 * (spec.delta - root)
-        if within_bound(spec.network, beta1):
-            # The second column gives the unit centralities, whose maximum is h_k.
-            rhs = np.column_stack((spec.theta, np.ones(n)))
-            y1 = _solve_plain(spec.network, beta1, rhs)
-            y2 = _solve_plain(spec.network, beta2, rhs)
-            h1, h2 = _sup(y1[:, 1]), _sup(y2[:, 1])
-            y1, y2 = y1[:, 0], y2[:, 0]
+        game1 = _plain_game(spec.network, beta1)
+        if game1 is not None:
+            # 0 <= beta2 < beta1, so game1's certificate covers the second game.
+            game2 = GameSpec(spec.network, game1.theta, beta2)
+            y1, y2 = game1.solve(spec.theta), game2.solve(spec.theta)
+            h1, h2 = _sup(game1.b_unit), _sup(game2.b_unit)
             split = (beta1 * y1 - beta2 * y2) / (beta1 - beta2)
             rounding = np.sqrt(n) * np.finfo(float).eps * h1 * (
                 (beta1 * _sup(y1) + beta2 * _sup(y2)) / (beta1 - beta2) + h2 * _sup(x)
@@ -177,6 +184,8 @@ class GlobalSubstitutionSpec:
     network: Network
     delta: float
     phi: float
+    # The plain game at the stretched weight delta / (1 - phi).
+    game: GameSpec = field(repr=False)
     lambda_max = cached_property(lambda self: spectral_radius(self.network))
 
 
@@ -186,9 +195,10 @@ def certify_global_substitution(net: Network, delta: float, phi: float) -> Globa
     if not 0 <= delta < np.inf:
         raise InputError(f"delta must be nonnegative and finite, got {delta:g}")
     stretched = delta / (1.0 - phi)
-    if not within_bound(net, stretched):
+    game = _plain_game(net, stretched)
+    if game is None:
         raise SpectralConditionError(stretched, spectral_radius(net))
-    return GlobalSubstitutionSpec(net, float(delta), float(phi))
+    return GlobalSubstitutionSpec(net, float(delta), float(phi), game)
 
 
 def global_substitution_equilibrium(spec: GlobalSubstitutionSpec) -> np.ndarray:
@@ -197,7 +207,7 @@ def global_substitution_equilibrium(spec: GlobalSubstitutionSpec) -> np.ndarray:
     The stretched game's centralities b are at least 1 each, so the
     denominator 1 - phi + phi * sum(b) is at least 1 on a certified spec.
     """
-    b = _solve_plain(spec.network, spec.delta / (1.0 - spec.phi), np.ones(spec.network.n))
+    b = spec.game.b_unit
     den = 1.0 - spec.phi + spec.phi * float(b.sum())
     if den <= 1e-12:
         raise InternalCheckError("certified spec lost its positive denominator")

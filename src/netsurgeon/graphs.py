@@ -47,6 +47,7 @@ NEAR_TIE = 1e-9
 # the second triangle of a LAPACK inverse, comparing two routes' results);
 # bounds the temporaries to one strip of the matrix.
 STRIP = 256
+_STRICT_LOWER = np.tri(STRIP, k=-1, dtype=bool)
 
 
 class NetsurgeonError(Exception):
@@ -302,6 +303,36 @@ def certify_change(net: Network, weight: float, changes) -> None:
     raise SpectralConditionError(weight, spectral_radius(Network(net.labels, changed)))
 
 
+def drop_nodes(a: np.ndarray, members) -> np.ndarray:
+    """Square a without the rows and columns at the sorted indices members; a new C-order array.
+
+    Copied block by block over the len(members) + 1 runs of kept indices,
+    which at n in the thousands is several times faster than a fancy-indexed
+    gather (np.ix_) of the same entries.
+    """
+    edges = [-1, *members, len(a)]
+    runs = [(lo + 1, hi) for lo, hi in zip(edges, edges[1:]) if hi > lo + 1]
+    at = np.cumsum([0] + [hi - lo for lo, hi in runs]).tolist()
+    out = np.empty((at[-1], at[-1]), dtype=a.dtype)
+    for (r0, r1), r in zip(runs, at):
+        for (c0, c1), c in zip(runs, at):
+            out[r : r + r1 - r0, c : c + c1 - c0] = a[r0:r1, c0:c1]
+    return out
+
+
+def _copy_strict_lower(dst: np.ndarray, src: np.ndarray) -> None:
+    """dst's strict lower triangle := src's, strip by strip; the rest of dst is untouched.
+
+    Row-major copies of the blocks left of each diagonal block, and a masked
+    copy of the diagonal block, so no index arrays are built.
+    """
+    n = len(dst)
+    for lo in range(0, n, STRIP):
+        hi = min(lo + STRIP, n)
+        dst[lo:hi, :lo] = src[lo:hi, :lo]
+        np.copyto(dst[lo:hi, lo:hi], src[lo:hi, lo:hi], where=_STRICT_LOWER[: hi - lo, : hi - lo])
+
+
 def fill_upper(a: np.ndarray, mirror: bool) -> np.ndarray:
     """Overwrite the strict upper triangle of square a: the lower one mirrored, or zeros.
 
@@ -367,13 +398,19 @@ class GameSpec:
     The Cholesky factorization I - delta G = L L^T, which certify made and
     tested, is cached, read-only, and shared by every solve against this
     spec. Queries read what they need of M = (I - delta G)^-1 through it:
-    columns(idx) solves for |idx| columns, O(n^2 |idx|); influence() inverts
-    the factor by LAPACK dpotri, about 2n^3/3 flops, and is not kept. The two
-    routes round differently, so columns(idx) and influence()[:, idx] can
-    differ in the last bit. self_loops, the diagonal of M, comes from L^-1
-    (dtrtri, about n^3/3 flops). It and the centralities b_unit (theta = 1)
-    and b (this theta) are cached and read-only. lambda_max is computed on
-    first read unless it was passed in.
+    columns(idx) solves for |idx| columns, O(n^2 |idx|); influence() returns
+    all of M. Its first call inverts the factor by LAPACK dpotri, about
+    2n^3/3 flops, and keeps M in space the factor already owns: M's strict
+    upper triangle in the factor array's, which no LAPACK routine reads
+    with L, and its diagonal as a vector. Later calls copy M out of that,
+    O(n^2), and influence_blocks gathers blocks of M from it. The two routes
+    round differently, so columns(idx) and influence()[:, idx] can differ in
+    the last bit; columns never reads the held M, so its bits do not depend
+    on what was asked before.
+    self_loops, the diagonal of M, comes from L^-1 (dtrtri, about n^3/3
+    flops). It and the centralities b_unit (theta = 1) and b (this theta)
+    are cached and read-only. lambda_max is computed on first read unless it
+    was passed in. with_theta shares the factor, the held M and b_unit.
     """
 
     network: Network
@@ -437,9 +474,55 @@ class GameSpec:
             raise InternalCheckError(f"{routine.__name__} failed on a certified spec ({info})")
         return out
 
+    @cached_property
+    def _held(self) -> list:
+        # Empty until influence() packs M into the factor array, then [M's
+        # diagonal]; one list shared with every with_theta spec.
+        return []
+
     def influence(self) -> np.ndarray:
-        """M = (I - delta G)^-1, exactly symmetric; made afresh by each call, not kept."""
-        return fill_upper(self._inverted_factor(dpotri), mirror=True)
+        """M = (I - delta G)^-1, exactly symmetric, in Fortran order; a fresh array each call.
+
+        The first call is dpotri on the factor, and packs the result into the
+        factor array; later calls unpack it, bit for bit the same M.
+        """
+        low = self._factor[0]
+        if self._held:
+            m = low.T.copy()  # C order; its strict lower triangle is M's
+            fill_upper(m, mirror=True)
+            m[np.diag_indices(self.n)] = self._held[0]
+            return m.T
+        m = fill_upper(self._inverted_factor(dpotri), mirror=True)
+        # low.T is C order, and its strict lower triangle is low's strict
+        # upper one, which cho_solve, dpotri and dtrtri never read.
+        low.flags.writeable = True
+        try:
+            _copy_strict_lower(low.T, m.T)
+        finally:
+            low.flags.writeable = False
+        diagonal = m.diagonal().copy()
+        diagonal.flags.writeable = False
+        self._held.append(diagonal)
+        return m
+
+    def influence_blocks(self, members) -> tuple[np.ndarray, np.ndarray]:
+        """(M without the rows and columns at members, the rows of M at members).
+
+        members lists sorted node indices. Both are new C-order arrays, read by
+        slice copies from the M that the first influence() call packed into
+        the factor array (made here if it has not run), with no LAPACK call.
+        """
+        if not self._held:
+            self.influence()
+        tri, diag = self._factor[0].T, self._held[0]  # M's strict lower triangle, M's diagonal
+        rest = fill_upper(drop_nodes(tri, members), mirror=True)
+        rest[np.diag_indices(len(rest))] = np.delete(diag, members)
+        rows = np.empty((len(members), self.n))
+        for row, i in zip(rows, members):
+            row[:i] = tri[i, :i]
+            row[i] = diag[i]
+            row[i + 1 :] = tri[i + 1 :, i]
+        return rest, rows
 
     @cached_property
     def self_loops(self) -> np.ndarray:
@@ -456,8 +539,9 @@ class GameSpec:
     def with_theta(self, theta: np.ndarray) -> "GameSpec":
         theta = check_theta(theta, self.n)
         spec = GameSpec(self.network, theta, self.delta, self._lambda_max)
-        # Same network and delta, so the factor and b_unit carry over.
+        # Same network and delta, so the factor, the held M and b_unit carry over.
         spec.__dict__["_factor"] = self._factor
+        spec.__dict__["_held"] = self._held
         spec.__dict__["b_unit"] = self.b_unit
         return spec
 
@@ -486,6 +570,20 @@ def _row_sums_clear(b_unit: np.ndarray) -> bool:
     return bool(b_unit.min(initial=np.inf) > 0.0 and b_unit.max(initial=0.0) < ROW_SUM_BOUND)
 
 
+def certified_game(net: Network, delta: float) -> GameSpec | None:
+    """certify's decision for a positive finite delta, without the refusal.
+
+    The unit-theta spec when delta * lambda_max < 1 - margin, certified from
+    its own factor; None otherwise, with no eigenvalue computed.
+    """
+    spec = GameSpec(net, check_theta(np.ones(net.n), net.n), float(delta))
+    try:
+        spec._factor  # the solver's factor, made here once and kept
+    except np.linalg.LinAlgError:
+        return None
+    return spec if _row_sums_clear(spec.b_unit) or within_bound(net, delta) else None
+
+
 def certify(net: Network, delta: float, theta=None) -> GameSpec:
     """Certify delta * lambda_max(G) < 1 - margin and build the GameSpec.
 
@@ -495,14 +593,8 @@ def certify(net: Network, delta: float, theta=None) -> GameSpec:
     """
     if not 0 < delta < np.inf:
         raise InputError(f"delta must be positive and finite, got {delta:g}")
-    spec = GameSpec(net, check_theta(np.ones(net.n), net.n), float(delta))
-    try:
-        spec._factor  # the solver's factor, made here once and kept
-    except np.linalg.LinAlgError:
-        fits = False
-    else:
-        fits = _row_sums_clear(spec.b_unit) or within_bound(net, delta)
-    if not fits:
+    spec = certified_game(net, delta)
+    if spec is None:
         raise SpectralConditionError(delta, spectral_radius(net))
     return spec if theta is None else spec.with_theta(theta)
 

@@ -20,7 +20,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import NEAR_TIE, GameSpec, InputError, InternalCheckError, Network, NodeSet, rank_order
+from .graphs import (
+    NEAR_TIE,
+    GameSpec,
+    InputError,
+    InternalCheckError,
+    Network,
+    NodeSet,
+    drop_nodes,
+    rank_order,
+)
 
 ENUMERATION_CAP = 10_000_000
 
@@ -160,7 +169,7 @@ def key_group_greedy(spec: GameSpec, k: int) -> GroupScore:
         if step + 1 == k:
             break
         keep = np.delete(np.arange(len(alive)), pick)
-        m = m[np.ix_(keep, keep)] - np.outer(m[keep, pick], m[pick, keep]) / m[pick, pick]
+        m = drop_nodes(m, [pick]) - np.outer(m[keep, pick], m[pick, keep]) / m[pick, pick]
         alive = alive[keep]
     return intercentrality(spec, NodeSet.of(chosen, spec.n))
 

@@ -3,11 +3,13 @@
 Entry (i, j) of the walk matrix totals delta^length over all i-to-j walks
 whose interior nodes avoid the excluded set; endpoints are exempt, so walks
 may start or end inside it. Closed forms fall out of block inversion of the
-influence matrix. Every operation here recomputes its result a second way
-and refuses to return if the routes disagree: the walk matrix on the
-node-deleted network, whose kept-to-kept block is inverted from its Cholesky
-factor by LAPACK dpotri; the avoidance block by peeling the constraint off
-the other end, from the |a| + |b| columns of the influence matrix.
+influence matrix; the walk matrix gathers its blocks from the M its game
+holds, one inverse per game. Every operation here recomputes its result a
+second way and refuses to return if the routes disagree: the walk matrix
+on the node-deleted network, whose kept-to-kept block is inverted from its
+Cholesky factor by LAPACK dpotri; the avoidance block by peeling the
+constraint off the other end, from the |a| + |b| columns of the influence
+matrix.
 """
 
 from __future__ import annotations
@@ -18,7 +20,16 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 from scipy.linalg.lapack import dpotri
 
-from .graphs import STRIP, GameSpec, InputError, InternalCheckError, Network, NodeSet, fill_upper
+from .graphs import (
+    STRIP,
+    GameSpec,
+    InputError,
+    InternalCheckError,
+    Network,
+    NodeSet,
+    drop_nodes,
+    fill_upper,
+)
 from .keygroup import intercentrality
 
 CROSS_ROUTE_TOL = 1e-9
@@ -78,10 +89,12 @@ def _spd_factor(matrix: np.ndarray, what: str):
 def walk_matrix(spec: GameSpec, s: NodeSet) -> WalkMatrix:
     """All four avoiding-walk blocks for excluded set s.
 
-    Primary route: Schur-complement algebra on the intact influence matrix.
-    Check route: solve the game on the network with s deleted, where kept-to-
-    kept totals are a plain inverse (LAPACK dpotri on the Cholesky factor of
-    the kept system) and crossings peel off one explicit step.
+    Primary route: Schur-complement algebra on the intact influence matrix,
+    whose blocks are gathered from the M the game holds
+    (spec.influence_blocks: one dpotri per game, made by its first call).
+    Check route: solve the game on the network with s deleted, where
+    kept-to-kept totals are a plain inverse (LAPACK dpotri on the Cholesky
+    factor of the kept system) and crossings peel off one explicit step.
     """
     if len(s) == 0 or len(s) >= spec.n:
         raise InputError("excluded set must be a nonempty proper subset of the nodes")
@@ -90,11 +103,9 @@ def walk_matrix(spec: GameSpec, s: NodeSet) -> WalkMatrix:
     kept = s.complement(spec.n)
     c = list(kept.members)
     e = list(s.members)
-    m = spec.influence()
-    w_cc = m[np.ix_(c, c)]
-    m_cs = m[np.ix_(c, e)]
-    m_ss = m[np.ix_(e, e)]
-    del m
+    w_cc, m_es = spec.influence_blocks(e)
+    m_cs = np.ascontiguousarray(np.delete(m_es, e, axis=1).T)
+    m_ss = m_es[:, e]
     inv_ss = cho_solve(_spd_factor(m_ss, "excluded-block of the influence matrix"), np.eye(len(e)))
     w_cs = m_cs @ inv_ss
     w_sc = inv_ss @ m_cs.T
@@ -107,7 +118,7 @@ def walk_matrix(spec: GameSpec, s: NodeSet) -> WalkMatrix:
     # I - delta G_cc, gathered in one copy and written in place; its transpose
     # is the same matrix in the Fortran order LAPACK factors and inverts
     # without a copy.
-    system = a[np.ix_(c, c)]
+    system = drop_nodes(a, e)
     system *= -spec.delta
     system[np.diag_indices(len(c))] = 1.0
     kept_factor = _spd_factor(system.T, "kept-node system of the deleted network")

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.linalg import cho_factor
 
 from netsurgeon import (
     InputError,
@@ -18,7 +19,7 @@ from netsurgeon import (
     spectral_radius,
     structural_effect,
 )
-from netsurgeon import extensions
+from netsurgeon import extensions, graphs
 
 from .conftest import random_connected_graph, safe_delta
 
@@ -199,3 +200,83 @@ class TestGlobalSubstitution:
             certify_global_substitution(net, 0.2, -0.1)
         with pytest.raises(SpectralConditionError):
             certify_global_substitution(net, 0.6, 0.5)  # stretched weight 1.2 > 1
+
+
+class TestPlainGamesOnTheKernel:
+    """Each extension's plain games are GameSpecs, certified from their own factor."""
+
+    @staticmethod
+    def _count_factorizations(monkeypatch):
+        calls = []
+
+        def counted(a, *args, **kwargs):
+            calls.append(a.shape)
+            return cho_factor(a, *args, **kwargs)
+
+        monkeypatch.setattr(graphs, "cho_factor", counted)
+        monkeypatch.setattr(extensions, "cho_factor", counted)
+        return calls
+
+    @staticmethod
+    def _game():
+        net = random_connected_graph(np.random.default_rng(23), 30)
+        return net, 0.5 / spectral_radius(net)
+
+    def test_global_factors_once(self, monkeypatch):
+        net, delta = self._game()
+        calls = self._count_factorizations(monkeypatch)
+        x = global_substitution_equilibrium(certify_global_substitution(net, delta, 0.3))
+        assert len(calls) == 1
+        system = 0.7 * np.eye(30) - delta * net.adjacency + 0.3 * np.ones((30, 30))
+        np.testing.assert_allclose(system @ x, np.ones(30), atol=1e-10)
+
+    @pytest.mark.parametrize("beta, factorizations", [(0.3, 2), (-0.3, 2), (0.0, 1)])
+    def test_multi_factors_each_distinct_weight_once(self, monkeypatch, beta, factorizations):
+        net, delta = self._game()
+        theta_a, theta_b = np.linspace(0.5, 1.5, 30), np.linspace(1.5, 0.5, 30)
+        calls = self._count_factorizations(monkeypatch)
+        spec = certify_multi_activity(net, delta * (1 - abs(beta)), beta, theta_a, theta_b)
+        eq = multi_activity_equilibrium(spec)
+        assert len(calls) == factorizations
+        assert foc_residual_multi(spec, eq["activity_a"], eq["activity_b"]) <= 1e-10
+
+    def test_congestion_factors_four_times(self, monkeypatch):
+        net, delta = self._game()
+        gamma = 0.1 * delta * delta  # two real roots, both inside the plain bound
+        calls = self._count_factorizations(monkeypatch)
+        x = congestion_equilibrium(certify_congestion(net, delta, gamma))
+        assert len(calls) == 4
+        g = net.adjacency
+        res = x - 1.0 - delta * (g @ x) + gamma * (g @ (g @ x))
+        assert np.max(np.abs(res)) <= 1e-10
+
+    def test_zero_delta_is_accepted(self):
+        net, _ = self._game()
+        theta_a, theta_b = np.linspace(0.5, 1.5, 30), np.linspace(1.5, 0.5, 30)
+        for beta in (0.0, 0.4, -0.4):
+            spec = certify_multi_activity(net, 0.0, beta, theta_a, theta_b)
+            eq = multi_activity_equilibrium(spec)
+            assert foc_residual_multi(spec, eq["activity_a"], eq["activity_b"]) <= 1e-14
+        x = global_substitution_equilibrium(certify_global_substitution(net, 0.0, 0.25))
+        np.testing.assert_array_equal(x, np.full(30, 1.0 / (0.75 + 0.25 * 30)))
+        x = congestion_equilibrium(certify_congestion(net, 0.0, 0.0, theta_a))
+        np.testing.assert_array_equal(x, theta_a)
+
+    def test_refusals_keep_their_wording(self):
+        net = Network.from_edges([("a", "b"), ("b", "c")])  # lambda = sqrt(2)
+        lam = spectral_radius(net)
+        with pytest.raises(SpectralConditionError) as exc:
+            certify_multi_activity(net, 0.5, -0.4, np.ones(3), np.ones(3))
+        assert str(exc.value) == str(SpectralConditionError(0.5, lam / 0.6))
+        with pytest.raises(SpectralConditionError) as exc:
+            certify_global_substitution(net, 0.5, 0.4)
+        assert str(exc.value) == str(SpectralConditionError(0.5 / 0.6, lam))
+
+    def test_an_overflowing_weight_is_refused_not_solved(self):
+        # delta / (1 - |beta|) overflows; every G, even an edgeless one, is refused
+        # with one message instead of a system full of inf * 0.
+        net = Network.from_edges([], isolated=["1", "2", "3"])
+        with pytest.raises(SpectralConditionError):
+            certify_multi_activity(net, 1e308, 0.5, np.ones(3), np.ones(3))
+        with pytest.raises(SpectralConditionError):
+            certify_global_substitution(net, 1e308, 0.5)

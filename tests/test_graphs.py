@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.linalg.lapack import dpotri
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -15,7 +16,7 @@ from netsurgeon import (
     parse_edge_list,
     spectral_radius,
 )
-from netsurgeon.graphs import embed
+from netsurgeon.graphs import drop_nodes, embed, fill_upper
 
 from .conftest import dense_inverse, eig_lambda_max, random_graph
 
@@ -201,6 +202,93 @@ class TestCertify:
         net = Network.from_edges([("a", "b")])
         spec = GameSpec(net, np.ones(2), 0.25, 1.0)
         np.testing.assert_allclose(spec.solve(np.ones(2)), [4.0 / 3.0, 4.0 / 3.0], atol=1e-12)
+
+
+def _sparse_game(n, seed=0, frac=0.5):
+    rng = np.random.default_rng(seed)
+    a = np.triu(rng.random((n, n)) < 6.0 / max(n, 1), 1)
+    net = Network(tuple(str(i) for i in range(n)), (a | a.T).astype(float))
+    lam = spectral_radius(net)
+    return certify(net, frac / lam if lam > 0 else 0.5)
+
+
+def _dpotri_inverse(spec):
+    """M from a fresh dpotri on the factor, as influence() made it before M was held."""
+    if spec.n == 0:
+        return np.zeros((0, 0))
+    return fill_upper(dpotri(spec._factor[0], lower=True)[0], mirror=True)
+
+
+class TestHeldInverse:
+    """influence() keeps M in the factor array's free triangle, bit for bit."""
+
+    # Either side of the strip height used to pack M, and one size not a multiple of 8.
+    @pytest.mark.parametrize("n", [0, 1, 255, 256, 257, 613])
+    def test_every_call_is_a_fresh_dpotri(self, n):
+        spec = _sparse_game(n, seed=n)
+        want = _dpotri_inverse(spec)
+        for _ in range(3):
+            m = spec.influence()
+            assert np.array_equal(m, want)
+            assert m.flags.f_contiguous and m.flags.writeable
+        # dpotri reads only L's triangle, so packing M leaves it unchanged.
+        assert np.array_equal(_dpotri_inverse(spec), want)
+        assert not spec._factor[0].flags.writeable
+
+    @pytest.mark.parametrize("held_first", [False, True])
+    def test_with_theta_shares_the_held_inverse(self, held_first):
+        spec = _sparse_game(300, seed=3)
+        want = _dpotri_inverse(spec)
+        if held_first:
+            spec.influence()
+        other = spec.with_theta(np.linspace(0.5, 1.5, spec.n))
+        assert np.array_equal(other.influence(), want)
+        assert np.array_equal(spec.influence(), want)
+        assert other._held is spec._held and len(spec._held) == 1
+
+    def test_queries_read_the_same_bits_before_and_after(self):
+        spec = _sparse_game(400, seed=4).with_theta(np.linspace(0.5, 1.5, 400))
+        rhs = np.random.default_rng(4).random((400, 3))
+        idx = [0, 17, 399]
+        before = (spec.solve(rhs), spec.columns(idx), spec.b_unit.copy(), spec.b.copy(),
+                  spec.self_loops.copy())
+        spec.influence()
+        after = (spec.solve(rhs), spec.columns(idx), spec.solve(np.ones(400)),
+                 spec.solve(spec.theta), GameSpec.self_loops.func(spec))
+        assert all(np.array_equal(x, y) for x, y in zip(before, after))
+
+    def test_a_returned_copy_is_the_callers(self):
+        spec = _sparse_game(260, seed=5)
+        want = _dpotri_inverse(spec)
+        for _ in range(2):
+            m = spec.influence()
+            m[:] = np.nan
+        assert np.array_equal(spec.influence(), want)
+
+    @pytest.mark.parametrize("members", [[0], [299], [0, 1, 2, 150, 299], list(range(5, 285, 7))])
+    def test_blocks_are_gathered_from_the_held_inverse(self, members):
+        spec = _sparse_game(300, seed=6)
+        rest, rows = spec.influence_blocks(members)  # made without an earlier influence() call
+        want = _dpotri_inverse(spec)
+        kept = [i for i in range(300) if i not in members]
+        assert np.array_equal(rest, want[np.ix_(kept, kept)])
+        assert np.array_equal(rows, want[members, :])
+        assert rest.flags.c_contiguous and rows.flags.c_contiguous
+        assert np.array_equal(spec.influence_blocks(members)[0], rest)
+        assert not spec._factor[0].flags.writeable
+
+
+class TestDropNodes:
+    @pytest.mark.parametrize(
+        "members", [[], [0], [9], [0, 1, 2], [4, 5], [0, 3, 4, 9], [1, 3, 5, 7], list(range(10))]
+    )
+    def test_equals_the_fancy_indexed_gather(self, members):
+        a = np.arange(100.0).reshape(10, 10)
+        kept = [i for i in range(10) if i not in members]
+        for src in (a, np.asfortranarray(a), a.T):
+            out = drop_nodes(src, members)
+            assert np.array_equal(out, src[np.ix_(kept, kept)])
+            assert out.flags.c_contiguous
 
 
 class TestNodeSet:

@@ -30,6 +30,7 @@ from netsurgeon import (
     walk_matrix,
     walks,
 )
+from netsurgeon import graphs
 
 from netsurgeon.graphs import fill_upper
 
@@ -190,6 +191,53 @@ class TestWalkMatrixFootprint:
         finally:
             tracemalloc.stop()
         assert peak <= 3.2 * n * n * 8
+
+    # walk_matrix reads M's blocks from the inverse its game holds.
+    @pytest.mark.parametrize("repeated", [False, True])
+    @pytest.mark.parametrize(
+        "excluded",
+        [[0], [299], [0, 1, 2, 298, 299], [10, 11, 12, 40, 41, 150], list(range(3, 283, 7))],
+        ids=["first-node", "last-node", "both-ends", "adjacent-runs", "forty-nodes"],
+    )
+    def test_held_blocks_and_gaps_match_the_whole_array_route(
+        self, monkeypatch, excluded, repeated
+    ):
+        n = 300
+        spec = _core_periphery_game(n, seed=11)
+        s = NodeSet.of(excluded, n)
+        gaps = []
+        monkeypatch.setattr(walks, "_require_agreement", lambda gap, what: gaps.append(gap))
+        if repeated:
+            walk_matrix(spec, NodeSet.of([n // 2], n))
+            gaps.clear()
+        assert bool(spec._held) == repeated
+        wm = walk_matrix(spec, s)
+        # The reference reads M from a fresh dpotri on a game that holds nothing.
+        want_blocks, want_gaps = _walk_matrix_whole_arrays(certify(spec.network, spec.delta), s)
+        got = (wm.kept_kept, wm.kept_excluded, wm.excluded_kept, wm.excluded_excluded)
+        assert all(np.array_equal(x, y) for x, y in zip(got, want_blocks))
+        assert gaps == want_gaps
+
+    def test_repeated_queries_make_no_full_size_inverse(self, monkeypatch):
+        n = 200
+        spec = _core_periphery_game(n, seed=2)
+        shapes = []
+
+        def counted(routine):
+            def call(c, *args, **kwargs):
+                shapes.append(c.shape)
+                return routine(c, *args, **kwargs)
+            return call
+
+        monkeypatch.setattr(graphs, "dpotri", counted(graphs.dpotri))
+        monkeypatch.setattr(walks, "dpotri", counted(walks.dpotri))
+        walk_matrix(spec, NodeSet.of([4, 9], n))
+        assert shapes == [(n, n), (n - 2, n - 2)]  # the held M, then the check route
+        shapes.clear()
+        walk_matrix(spec, NodeSet.of([0, 50, 199], n))
+        spec.influence()
+        spec.with_theta(np.full(n, 2.0)).influence()
+        assert shapes == [(n - 3, n - 3)]
 
 
 class TestSingleNodeIdentities:
