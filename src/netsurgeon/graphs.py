@@ -44,8 +44,8 @@ ROW_SUM_BOUND = 1e8
 NEAR_TIE = 1e-9
 
 # Rows per step when an n x n matrix is worked on a strip at a time (filling
-# the second triangle of a LAPACK inverse, comparing two routes' results);
-# bounds the temporaries to one strip of the matrix.
+# the second triangle of a LAPACK inverse, a walk check's residual); bounds
+# the temporaries to one strip of the matrix.
 STRIP = 256
 _STRICT_LOWER = np.tri(STRIP, k=-1, dtype=bool)
 
@@ -179,6 +179,13 @@ class Network:
         return len(self.labels)
 
     @cached_property
+    def sparse_adjacency(self):
+        """The adjacency as a scipy CSR array, built on first read and kept."""
+        from scipy.sparse import csr_array  # only walk queries pay its import
+
+        return csr_array(self.adjacency)
+
+    @cached_property
     def index(self) -> dict[str, int]:
         return {lab: i for i, lab in enumerate(self.labels)}
 
@@ -303,6 +310,14 @@ def certify_change(net: Network, weight: float, changes) -> None:
     raise SpectralConditionError(weight, spectral_radius(Network(net.labels, changed)))
 
 
+def _kept_runs(members, n: int) -> tuple[list, list]:
+    """The runs [lo, hi) of indices below n outside the sorted members, and
+    where each run starts once members are dropped."""
+    edges = [-1, *members, n]
+    runs = [(lo + 1, hi) for lo, hi in zip(edges, edges[1:]) if hi > lo + 1]
+    return runs, np.cumsum([0] + [hi - lo for lo, hi in runs]).tolist()
+
+
 def drop_nodes(a: np.ndarray, members) -> np.ndarray:
     """Square a without the rows and columns at the sorted indices members; a new C-order array.
 
@@ -310,9 +325,7 @@ def drop_nodes(a: np.ndarray, members) -> np.ndarray:
     which at n in the thousands is several times faster than a fancy-indexed
     gather (np.ix_) of the same entries.
     """
-    edges = [-1, *members, len(a)]
-    runs = [(lo + 1, hi) for lo, hi in zip(edges, edges[1:]) if hi > lo + 1]
-    at = np.cumsum([0] + [hi - lo for lo, hi in runs]).tolist()
+    runs, at = _kept_runs(members, len(a))
     out = np.empty((at[-1], at[-1]), dtype=a.dtype)
     for (r0, r1), r in zip(runs, at):
         for (c0, c1), c in zip(runs, at):
@@ -403,10 +416,10 @@ class GameSpec:
     2n^3/3 flops, and keeps M in space the factor already owns: M's strict
     upper triangle in the factor array's, which no LAPACK routine reads
     with L, and its diagonal as a vector. Later calls copy M out of that,
-    O(n^2), and influence_blocks gathers blocks of M from it. The two routes
-    round differently, so columns(idx) and influence()[:, idx] can differ in
-    the last bit; columns never reads the held M, so its bits do not depend
-    on what was asked before.
+    O(n^2), and influence_rows and influence_less read blocks of M from it.
+    The two routes round differently, so columns(idx) and
+    influence()[:, idx] can differ in the last bit; columns never reads the
+    held M, so its bits do not depend on what was asked before.
     self_loops, the diagonal of M, comes from L^-1 (dtrtri, about n^3/3
     flops). It and the centralities b_unit (theta = 1) and b (this theta)
     are cached and read-only. lambda_max is computed on first read unless it
@@ -505,24 +518,49 @@ class GameSpec:
         self._held.append(diagonal)
         return m
 
-    def influence_blocks(self, members) -> tuple[np.ndarray, np.ndarray]:
-        """(M without the rows and columns at members, the rows of M at members).
-
-        members lists sorted node indices. Both are new C-order arrays, read by
-        slice copies from the M that the first influence() call packed into
-        the factor array (made here if it has not run), with no LAPACK call.
-        """
+    def _held_inverse(self) -> tuple[np.ndarray, np.ndarray]:
+        """(a C-order view whose strict lower triangle is M's, M's diagonal),
+        packed by the first influence() call, made here if it has not run."""
         if not self._held:
             self.influence()
-        tri, diag = self._factor[0].T, self._held[0]  # M's strict lower triangle, M's diagonal
-        rest = fill_upper(drop_nodes(tri, members), mirror=True)
-        rest[np.diag_indices(len(rest))] = np.delete(diag, members)
+        return self._factor[0].T, self._held[0]
+
+    def influence_rows(self, members) -> np.ndarray:
+        """The rows of M at the sorted indices members, a new C-order array
+        read from the held M with no LAPACK call."""
+        tri, diag = self._held_inverse()
         rows = np.empty((len(members), self.n))
         for row, i in zip(rows, members):
             row[:i] = tri[i, :i]
             row[i] = diag[i]
             row[i + 1 :] = tri[i + 1 :, i]
-        return rest, rows
+        return rows
+
+    def influence_less(self, members, update: np.ndarray) -> np.ndarray:
+        """M without the rows and columns at the sorted indices members, less
+        update, written over update (C order) and returned: the bits of
+        gathering that block of the held M and subtracting, block by block
+        over the runs of kept nodes, with no second array of update's size.
+        """
+        tri, diag = self._held_inverse()
+        runs, at = _kept_runs(members, self.n)
+        for (r0, r1), r in zip(runs, at):
+            for (c0, c1), c in zip(runs, at):
+                if r0 != c0:
+                    dst = update[r : r + r1 - r0, c : c + c1 - c0]
+                    np.subtract(tri[r0:r1, c0:c1] if r0 > c0 else tri[c0:c1, r0:r1].T, dst, out=dst)
+            # The run's own square block straddles the diagonal: a strip of rows at a time.
+            for lo in range(r0, r1, STRIP):
+                hi = min(lo + STRIP, r1)
+                dst = update[r + lo - r0 : r + hi - r0, r : r + r1 - r0]
+                left, mid, right = dst[:, : lo - r0], dst[:, lo - r0 : hi - r0], dst[:, hi - r0 :]
+                np.subtract(tri[lo:hi, r0:lo], left, out=left)
+                square = tri[lo:hi, lo:hi]
+                square = np.where(_STRICT_LOWER[: hi - lo, : hi - lo], square, square.T)
+                square[np.diag_indices(hi - lo)] = diag[lo:hi]
+                np.subtract(square, mid, out=mid)
+                np.subtract(tri[hi:r1, lo:hi].T, right, out=right)
+        return update
 
     @cached_property
     def self_loops(self) -> np.ndarray:

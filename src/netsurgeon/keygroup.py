@@ -3,8 +3,7 @@
 The intercentrality of a set S prices its removal: it equals the drop in
 aggregate play when S leaves the game, yet is computed from the intact
 network through one |S| x |S| solve. Search strategies: exhaustive over all
-size-k subsets, greedy one node at a time, and a dominance filter that
-discards provably inferior candidates before scoring. Each search reads one
+size-k subsets, and greedy one node at a time. Each search reads one
 influence matrix M = (I - delta G)^-1: exhaustive search gathers the k x k
 blocks of M in chunks and solves each chunk in one stacked call; greedy
 search drops each pick from M by a Schur-complement downdate, O(n^2) a step.
@@ -35,8 +34,6 @@ ENUMERATION_CAP = 10_000_000
 
 # Subsets scored per stacked solve; bounds the gathered k x k blocks.
 CHUNK = 4096
-
-DOMINANCE_SLACK = 1e-12
 
 
 @dataclass(frozen=True)
@@ -172,59 +169,3 @@ def key_group_greedy(spec: GameSpec, k: int) -> GroupScore:
         m = drop_nodes(m, [pick]) - np.outer(m[keep, pick], m[pick, keep]) / m[pick, pick]
         alive = alive[keep]
     return intercentrality(spec, NodeSet.of(chosen, spec.n))
-
-
-def _covers(m_full, b, high: NodeSet, low: NodeSet) -> bool:
-    """True when high's profile dominates low's, so d_low <= d_high.
-
-    Alignment pairs the t-th largest centrality of one group with the t-th
-    largest of the other; domination must then hold entrywise for both the
-    centralities and the influence blocks.
-    """
-    ih = sorted(high.members, key=lambda t: (-b[t], t))
-    il = sorted(low.members, key=lambda t: (-b[t], t))
-    if np.any(b[il] > b[ih] + DOMINANCE_SLACK):
-        return False
-    if np.any(m_full[np.ix_(il, il)] < m_full[np.ix_(ih, ih)] - DOMINANCE_SLACK):
-        return False
-    return True
-
-
-def dominance_prune(spec: GameSpec, candidates: list[NodeSet]) -> list[NodeSet]:
-    """Drop candidates that some other candidate provably outscores.
-
-    Needs unit characteristics; the monotonicity argument behind the filter
-    does not cover weighted theta. Mutually dominating (hence tied)
-    groups keep only the lexicographically smallest. Conservative: never
-    drops every optimizer, may keep prunable sets.
-    """
-    if not spec.theta_is_ones():
-        raise InputError("dominance pruning requires theta = 1")
-    if not candidates:
-        return []
-    sizes = {len(c) for c in candidates}
-    if len(sizes) != 1:
-        raise InputError(f"candidates must share one size, got sizes {sorted(sizes)}")
-    if 0 in sizes:
-        raise InputError("candidates must be nonempty")
-    for c in candidates:
-        if c.members[-1] >= spec.n:
-            raise InputError(f"node index {c.members[-1]} out of range for n={spec.n}")
-    b = spec.b_unit
-    m_full = spec.influence()
-    kept = []
-    for x, s in enumerate(candidates):
-        dropped = False
-        for y, t in enumerate(candidates):
-            if x == y or not _covers(m_full, b, t, s):
-                continue
-            if _covers(m_full, b, s, t):
-                if t.members < s.members or (t.members == s.members and y < x):
-                    dropped = True
-                    break
-            else:
-                dropped = True
-                break
-        if not dropped:
-            kept.append(s)
-    return kept

@@ -4,12 +4,13 @@ Entry (i, j) of the walk matrix totals delta^length over all i-to-j walks
 whose interior nodes avoid the excluded set; endpoints are exempt, so walks
 may start or end inside it. Closed forms fall out of block inversion of the
 influence matrix; the walk matrix gathers its blocks from the M its game
-holds, one inverse per game. Every operation here recomputes its result a
-second way and refuses to return if the routes disagree: the walk matrix
-on the node-deleted network, whose kept-to-kept block is inverted from its
-Cholesky factor by LAPACK dpotri; the avoidance block by peeling the
-constraint off the other end, from the |a| + |b| columns of the influence
-matrix.
+holds, one inverse per game. Every operation here checks its result and
+refuses to return if the check fails: the walk matrix against the equations
+of the network with the excluded set deleted, whose residuals times
+max(b_unit) bound each block's distance to the exact answer (walks that
+avoid a set are some of all walks, so that network's inverse has row sums
+at most max(b_unit)); the avoidance block by peeling the constraint off the
+other end, from the |a| + |b| columns of the influence matrix.
 """
 
 from __future__ import annotations
@@ -18,38 +19,19 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
-from scipy.linalg.lapack import dpotri
 
-from .graphs import (
-    STRIP,
-    GameSpec,
-    InputError,
-    InternalCheckError,
-    Network,
-    NodeSet,
-    drop_nodes,
-    fill_upper,
-)
+from .graphs import STRIP, GameSpec, InputError, InternalCheckError, Network, NodeSet
 from .keygroup import intercentrality
 
 CROSS_ROUTE_TOL = 1e-9
+
+_UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2
 
 
 def _require_agreement(gap: float, what: str) -> None:
     """Raise unless gap is within CROSS_ROUTE_TOL; a NaN gap fails."""
     if not gap <= CROSS_ROUTE_TOL:
         raise InternalCheckError(f"{what} by {gap:.3g}")
-
-
-def _max_gap(ours: np.ndarray, alt: np.ndarray) -> float:
-    """max |ours - alt| through one buffer a strip of rows tall, so no
-    full-size difference is built; a NaN anywhere makes the gap NaN."""
-    buf = np.empty_like(ours[:STRIP])
-    gaps = []
-    for lo in range(0, len(ours), STRIP):
-        diff = np.subtract(ours[lo : lo + STRIP], alt[lo : lo + STRIP], out=buf[: len(ours) - lo])
-        gaps.append(np.abs(diff, out=diff).max())
-    return float(np.max(gaps))
 
 
 @dataclass(frozen=True, eq=False)
@@ -78,60 +60,87 @@ class WalkMatrix:
         return float(block[rows.index(i), cols.index(j)])
 
 
-def _spd_factor(matrix: np.ndarray, what: str):
-    """Cholesky factor of matrix, in place where its layout allows."""
-    try:
-        return cho_factor(matrix, lower=True, overwrite_a=True)
-    except np.linalg.LinAlgError as exc:
-        raise InternalCheckError(f"{what} is not positive definite: {exc}") from exc
+def _deleted_network_gaps(spec: GameSpec, e: list, w_cc, w_cs, w_ss) -> tuple:
+    """Upper bounds on the kept-kept, kept-excluded and excluded-excluded
+    blocks' distances to the exact walk counts of the network without e.
+
+    The exact blocks are A^-1, delta A^-1 G_cs and I + delta G_ss +
+    delta G_cs^T (delta A^-1 G_cs), A = I - delta G_cc, so the first two
+    are off by A^-1 times the residuals, and the third by its own residual
+    plus delta G_cs^T times the second's error. Each residual entry takes at
+    most deg + 4 rounded operations, deg the largest degree, and the error
+    those can make is added to it.
+    """
+    delta, g = spec.delta, spec.network.sparse_adjacency
+    keep = np.ones(spec.n, dtype=bool)
+    keep[e] = False
+    g_kept = g[keep]
+    g_cc, g_cs = g_kept[:, keep], g_kept[:, e].toarray()
+    g_ss = spec.network.adjacency[np.ix_(e, e)]
+    deg = int(np.diff(g.indptr).max(initial=0))
+    slack = (deg + 4) * _UNIT_ROUNDOFF / (1.0 - (deg + 4) * _UNIT_ROUNDOFF)
+    reach = 1.0 + delta * deg  # |A| |W| <= reach max|W| entrywise
+
+    residual, size = [], []
+    for lo in range(0, len(w_cc), STRIP):
+        strip = w_cc[lo : lo + STRIP]
+        r = g_cc[lo : lo + STRIP] @ w_cc
+        r *= -delta
+        r += strip
+        at = np.arange(len(r))
+        r[at, lo + at] -= 1.0
+        residual.append(np.abs(r, out=r).max())
+        del r  # freed before the next strip's product is made
+        size.append(np.maximum(strip.max(), -strip.min()))  # max |strip|, NaN-preserving
+    r_cc = float(np.max(residual)) + slack * (reach * float(np.max(size)) + 1.0)
+    cs_size = float(np.abs(w_cs).max())
+    r_cs = float(np.abs(w_cs - delta * (g_cc @ w_cs) - delta * g_cs).max())
+    r_cs += slack * (reach * cs_size + delta * g_cs.max())
+    miss_ss = float(np.abs(w_ss - np.eye(len(e)) - delta * g_ss - delta * (g_cs.T @ w_cs)).max())
+    miss_ss += slack * (np.abs(w_ss).max() + 1.0 + delta * g_ss.max() + delta * (deg * cs_size))
+
+    bound = float(spec.b_unit.max())
+    # |delta G_cs^T D| <= delta (largest column sum of G_cs) max|D| entrywise.
+    return bound * r_cc, bound * r_cs, miss_ss + delta * (g_cs.sum(axis=0).max() * bound * r_cs)
 
 
 def walk_matrix(spec: GameSpec, s: NodeSet) -> WalkMatrix:
     """All four avoiding-walk blocks for excluded set s.
 
-    Primary route: Schur-complement algebra on the intact influence matrix,
-    whose blocks are gathered from the M the game holds
-    (spec.influence_blocks: one dpotri per game, made by its first call).
-    Check route: solve the game on the network with s deleted, where
-    kept-to-kept totals are a plain inverse (LAPACK dpotri on the Cholesky
-    factor of the kept system) and crossings peel off one explicit step.
+    Schur-complement algebra on the M the game holds (one dpotri per game,
+    made by its first call), O(n^2 |s|) a query; the kept-kept block is M_cc
+    less the rank-|s| update, written over the update. The check makes no
+    second inverse. With A = I - delta G_cc the deleted network's system
+    (delta > 0, G 0/1), walks that avoid s are some of all walks, so
+    0 <= A^-1 <= M_cc entrywise and ||A^-1||_inf <= max(b_unit). The
+    residuals A W_cc - I and A W_cs - delta G_cs, formed a strip of rows at
+    a time through the sparse adjacency, O(nnz(G) n), times max(b_unit) then
+    bound each block's distance to the exact answer, and each bound must be
+    within CROSS_ROUTE_TOL.
     """
     if len(s) == 0 or len(s) >= spec.n:
         raise InputError("excluded set must be a nonempty proper subset of the nodes")
     if s.members[-1] >= spec.n:
         raise InputError(f"node index {s.members[-1]} out of range for n={spec.n}")
     kept = s.complement(spec.n)
-    c = list(kept.members)
     e = list(s.members)
-    w_cc, m_es = spec.influence_blocks(e)
+    m_es = spec.influence_rows(e)
     m_cs = np.ascontiguousarray(np.delete(m_es, e, axis=1).T)
     m_ss = m_es[:, e]
-    inv_ss = cho_solve(_spd_factor(m_ss, "excluded-block of the influence matrix"), np.eye(len(e)))
+    try:
+        inv_ss = cho_solve(cho_factor(m_ss, lower=True, overwrite_a=True), np.eye(len(e)))
+    except np.linalg.LinAlgError as exc:
+        raise InternalCheckError(
+            f"excluded-block of the influence matrix is not positive definite: {exc}"
+        ) from exc
     w_cs = m_cs @ inv_ss
     w_sc = inv_ss @ m_cs.T
-    w_cc -= w_cs @ m_cs.T
+    w_cc = spec.influence_less(e, w_cs @ m_cs.T)
     w_ss = 2.0 * np.eye(len(e)) - inv_ss
-
-    a = spec.network.adjacency
-    g_cs = a.take(e, axis=1).take(c, axis=0)
-    g_ss = a.take(e, axis=0).take(e, axis=1)
-    # I - delta G_cc, gathered in one copy and written in place; its transpose
-    # is the same matrix in the Fortran order LAPACK factors and inverts
-    # without a copy.
-    system = drop_nodes(a, e)
-    system *= -spec.delta
-    system[np.diag_indices(len(c))] = 1.0
-    kept_factor = _spd_factor(system.T, "kept-node system of the deleted network")
-    peeled = cho_solve(kept_factor, g_cs)
-    alt_cs = spec.delta * peeled
-    alt_ss = spec.delta * (spec.delta * (g_cs.T @ peeled)) + spec.delta * g_ss + np.eye(len(e))
-    alt_cc = fill_upper(dpotri(kept_factor[0], lower=True, overwrite_c=True)[0], mirror=True)
-    for name, ours, alt in (
-        ("kept-kept", w_cc, alt_cc),
-        ("kept-excluded", w_cs, alt_cs),
-        ("excluded-excluded", w_ss, alt_ss),
-    ):
-        _require_agreement(_max_gap(ours, alt), f"walk-count routes disagree on the {name} block")
+    gaps = _deleted_network_gaps(spec, e, w_cc, w_cs, w_ss)
+    for name, gap in zip(("kept-kept", "kept-excluded", "excluded-excluded"), gaps):
+        what = f"walk counts miss the deleted network's equations on the {name} block"
+        _require_agreement(gap, what)
     return WalkMatrix(s, kept, w_cc, w_cs, w_sc, w_ss)
 
 

@@ -268,13 +268,18 @@ class TestHeldInverse:
     @pytest.mark.parametrize("members", [[0], [299], [0, 1, 2, 150, 299], list(range(5, 285, 7))])
     def test_blocks_are_gathered_from_the_held_inverse(self, members):
         spec = _sparse_game(300, seed=6)
-        rest, rows = spec.influence_blocks(members)  # made without an earlier influence() call
+        rows = spec.influence_rows(members)  # made without an earlier influence() call
         want = _dpotri_inverse(spec)
         kept = [i for i in range(300) if i not in members]
-        assert np.array_equal(rest, want[np.ix_(kept, kept)])
+        update = np.random.default_rng(len(members)).random((len(kept), len(kept)))
+        want_less = want[np.ix_(kept, kept)] - update
+        less = spec.influence_less(members, update)
+        assert less is update
+        assert np.array_equal(less, want_less)
         assert np.array_equal(rows, want[members, :])
-        assert rest.flags.c_contiguous and rows.flags.c_contiguous
-        assert np.array_equal(spec.influence_blocks(members)[0], rest)
+        assert rows.flags.c_contiguous
+        zeros = np.zeros((len(kept), len(kept)))
+        assert np.array_equal(spec.influence_less(members, zeros), want[np.ix_(kept, kept)])
         assert not spec._factor[0].flags.writeable
 
 

@@ -8,7 +8,6 @@ from netsurgeon import (
     Network,
     NodeSet,
     certify,
-    dominance_prune,
     intercentrality,
     katz_bonacich,
     key_group_exhaustive,
@@ -219,37 +218,3 @@ class TestMonotonicity:
             b = katz_bonacich(spec).b
             v = np.linalg.solve(m[np.ix_(s.members, s.members)], b[list(s)])
             assert np.all(v >= -1e-12)
-
-
-class TestDominance:
-    def test_equal_centrality_ordering_by_self_loops(self, reg_spec):
-        # all nodes share b = 2.5, so smaller self-loop counts dominate
-        net = reg_spec.network
-        kept = dominance_prune(
-            reg_spec, [NodeSet.of_labels(net, [lab]) for lab in ("1", "2", "3")]
-        )
-        assert [s.labels(net) for s in kept] == [("1",)]
-
-    def test_mutual_domination_keeps_smallest_members(self, reg_spec):
-        net = reg_spec.network
-        kept = dominance_prune(
-            reg_spec,
-            [NodeSet.of_labels(net, p) for p in (("2", "10"), ("2", "7"), ("3", "8"))],
-        )
-        # {2,7} and {2,10} cover each other exactly; {3,8} survives the
-        # conservative pairwise test even though its score is lower
-        assert [s.labels(net) for s in kept] == [("2", "7"), ("3", "8")]
-
-    def test_pruning_never_drops_an_optimizer(self, reg_spec):
-        ranked = key_group_exhaustive(reg_spec, 2)
-        kept = dominance_prune(reg_spec, [gs.group for gs in ranked])
-        assert ranked[0].group in kept
-
-    def test_requires_unit_theta(self, reg_spec):
-        spec = reg_spec.with_theta(np.linspace(1.0, 2.0, 10))
-        with pytest.raises(InputError):
-            dominance_prune(spec, [NodeSet.of([0]), NodeSet.of([1])])
-
-    def test_requires_uniform_size(self, reg_spec):
-        with pytest.raises(InputError):
-            dominance_prune(reg_spec, [NodeSet.of([0]), NodeSet.of([1, 2])])

@@ -6,11 +6,11 @@ matrix that masks the forbidden set everywhere except the walk's endpoints.
 """
 
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from scipy.linalg import cho_factor, cho_solve
-from scipy.linalg.lapack import dpotri
 
 from netsurgeon import (
     GroupScore,
@@ -31,8 +31,6 @@ from netsurgeon import (
     walks,
 )
 from netsurgeon import graphs
-
-from netsurgeon.graphs import fill_upper
 
 from .conftest import dense_inverse, dyad, path, random_connected_graph, random_graph, safe_delta
 
@@ -127,8 +125,7 @@ def _core_periphery_game(n, seed):
 
 
 def _walk_matrix_whole_arrays(spec, s):
-    """walk_matrix as first written, with whole-matrix temporaries: the four
-    blocks, then the kept-kept, kept-excluded and excluded-excluded gaps."""
+    """walk_matrix's four blocks as first written, with whole-matrix temporaries."""
     c, e = list(s.complement(spec.n).members), list(s.members)
     m = spec.influence()
     m_cc, m_cs, m_ss = m[np.ix_(c, c)], m[np.ix_(c, e)], m[np.ix_(e, e)]
@@ -137,24 +134,26 @@ def _walk_matrix_whole_arrays(spec, s):
     w_sc = inv_ss @ m_cs.T
     w_cc = m_cc - w_cs @ m_cs.T
     w_ss = 2.0 * np.eye(len(e)) - inv_ss
-    a = spec.network.adjacency
-    g_cs = a.take(e, axis=1).take(c, axis=0)
-    g_ss = a.take(e, axis=0).take(e, axis=1)
-    system = a.take(c, axis=0).take(c, axis=1)
-    system *= -spec.delta
-    system[np.diag_indices(len(c))] = 1.0
-    kept_factor = cho_factor(system.T, lower=True, overwrite_a=True)
-    peeled = cho_solve(kept_factor, g_cs)
-    alt_cs = spec.delta * peeled
-    alt_ss = spec.delta * (spec.delta * (g_cs.T @ peeled)) + spec.delta * g_ss + np.eye(len(e))
-    alt_cc = fill_upper(dpotri(kept_factor[0], lower=True, overwrite_c=True)[0], mirror=True)
-    gaps = [float(np.max(np.abs(ours - alt)))
-            for ours, alt in ((w_cc, alt_cc), (w_cs, alt_cs), (w_ss, alt_ss))]
-    return (w_cc, w_cs, w_sc, w_ss), gaps
+    return w_cc, w_cs, w_sc, w_ss
+
+
+def _checked_blocks(monkeypatch, change):
+    """Route walk_matrix's three checked blocks through change(name, block)
+    before the check sees them."""
+    check = walks._deleted_network_gaps
+
+    def changed(spec, e, w_cc, w_cs, w_ss):
+        named = {"kept-kept": w_cc, "kept-excluded": w_cs, "excluded-excluded": w_ss}
+        return check(spec, e, *(change(name, block.copy()) for name, block in named.items()))
+
+    monkeypatch.setattr(walks, "_deleted_network_gaps", changed)
+
+
+BLOCK_NAMES = ("kept-kept", "kept-excluded", "excluded-excluded")
 
 
 class TestWalkMatrixFootprint:
-    """walk_matrix updates in place and compares its routes a strip at a time."""
+    """walk_matrix updates in place and checks its blocks a strip at a time."""
 
     @pytest.mark.parametrize(
         "n, excluded", [(40, [5]), (300, [0, 1, 150]), (600, [7, 299, 598])]
@@ -162,22 +161,33 @@ class TestWalkMatrixFootprint:
     def test_blocks_and_gaps_match_the_whole_array_route(self, monkeypatch, n, excluded):
         spec = _core_periphery_game(n, seed=n)
         s = NodeSet.of(excluded, n)
-        want_blocks, want_gaps = _walk_matrix_whole_arrays(spec, s)
+        want_blocks = _walk_matrix_whole_arrays(spec, s)
         gaps = []
         monkeypatch.setattr(walks, "_require_agreement", lambda gap, what: gaps.append(gap))
         wm = walk_matrix(spec, s)
         got = (wm.kept_kept, wm.kept_excluded, wm.excluded_kept, wm.excluded_excluded)
         assert all(np.array_equal(x, y) for x, y in zip(got, want_blocks))
-        assert gaps == want_gaps
+        assert len(gaps) == 3
         assert max(gaps) <= walks.CROSS_ROUTE_TOL
 
-    def test_a_nan_anywhere_makes_the_gap_nan(self):
-        ours = np.zeros((700, 5))
-        alt = ours.copy()
-        alt[600, 3] = np.nan
-        assert np.isnan(walks._max_gap(ours, alt))
-        alt[600, 3] = -2.5
-        assert walks._max_gap(ours, alt) == 2.5
+    # A NaN in the last row of a strip, in a later strip, or in a small block.
+    @pytest.mark.parametrize("block", BLOCK_NAMES)
+    @pytest.mark.parametrize("row", [0, 255, 256, -1])
+    def test_a_nan_in_any_block_is_refused(self, monkeypatch, block, row):
+        n = 300
+        spec = _core_periphery_game(n, seed=3)
+
+        def poison(name, w):
+            if name == block:
+                w[row, -1] = np.nan
+            return w
+
+        _checked_blocks(monkeypatch, poison)
+        # excluded-excluded is |S| x |S|: rows 255 and 256 need a large S.
+        large = block == "excluded-excluded" and row not in (0, -1)
+        excluded = list(range(5, 265)) if large else [4, 90, 200]
+        with pytest.raises(InternalCheckError, match=f"{block} block by nan"):
+            walk_matrix(spec, NodeSet.of(excluded, n))
 
     def test_peak_memory_stays_under_three_full_arrays(self):
         n = 600
@@ -190,7 +200,30 @@ class TestWalkMatrixFootprint:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 3.2 * n * n * 8
+        # The answer's n x n array and one strip of rows (256 of 600 here).
+        assert peak <= 1.6 * n * n * 8
+
+    def test_the_check_allocates_about_one_strip(self, monkeypatch):
+        n = 1000
+        spec = _core_periphery_game(n, seed=1)
+        s = NodeSet.of([3, 100, 300], n)
+        walk_matrix(spec, s)  # untraced first call: lazy imports and caches
+        check, extra = walks._deleted_network_gaps, []
+
+        def traced(*args):
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            gaps = check(*args)
+            extra.append(tracemalloc.get_traced_memory()[1] - before)
+            return gaps
+
+        monkeypatch.setattr(walks, "_deleted_network_gaps", traced)
+        tracemalloc.start()
+        try:
+            walk_matrix(spec, s)
+        finally:
+            tracemalloc.stop()
+        assert extra[0] <= 1.25 * graphs.STRIP * n * 8
 
     # walk_matrix reads M's blocks from the inverse its game holds.
     @pytest.mark.parametrize("repeated", [False, True])
@@ -213,31 +246,107 @@ class TestWalkMatrixFootprint:
         assert bool(spec._held) == repeated
         wm = walk_matrix(spec, s)
         # The reference reads M from a fresh dpotri on a game that holds nothing.
-        want_blocks, want_gaps = _walk_matrix_whole_arrays(certify(spec.network, spec.delta), s)
+        want_blocks = _walk_matrix_whole_arrays(certify(spec.network, spec.delta), s)
         got = (wm.kept_kept, wm.kept_excluded, wm.excluded_kept, wm.excluded_excluded)
         assert all(np.array_equal(x, y) for x, y in zip(got, want_blocks))
-        assert gaps == want_gaps
+        assert len(gaps) == 3
+        assert max(gaps) <= walks.CROSS_ROUTE_TOL
 
     def test_repeated_queries_make_no_full_size_inverse(self, monkeypatch):
         n = 200
         spec = _core_periphery_game(n, seed=2)
-        shapes = []
+        inverses, factors = [], []
 
-        def counted(routine):
+        def counted(routine, shapes):
             def call(c, *args, **kwargs):
                 shapes.append(c.shape)
                 return routine(c, *args, **kwargs)
             return call
 
-        monkeypatch.setattr(graphs, "dpotri", counted(graphs.dpotri))
-        monkeypatch.setattr(walks, "dpotri", counted(walks.dpotri))
+        monkeypatch.setattr(graphs, "dpotri", counted(graphs.dpotri, inverses))
+        monkeypatch.setattr(graphs, "cho_factor", counted(graphs.cho_factor, factors))
+        monkeypatch.setattr(walks, "cho_factor", counted(walks.cho_factor, factors))
         walk_matrix(spec, NodeSet.of([4, 9], n))
-        assert shapes == [(n, n), (n - 2, n - 2)]  # the held M, then the check route
-        shapes.clear()
+        assert inverses == [(n, n)]  # the held M
+        assert factors == [(2, 2)]
+        inverses.clear()
+        factors.clear()
         walk_matrix(spec, NodeSet.of([0, 50, 199], n))
+        walk_matrix(spec, NodeSet.of([7], n))
         spec.influence()
         spec.with_theta(np.full(n, 2.0)).influence()
-        assert shapes == [(n - 3, n - 3)]
+        assert inverses == []
+        assert factors == [(3, 3), (1, 1)]
+
+
+def _exact_walk_blocks(net, delta, s):
+    """The deleted network's walk blocks in exact rational arithmetic:
+    A^-1, delta A^-1 G_cs and I + delta G_ss + delta G_cs^T (delta A^-1 G_cs),
+    with A = I - delta G_cc, by Gauss-Jordan elimination on Fractions."""
+    c, e = list(s.complement(net.n).members), list(s.members)
+    d = Fraction(delta)
+    g = [[int(v) for v in row] for row in net.adjacency]
+    k = len(c)
+    rows = [
+        [Fraction(int(i == j)) - d * g[c[i]][c[j]] for j in range(k)]
+        + [Fraction(int(i == j)) for j in range(k)]
+        for i in range(k)
+    ]
+    for col in range(k):
+        pivot = next(r for r in range(col, k) if rows[r][col] != 0)
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        rows[col] = [x / rows[col][col] for x in rows[col]]
+        for r in range(k):
+            if r != col and rows[r][col] != 0:
+                f = rows[r][col]
+                rows[r] = [x - f * y for x, y in zip(rows[r], rows[col])]
+    inv = [row[k:] for row in rows]
+    w_cs = [[d * sum(inv[i][t] * g[c[t]][x] for t in range(k)) for x in e] for i in range(k)]
+    w_ss = [
+        [
+            Fraction(int(p == q)) + d * g[x][y] + d * sum(g[c[t]][x] * w_cs[t][q] for t in range(k))
+            for q, y in enumerate(e)
+        ]
+        for p, x in enumerate(e)
+    ]
+    return inv, w_cs, w_ss
+
+
+def _exact_distance(block, exact):
+    pairs = (
+        (float(v), want) for row, wants in zip(block, exact) for v, want in zip(row, wants)
+    )
+    return max((abs(Fraction(v) - want) for v, want in pairs), default=Fraction(0))
+
+
+class TestCheckBound:
+    """The gated quantity bounds the distance to the exact deleted-network answer."""
+
+    @pytest.mark.parametrize("fraction", [0.5, 0.999999])
+    @pytest.mark.parametrize("family", ["er", "path"])
+    def test_reported_gaps_bound_the_exact_error(self, monkeypatch, family, fraction):
+        rng = np.random.default_rng([len(family), int(fraction * 1e6)])
+        gaps = []
+        monkeypatch.setattr(walks, "_require_agreement", lambda gap, what: gaps.append(gap))
+        trials = 0
+        while trials < 12:
+            n = int(rng.integers(4, 11))
+            if family == "path":
+                net = path(n, 0.1).network
+            else:
+                net = random_graph(rng, n, p=0.45)
+            lam = spectral_radius(net)
+            if lam == 0.0:
+                continue
+            spec = certify(net, fraction / lam)
+            s = NodeSet.of(rng.permutation(n)[: int(rng.integers(1, n - 1))])
+            gaps.clear()
+            wm = walk_matrix(spec, s)
+            exact = _exact_walk_blocks(net, spec.delta, s)
+            blocks = (wm.kept_kept, wm.kept_excluded, wm.excluded_excluded)
+            for name, gap, block, want in zip(BLOCK_NAMES, gaps, blocks, exact):
+                assert Fraction(gap) >= _exact_distance(block, want), (name, n, s)
+            trials += 1
 
 
 class TestSingleNodeIdentities:

@@ -434,17 +434,36 @@ def test_inside_the_grown_bound_every_query_matches_a_dense_resolve(path_and_cho
 
 
 def test_walk_check_route_still_refuses_a_perturbed_inverse(seeded, monkeypatch):
-    from netsurgeon import walks
+    # Each checked block, shifted by 1e-8 in one entry or throughout, is
+    # refused by name; so is an M_cc shifted in the held influence matrix.
+    from netsurgeon import GameSpec, walks
 
     spec, _, _, rng = seeded
     s = NodeSet.of(rng.choice(spec.n, size=2, replace=False))
-    real = walks.dpotri
+    check = walks._deleted_network_gaps
+    for k, name in enumerate(("kept-kept", "kept-excluded", "excluded-excluded")):
+        for entry_only in (True, False):
 
-    def perturbed(c, **kwargs):
-        inv, info = real(c, **kwargs)
-        inv[np.tril_indices(inv.shape[0])] += 1e-8
-        return inv, info
+            def perturbed(spec, e, *blocks, k=k, entry_only=entry_only):
+                blocks = [w.copy() for w in blocks]
+                if entry_only:
+                    blocks[k][-1, 0] += 1e-8
+                else:
+                    blocks[k] += 1e-8
+                return check(spec, e, *blocks)
 
-    monkeypatch.setattr(walks, "dpotri", perturbed)
-    with pytest.raises(InternalCheckError, match="kept-kept block"):
+            monkeypatch.setattr(walks, "_deleted_network_gaps", perturbed)
+            with pytest.raises(InternalCheckError, match=f"on the {name} block"):
+                walk_matrix(spec, s)
+    monkeypatch.setattr(walks, "_deleted_network_gaps", check)
+
+    held = GameSpec.influence_less
+
+    def shifted(self, members, update):
+        less = held(self, members, update)
+        less[len(less) // 2, 0] += 1e-8
+        return less
+
+    monkeypatch.setattr(GameSpec, "influence_less", shifted)
+    with pytest.raises(InternalCheckError, match="on the kept-kept block"):
         walk_matrix(spec, s)
