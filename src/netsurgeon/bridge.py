@@ -97,10 +97,6 @@ def joined_network(net1: Network, net2: Network, bridge: tuple[str, str] | None 
     return Network.from_edges(edges, isolated)
 
 
-def _endpoint_stats(spec: GameSpec) -> tuple[np.ndarray, np.ndarray]:
-    return spec.b_unit, spec.self_loops
-
-
 def _bridge_value(delta: float, b_i, m_ii, b_j, m_jj):
     """Bridge index from endpoint statistics; scalars or arrays."""
     den = 1.0 - delta * delta * m_ii * m_jj
@@ -126,8 +122,8 @@ def _require_shared_delta(spec1: GameSpec, spec2: GameSpec, what: str) -> None:
 def bridge_index(spec1: GameSpec, spec2: GameSpec, i: str, j: str) -> BridgeScore:
     """Score the link joining node i of the first component to j of the second."""
     _require_shared_delta(spec1, spec2, "the bridge index")
-    b1, m1 = _endpoint_stats(spec1)
-    b2, m2 = _endpoint_stats(spec2)
+    b1, m1 = spec1.b_unit, spec1.self_loops
+    b2, m2 = spec2.b_unit, spec2.self_loops
     ii = spec1.network.index_of(i)
     jj = spec2.network.index_of(j)
     value = _bridge_value(spec1.delta, b1[ii], m1[ii], b2[jj], m2[jj])
@@ -150,7 +146,7 @@ def pareto_frontier(spec: GameSpec) -> NodeSet:
     everywhere and keep every node.
     """
     _require_unit_theta(spec, "the bridge-endpoint frontier")
-    return NodeSet.of(_frontier(*_endpoint_stats(spec)), spec.n)
+    return NodeSet.of(_frontier(spec.b_unit, spec.self_loops), spec.n)
 
 
 def rank_bridges(spec1: GameSpec, spec2: GameSpec) -> list[BridgeScore]:
@@ -160,8 +156,8 @@ def rank_bridges(spec1: GameSpec, spec2: GameSpec) -> list[BridgeScore]:
     are never scored. Near-ties order by label pair.
     """
     _require_shared_delta(spec1, spec2, "the key-bridge search")
-    b1, m1 = _endpoint_stats(spec1)
-    b2, m2 = _endpoint_stats(spec2)
+    b1, m1 = spec1.b_unit, spec1.self_loops
+    b2, m2 = spec2.b_unit, spec2.self_loops
     front1, front2 = _frontier(b1, m1), _frontier(b2, m2)
     rows, cols = np.repeat(front1, len(front2)), np.tile(front2, len(front1))
     value = _bridge_value(spec1.delta, b1[rows], m1[rows], b2[cols], m2[cols])

@@ -2,9 +2,10 @@
 
 b(G, theta, delta) = (I - delta G)^-1 theta is the unique equilibrium of the
 baseline game; entry m_ij of M(G) = (I - delta G)^-1 is the discounted count
-of walks from i to j. Everything here runs against the game's cached
-factorization: blocks of M through solves for their columns, the self-loops
-m_ii from the inverse of the Cholesky factor, and the full M only on request.
+of walks from i to j. Everything here reads the game's cached
+factorization: the centralities through solves, and the self-loops m_ii from
+the inverse of the Cholesky factor. Blocks of M come from GameSpec itself:
+columns(idx) for a few columns, influence() for all of M.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graphs import GameSpec, NodeSet
+from .graphs import GameSpec
 
 
 @dataclass(frozen=True, eq=False)
@@ -33,25 +34,7 @@ class CentralityReport:
         }
 
 
-@dataclass(frozen=True, eq=False)
-class LeontiefBlock:
-    rows: NodeSet
-    cols: NodeSet
-    values: np.ndarray = field(repr=False)
-
-
 def katz_bonacich(spec: GameSpec) -> CentralityReport:
     """Equilibrium actions, unweighted centralities, and self-loops m_ii."""
     b = spec.b.copy()
     return CentralityReport(spec.network.labels, b, spec.b_unit, spec.self_loops, float(b.sum()))
-
-
-def leontief_block(spec: GameSpec, rows: NodeSet, cols: NodeSet) -> LeontiefBlock:
-    """M_{rows,cols}: one solve for the columns, rows sliced from the result."""
-    values = spec.columns(cols.members)[list(rows.members), :]
-    return LeontiefBlock(rows, cols, values)
-
-
-def leontief_matrix(spec: GameSpec) -> np.ndarray:
-    """The full M(G); used where many blocks of one spec are needed."""
-    return spec.influence()

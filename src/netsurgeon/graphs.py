@@ -318,21 +318,6 @@ def _kept_runs(members, n: int) -> tuple[list, list]:
     return runs, np.cumsum([0] + [hi - lo for lo, hi in runs]).tolist()
 
 
-def drop_nodes(a: np.ndarray, members) -> np.ndarray:
-    """Square a without the rows and columns at the sorted indices members; a new C-order array.
-
-    Copied block by block over the len(members) + 1 runs of kept indices,
-    which at n in the thousands is several times faster than a fancy-indexed
-    gather (np.ix_) of the same entries.
-    """
-    runs, at = _kept_runs(members, len(a))
-    out = np.empty((at[-1], at[-1]), dtype=a.dtype)
-    for (r0, r1), r in zip(runs, at):
-        for (c0, c1), c in zip(runs, at):
-            out[r : r + r1 - r0, c : c + c1 - c0] = a[r0:r1, c0:c1]
-    return out
-
-
 def _copy_strict_lower(dst: np.ndarray, src: np.ndarray) -> None:
     """dst's strict lower triangle := src's, strip by strip; the rest of dst is untouched.
 
@@ -422,18 +407,17 @@ class GameSpec:
     held M, so its bits do not depend on what was asked before.
     self_loops, the diagonal of M, comes from L^-1 (dtrtri, about n^3/3
     flops). It and the centralities b_unit (theta = 1) and b (this theta)
-    are cached and read-only. lambda_max is computed on first read unless it
-    was passed in. with_theta shares the factor, the held M and b_unit.
+    are cached and read-only. lambda_max is computed on first read. with_theta
+    shares the factor, the held M and b_unit.
     """
 
     network: Network
     theta: np.ndarray = field(repr=False)
     delta: float
-    _lambda_max: float | None = field(default=None, repr=False)
 
     @cached_property
     def lambda_max(self) -> float:
-        return spectral_radius(self.network) if self._lambda_max is None else self._lambda_max
+        return spectral_radius(self.network)
 
     @cached_property
     def _factor(self):
@@ -576,7 +560,7 @@ class GameSpec:
 
     def with_theta(self, theta: np.ndarray) -> "GameSpec":
         theta = check_theta(theta, self.n)
-        spec = GameSpec(self.network, theta, self.delta, self._lambda_max)
+        spec = GameSpec(self.network, theta, self.delta)
         # Same network and delta, so the factor, the held M and b_unit carry over.
         spec.__dict__["_factor"] = self._factor
         spec.__dict__["_held"] = self._held

@@ -3,12 +3,14 @@
 The intercentrality of a set S prices its removal: it equals the drop in
 aggregate play when S leaves the game, yet is computed from the intact
 network through one |S| x |S| solve. Search strategies: exhaustive over all
-size-k subsets, and greedy one node at a time. Each search reads one
-influence matrix M = (I - delta G)^-1: exhaustive search gathers the k x k
-blocks of M in chunks and solves each chunk in one stacked call; greedy
-search drops each pick from M by a Schur-complement downdate, O(n^2) a step.
-Exhaustive search scores and ranks every subset, but builds result objects
-only for the `top` groups it returns.
+size-k subsets, and greedy one node at a time. Exhaustive search reads the
+influence matrix M = (I - delta G)^-1 once, gathers the k x k blocks of M
+in chunks and solves each chunk in one stacked call; it scores and ranks
+every subset, but builds result objects only for the `top` groups it
+returns. Greedy search uses the same identity as intercentrality and reads
+no n x n array: each step prices the residual game from the columns
+M[:, S] of the picks so far, one solve per pick, and a Cholesky factor of
+M_SS, O(n |S|^2) a step beyond that solve.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import solve_triangular
 
 from .graphs import (
     NEAR_TIE,
@@ -26,7 +29,6 @@ from .graphs import (
     InternalCheckError,
     Network,
     NodeSet,
-    drop_nodes,
     rank_order,
 )
 
@@ -147,25 +149,35 @@ def key_group_greedy(spec: GameSpec, k: int) -> GroupScore:
 
     The returned score is measured in the original network, so it compares
     directly with exhaustive output. Can be strictly suboptimal: the best
-    pair need not contain the best singleton. The residual network's
-    influence matrix is the Schur complement of the pick in the current one,
-    and deleting nodes never breaks the spectral certificate.
+    pair need not contain the best singleton. Deleting the chosen set S
+    leaves the game on the rest C with centralities b_C - M_CS M_SS^-1 b_S
+    and self-loops m_ii - M_iS M_SS^-1 M_Si, so each step reads only the
+    columns M[:, S], one solve per pick, and a Cholesky factor of M_SS.
+    Deleting nodes never breaks the spectral certificate.
     """
     if not 1 <= k <= spec.n:
         raise InputError(f"k must be between 1 and {spec.n}, got {k}")
+    # Weighted and unweighted centralities side by side, reduced together.
+    b = np.column_stack((spec.b, spec.b_unit))
+    m_cs = np.empty((spec.n, k - 1))
     chosen: list[int] = []
-    alive = np.arange(spec.n)
-    m = spec.influence()
     for step in range(k):
-        b_theta = m @ spec.theta[alive]
-        b_unw = b_theta if spec.theta_is_ones() else m.sum(axis=1)
-        single = b_unw * b_theta / np.diag(m)
+        cols = m_cs[:, :step]
+        try:
+            low = np.linalg.cholesky(cols[chosen])
+        except np.linalg.LinAlgError as exc:
+            # Principal submatrices of the SPD influence matrix stay SPD.
+            raise InternalCheckError(f"singular principal influence block: {exc}") from exc
+        # With M_SS = L L^T and W = L^-1 M_S., M_.S M_SS^-1 x_S = W^T L^-1 x_S.
+        w = solve_triangular(low, cols.T, lower=True)
+        res = b - w.T @ solve_triangular(low, b[chosen], lower=True)
+        loops = spec.self_loops - np.einsum("ij,ij->j", w, w)
+        loops[chosen] = 1.0  # about 0 for the chosen, whose scores are masked below
+        single = res[:, 0] * res[:, 1] / loops
+        single[chosen] = -np.inf
         best = float(single.max())
         pick = int(np.flatnonzero(single >= best - NEAR_TIE * max(1.0, abs(best)))[0])
-        chosen.append(int(alive[pick]))
-        if step + 1 == k:
-            break
-        keep = np.delete(np.arange(len(alive)), pick)
-        m = drop_nodes(m, [pick]) - np.outer(m[keep, pick], m[pick, keep]) / m[pick, pick]
-        alive = alive[keep]
+        chosen.append(pick)
+        if step + 1 < k:
+            m_cs[:, step] = spec.columns([pick])[:, 0]
     return intercentrality(spec, NodeSet.of(chosen, spec.n))

@@ -11,6 +11,10 @@ max(b_unit) bound each block's distance to the exact answer (walks that
 avoid a set are some of all walks, so that network's inverse has row sums
 at most max(b_unit)); the avoidance block by peeling the constraint off the
 other end, from the |a| + |b| columns of the influence matrix.
+
+The walk matrix also reads the intercentrality of S (keygroup): its direct
+part is the members' own play b[S], and its indirect part is the play of
+walks from outside into S, kept_excluded.sum(axis=0) @ b[S].
 """
 
 from __future__ import annotations
@@ -21,7 +25,6 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
 from .graphs import STRIP, GameSpec, InputError, InternalCheckError, Network, NodeSet
-from .keygroup import intercentrality
 
 CROSS_ROUTE_TOL = 1e-9
 
@@ -171,28 +174,6 @@ def avoidance_block(spec: GameSpec, a: NodeSet, b: NodeSet) -> np.ndarray:
         raise InternalCheckError(f"singular block in avoidance factorization: {exc}") from exc
     _require_agreement(float(np.max(np.abs(first - second))), "avoidance factorizations disagree")
     return first
-
-
-def intercentrality_decomposition(spec: GameSpec, s: NodeSet) -> dict:
-    """Split the removal value of s into the members' own play and the play
-    they relay to everyone else.
-
-    direct: sum of centralities inside s. walk_mediated: outside players'
-    exposure, priced by walks that reach s without crossing it. The two must
-    recompose the intercentrality exactly.
-    """
-    if not spec.theta_is_ones():
-        raise InputError("the decomposition requires theta = 1")
-    wm = walk_matrix(spec, s)
-    b = spec.b_unit
-    idx = list(s.members)
-    direct = float(b[idx].sum())
-    walk_mediated = float(wm.kept_excluded.sum(axis=0) @ b[idx])
-    d = intercentrality(spec, s).intercentrality
-    _require_agreement(
-        abs(direct + walk_mediated - d), f"decomposition of {s.members} misses the removal value"
-    )
-    return {"direct": direct, "walk_mediated": walk_mediated}
 
 
 def enumerate_avoiding_walks(

@@ -11,7 +11,6 @@ from netsurgeon import (
     joined_network,
     katz_bonacich,
     key_bridge,
-    leontief_matrix,
     link_value_existing,
     link_value_potential,
     link_values,
@@ -183,7 +182,7 @@ class TestWalkCensus:
             v = net2.labels[int(rng.integers(net2.n))]
             i, j = net1.index_of(u), net2.index_of(v)
             b1, b2 = katz_bonacich(s1).b, katz_bonacich(s2).b
-            m1, m2 = leontief_matrix(s1), leontief_matrix(s2)
+            m1, m2 = s1.influence(), s2.influence()
             geo = 1.0 - delta**2 * m1[i, i] * m2[j, j]
 
             joined = joined_network(net1, net2, (u, v))

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,8 +13,9 @@ from netsurgeon import (
     katz_bonacich,
     key_group_exhaustive,
     key_group_greedy,
-    leontief_matrix,
+    spectral_radius,
 )
+from netsurgeon import graphs
 
 from .conftest import oracle_b, random_connected_graph, random_graph, safe_delta
 
@@ -32,7 +34,7 @@ class TestIntercentrality:
 
     def test_singleton_closed_form(self, reg_spec):
         b = katz_bonacich(reg_spec)
-        m = leontief_matrix(reg_spec)
+        m = reg_spec.influence()
         for i in range(reg_spec.n):
             gs = intercentrality(reg_spec, NodeSet.of([i]))
             assert gs.intercentrality == pytest.approx(
@@ -191,6 +193,30 @@ class TestGreedy:
             greedy = key_group_greedy(spec, k).intercentrality
             assert greedy <= best + 1e-9
 
+    def test_reads_columns_not_the_influence_matrix(self, monkeypatch):
+        n, k = 600, 6
+        rng = np.random.default_rng(61)
+        a = np.triu(rng.random((n, n)) < 6.0 / n, 1)
+        net = Network(tuple(str(i) for i in range(n)), (a | a.T).astype(float))
+        spec = certify(net, 0.9 / spectral_radius(net))
+        inverses, dpotri = [], graphs.dpotri
+
+        def counted(c, *args, **kwargs):
+            inverses.append(c.shape)
+            return dpotri(c, *args, **kwargs)
+
+        monkeypatch.setattr(graphs, "dpotri", counted)
+        tracemalloc.start()
+        try:
+            gs = key_group_greedy(spec, k)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert inverses == []
+        # The one n x n array is the inverse factor behind the self-loops.
+        assert peak < 1.5 * n * n * 8
+        assert len(gs.group) == k
+
 
 class TestMonotonicity:
     def test_supersets_strictly_dominate_on_connected_graphs(self):
@@ -214,7 +240,7 @@ class TestMonotonicity:
             net = random_connected_graph(rng, n)
             spec = certify(net, safe_delta(rng, net))
             s = NodeSet.of(rng.permutation(n)[: int(rng.integers(1, n))])
-            m = leontief_matrix(spec)
+            m = spec.influence()
             b = katz_bonacich(spec).b
             v = np.linalg.solve(m[np.ix_(s.members, s.members)], b[list(s)])
             assert np.all(v >= -1e-12)

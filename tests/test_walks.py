@@ -13,7 +13,6 @@ import pytest
 from scipy.linalg import cho_factor, cho_solve
 
 from netsurgeon import (
-    GroupScore,
     InputError,
     InternalCheckError,
     Network,
@@ -22,9 +21,6 @@ from netsurgeon import (
     certify,
     enumerate_avoiding_walks,
     intercentrality,
-    intercentrality_decomposition,
-    katz_bonacich,
-    leontief_matrix,
     spectral_radius,
     truncation_tail_bound,
     walk_matrix,
@@ -107,11 +103,9 @@ class TestWalkMatrix:
 
     def test_nan_gap_is_refused(self, regular10, monkeypatch):
         spec = certify(regular10, 0.2)
-        s = NodeSet.of([0])
-        nan_score = GroupScore(s, float("nan"), 0.0, float("nan"))
-        monkeypatch.setattr(walks, "intercentrality", lambda spec, s: nan_score)
-        with pytest.raises(InternalCheckError, match="by nan"):
-            intercentrality_decomposition(spec, s)
+        monkeypatch.setattr(walks, "_deleted_network_gaps", lambda *a: (float("nan"), 0.0, 0.0))
+        with pytest.raises(InternalCheckError, match="kept-kept block by nan"):
+            walk_matrix(spec, NodeSet.of([0]))
 
 
 def _core_periphery_game(n, seed):
@@ -360,7 +354,7 @@ class TestSingleNodeIdentities:
         rng = np.random.default_rng(71)
         for _ in range(20):
             spec, n = self._random_case(rng)
-            m = leontief_matrix(spec)
+            m = spec.influence()
             i = int(rng.integers(n))
             wm = walk_matrix(spec, NodeSet.of([i]))
             keep = [t for t in range(n) if t != i]
@@ -374,7 +368,7 @@ class TestSingleNodeIdentities:
         rng = np.random.default_rng(73)
         for _ in range(20):
             spec, n = self._random_case(rng)
-            m = leontief_matrix(spec)
+            m = spec.influence()
             i, j = rng.choice(n, size=2, replace=False)
             wi = walk_matrix(spec, NodeSet.of([int(i)]))
             wj = walk_matrix(spec, NodeSet.of([int(j)]))
@@ -392,7 +386,7 @@ class TestAvoidance:
             n = int(rng.integers(3, 9))
             net = random_connected_graph(rng, n)
             spec = certify(net, safe_delta(rng, net))
-            m = leontief_matrix(spec)
+            m = spec.influence()
             i, j = (int(v) for v in rng.choice(n, size=2, replace=False))
             block = avoidance_block(spec, NodeSet.of([i]), NodeSet.of([j]))
             want = m[i, j] / (m[i, i] * m[j, j] - m[i, j] ** 2)
@@ -417,20 +411,32 @@ class TestAvoidance:
         assert abs(block[0, 0] - total) <= tail + 1e-12
 
 
-class TestDecomposition:
-    def test_direct_term_and_identity(self, regular10):
-        spec = certify(regular10, 0.2)
-        s = NodeSet.of_labels(regular10, ["1", "7"])
-        parts = intercentrality_decomposition(spec, s)
-        rep = katz_bonacich(spec)
-        assert parts["direct"] == pytest.approx(rep.b[list(s)].sum(), abs=1e-12)
-        total = intercentrality(spec, s).intercentrality
-        assert parts["direct"] + parts["walk_mediated"] == pytest.approx(total, abs=1e-9)
+def _walk_reading(spec, s):
+    """The intercentrality of s read off the walk matrix: the members' own
+    play, and the play of walks from outside into s."""
+    idx = list(s.members)
+    into = walk_matrix(spec, s).kept_excluded.sum(axis=0)
+    return float(spec.b[idx].sum()), float(into @ spec.b[idx])
 
-    def test_requires_unit_theta(self, regular10):
-        spec = certify(regular10, 0.2, np.linspace(0.5, 1.5, 10))
-        with pytest.raises(InputError):
-            intercentrality_decomposition(spec, NodeSet.of([0]))
+
+class TestDecomposition:
+    """Walks into S priced by the centralities of S are the indirect part of
+    its intercentrality, which keygroup computes from one |S| x |S| solve."""
+
+    def test_direct_term_and_identity(self):
+        rng = np.random.default_rng(83)
+        for trial in range(60):
+            n = int(rng.integers(4, 13))
+            net = random_graph(rng, n)
+            # Every third game weights its play; the walks are priced by b[S].
+            theta = rng.uniform(0.5, 2.0, n) if trial % 3 == 0 else None
+            spec = certify(net, safe_delta(rng, net), theta)
+            for size in (1, 2, 3):
+                s = NodeSet.of(rng.permutation(n)[:size])
+                direct, reading = _walk_reading(spec, s)
+                gs = intercentrality(spec, s)
+                assert direct == gs.direct_effect
+                assert abs(reading - gs.indirect_effect) <= 1e-12 * gs.intercentrality, (n, s)
 
 
 class TestEnumeration:
