@@ -28,8 +28,8 @@ class CentralityReport:
     def to_json_dict(self) -> dict:
         return {
             "labels": list(self.labels),
-            "b": [float(x) for x in self.b],
-            "self_loops": [float(x) for x in self.self_loops],
+            "b": self.b.tolist(),
+            "self_loops": self.self_loops.tolist(),
             "aggregate": float(self.aggregate),
         }
 

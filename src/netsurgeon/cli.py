@@ -419,7 +419,7 @@ def _cmd_walks(args, out) -> int:
                 "from": list(a.labels(net)),
                 "to": list(b.labels(net)),
                 "avoided": sorted(set(a.labels(net)) | set(b.labels(net)), key=label_key),
-                "matrix": [[float(x) for x in row] for row in block],
+                "matrix": block.tolist(),
             },
             out,
         )
@@ -432,10 +432,10 @@ def _cmd_walks(args, out) -> int:
         {
             "excluded": list(wm.excluded.labels(net)),
             "kept": list(wm.kept.labels(net)),
-            "kept_kept": [[float(x) for x in row] for row in wm.kept_kept],
-            "kept_excluded": [[float(x) for x in row] for row in wm.kept_excluded],
-            "excluded_kept": [[float(x) for x in row] for row in wm.excluded_kept],
-            "excluded_excluded": [[float(x) for x in row] for row in wm.excluded_excluded],
+            "kept_kept": wm.kept_kept.tolist(),
+            "kept_excluded": wm.kept_excluded.tolist(),
+            "excluded_kept": wm.excluded_kept.tolist(),
+            "excluded_excluded": wm.excluded_excluded.tolist(),
         },
         out,
     )
@@ -458,8 +458,8 @@ def _cmd_extension(args, out) -> int:
         payload = {
             "model": "multi",
             "labels": list(net.labels),
-            "activity_a": [float(x) for x in eq["activity_a"]],
-            "activity_b": [float(x) for x in eq["activity_b"]],
+            "activity_a": eq["activity_a"].tolist(),
+            "activity_b": eq["activity_b"].tolist(),
         }
     elif args.model == "congestion":
         if args.gamma is None:
@@ -469,7 +469,7 @@ def _cmd_extension(args, out) -> int:
         payload = {
             "model": "congestion",
             "labels": list(net.labels),
-            "x": [float(v) for v in x],
+            "x": x.tolist(),
         }
     else:
         if args.phi is None:
@@ -479,7 +479,7 @@ def _cmd_extension(args, out) -> int:
         payload = {
             "model": "global",
             "labels": list(net.labels),
-            "x": [float(v) for v in x],
+            "x": x.tolist(),
         }
     _emit_json(payload, out)
     return 0

@@ -13,12 +13,12 @@ is at most the largest row sum of M, max(b_unit). certify factors
 I - delta G once, for good: a failed factor rejects, and max(b_unit) < 1e8
 accepts, because then delta * lambda_max < 1 - 1e-8 clears the margin.
 Only the sliver in between runs the margin test itself (within_bound: the
-Cholesky factorization of s (1 - SPECTRAL_MARGIN) I - w G succeeds exactly
-when w * lambda_max < s (1 - SPECTRAL_MARGIN)). A change C to the links
-among nodes S is certified the same way from the columns M[:, S] alone
-(certify_local), and only its sliver factors the changed n x n system
-(certify_change). lambda_max itself is computed only to word a rejection,
-or on demand.
+Cholesky factorization of (1 - SPECTRAL_MARGIN) I - w G succeeds exactly
+when w * lambda_max < 1 - SPECTRAL_MARGIN). A change C to the links among
+nodes S is certified the same way from the columns M[:, S] alone
+(certify_local); what those cannot decide goes to certify_change, which
+runs certify's own rule on the changed network. lambda_max itself is
+computed only to word a rejection, or on demand.
 """
 
 from __future__ import annotations
@@ -43,8 +43,8 @@ ROW_SUM_BOUND = 1e8
 # rule, so automorphic nodes rank identically despite rounding noise.
 NEAR_TIE = 1e-9
 
-# Rows per step when an n x n matrix is worked on a strip at a time (filling
-# the second triangle of a LAPACK inverse, a walk check's residual); bounds
+# Rows per step when an n x n matrix is worked on a strip at a time (packing
+# or zeroing a triangle of a LAPACK inverse, a walk check's residual); bounds
 # the temporaries to one strip of the matrix.
 STRIP = 256
 _STRICT_LOWER = np.tri(STRIP, k=-1, dtype=bool)
@@ -174,6 +174,14 @@ class Network:
         a[at[1::2], at[0::2]] = 1.0
         return Network(labels, a)
 
+    def with_changes(self, changes) -> "Network":
+        """This network with signed link changes (i, j, +1 create / -1 delete)
+        written over a copy of its adjacency, validated as any Network."""
+        a = self.adjacency.copy()
+        for i, j, sign in changes:
+            a[i, j] = a[j, i] = self.adjacency[i, j] + sign
+        return Network(self.labels, a)
+
     @property
     def n(self) -> int:
         return len(self.labels)
@@ -273,41 +281,29 @@ def is_positive_definite(matrix: np.ndarray) -> bool:
     return True
 
 
-def _bound_system(net: Network, weight: float, scale: float = 1.0) -> np.ndarray:
-    """scale (1 - margin) I - weight G, a fresh array."""
-    system = -weight * net.adjacency
-    system[np.diag_indices(net.n)] = scale * (1.0 - SPECTRAL_MARGIN)
-    return system
+def within_bound(net: Network, weight: float) -> bool:
+    """The spectral certificate: weight * lambda_max(G) < 1 - margin.
 
-
-def within_bound(net: Network, weight: float, scale: float = 1.0) -> bool:
-    """The spectral certificate: weight * lambda_max(G) < scale * (1 - margin).
-
-    Exact for weight >= 0 and finite scale > 0; an infinite weight fails.
+    Exact for weight >= 0; an infinite weight fails.
     """
     if not np.isfinite(weight):
         return False
-    return is_positive_definite(_bound_system(net, weight, scale))
+    system = -weight * net.adjacency
+    system[np.diag_indices(net.n)] = 1.0 - SPECTRAL_MARGIN
+    return is_positive_definite(system)
 
 
 def certify_change(net: Network, weight: float, changes) -> None:
-    """Raise SpectralConditionError unless net, changed, passes within_bound at weight.
+    """Raise SpectralConditionError unless certify accepts net, changed, at weight > 0.
 
     changes are signed link changes (i, j, +1 create / -1 delete), legal for
-    net. The certificate system of the changed network is written over net's
-    entry for entry, with within_bound's arithmetic, and tested in place; the
-    changed network is built only to word a refusal.
+    net. The changed network is decided by certified_game, certify's own
+    rule: a failed factor refuses, row sums below ROW_SUM_BOUND accept, and
+    within_bound decides the sliver. A non-finite weight is refused.
     """
-    if np.isfinite(weight):
-        system = _bound_system(net, weight)
-        for i, j, sign in changes:
-            system[i, j] = system[j, i] = -weight * (net.adjacency[i, j] + sign)
-        if is_positive_definite(system):
-            return
-    changed = net.adjacency.copy()
-    for i, j, sign in changes:
-        changed[i, j] = changed[j, i] = net.adjacency[i, j] + sign
-    raise SpectralConditionError(weight, spectral_radius(Network(net.labels, changed)))
+    changed = net.with_changes(changes)
+    if not np.isfinite(weight) or certified_game(changed, weight) is None:
+        raise SpectralConditionError(weight, spectral_radius(changed))
 
 
 def _kept_runs(members, n: int) -> tuple[list, list]:
@@ -331,19 +327,17 @@ def _copy_strict_lower(dst: np.ndarray, src: np.ndarray) -> None:
         np.copyto(dst[lo:hi, lo:hi], src[lo:hi, lo:hi], where=_STRICT_LOWER[: hi - lo, : hi - lo])
 
 
-def fill_upper(a: np.ndarray, mirror: bool) -> np.ndarray:
-    """Overwrite the strict upper triangle of square a: the lower one mirrored, or zeros.
+def zero_upper(a: np.ndarray) -> np.ndarray:
+    """Zero the strict upper triangle of square a in place, strip by strip; returns a.
 
-    LAPACK's inverses fill one triangle and leave the other as they found it.
-    This completes them in place, strip by strip, with no second n x n array.
+    dtrtri fills the lower triangle of its inverse and leaves the upper one
+    as it found it.
     """
     n = len(a)
     for lo in range(0, n, STRIP):
         hi = min(lo + STRIP, n)
-        block = a[lo:hi, lo:hi]
-        upper = np.triu_indices(hi - lo, 1)
-        block[upper] = block.T[upper] if mirror else 0.0
-        a[lo:hi, hi:] = a[hi:, lo:hi].T if mirror else 0.0
+        np.copyto(a[lo:hi, lo:hi], 0.0, where=_STRICT_LOWER[: hi - lo, : hi - lo].T)
+        a[lo:hi, hi:] = 0.0
     return a
 
 
@@ -396,12 +390,13 @@ class GameSpec:
     The Cholesky factorization I - delta G = L L^T, which certify made and
     tested, is cached, read-only, and shared by every solve against this
     spec. Queries read what they need of M = (I - delta G)^-1 through it:
-    columns(idx) solves for |idx| columns, O(n^2 |idx|); influence() returns
-    all of M. Its first call inverts the factor by LAPACK dpotri, about
-    2n^3/3 flops, and keeps M in space the factor already owns: M's strict
-    upper triangle in the factor array's, which no LAPACK routine reads
-    with L, and its diagonal as a vector. Later calls copy M out of that,
-    O(n^2), and influence_rows and influence_less read blocks of M from it.
+    columns(idx) solves for |idx| columns, O(n^2 |idx|). The first of
+    influence(), influence_rows and influence_less to run on a game
+    inverts the factor by LAPACK dpotri, about 2n^3/3 flops, and keeps M in
+    space the factor already owns: M's strict upper triangle in the factor
+    array's, which no LAPACK routine reads with L, and its diagonal as a
+    vector. influence() copies all of M out of that, O(n^2), and
+    influence_rows and influence_less read blocks of M from it.
     The two routes round differently, so columns(idx) and
     influence()[:, idx] can differ in the last bit; columns never reads the
     held M, so its bits do not depend on what was asked before.
@@ -473,41 +468,37 @@ class GameSpec:
 
     @cached_property
     def _held(self) -> list:
-        # Empty until influence() packs M into the factor array, then [M's
+        # Empty until _held_inverse packs M into the factor array, then [M's
         # diagonal]; one list shared with every with_theta spec.
         return []
+
+    def _held_inverse(self) -> tuple[np.ndarray, np.ndarray]:
+        """(a C-order view whose strict lower triangle is M's, M's diagonal).
+
+        The first call runs dpotri on the factor and packs M into the factor
+        array: low.T is C order, and its strict lower triangle is low's
+        strict upper one, which cho_solve, dpotri and dtrtri never read.
+        """
+        low = self._factor[0]
+        if not self._held:
+            m = self._inverted_factor(dpotri)  # Fortran order; its lower triangle is M's
+            low.flags.writeable = True
+            try:
+                _copy_strict_lower(low.T, m)
+            finally:
+                low.flags.writeable = False
+            diagonal = m.diagonal().copy()
+            diagonal.flags.writeable = False
+            self._held.append(diagonal)
+        return low.T, self._held[0]
 
     def influence(self) -> np.ndarray:
         """M = (I - delta G)^-1, exactly symmetric, in Fortran order; a fresh array each call.
 
-        The first call is dpotri on the factor, and packs the result into the
-        factor array; later calls unpack it, bit for bit the same M.
+        Read from the held M as M - 0, which is M bit for bit.
         """
-        low = self._factor[0]
-        if self._held:
-            m = low.T.copy()  # C order; its strict lower triangle is M's
-            fill_upper(m, mirror=True)
-            m[np.diag_indices(self.n)] = self._held[0]
-            return m.T
-        m = fill_upper(self._inverted_factor(dpotri), mirror=True)
-        # low.T is C order, and its strict lower triangle is low's strict
-        # upper one, which cho_solve, dpotri and dtrtri never read.
-        low.flags.writeable = True
-        try:
-            _copy_strict_lower(low.T, m.T)
-        finally:
-            low.flags.writeable = False
-        diagonal = m.diagonal().copy()
-        diagonal.flags.writeable = False
-        self._held.append(diagonal)
-        return m
-
-    def _held_inverse(self) -> tuple[np.ndarray, np.ndarray]:
-        """(a C-order view whose strict lower triangle is M's, M's diagonal),
-        packed by the first influence() call, made here if it has not run."""
-        if not self._held:
-            self.influence()
-        return self._factor[0].T, self._held[0]
+        self._held_inverse()  # frees dpotri's array before the result is made
+        return self.influence_less([], np.zeros((self.n, self.n))).T
 
     def influence_rows(self, members) -> np.ndarray:
         """The rows of M at the sorted indices members, a new C-order array
@@ -549,7 +540,7 @@ class GameSpec:
     @cached_property
     def self_loops(self) -> np.ndarray:
         """The diagonal of M, read-only: M = L^-T L^-1, so m_ii = sum_k (L^-1)_ki^2."""
-        inv_low = fill_upper(self._inverted_factor(dtrtri), mirror=False)
+        inv_low = zero_upper(self._inverted_factor(dtrtri))
         loops = np.einsum("ki,ki->i", inv_low, inv_low)
         loops.flags.writeable = False
         return loops

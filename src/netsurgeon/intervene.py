@@ -86,16 +86,12 @@ class StructuralIntervention:
     @staticmethod
     def from_label_pairs(net: Network, add=(), remove=()) -> "StructuralIntervention":
         entries = set()
-        for u, v in add:
-            i, j = sorted((net.index_of(u), net.index_of(v)))
-            if i == j:
-                raise InputError(f"self-loop change on node {u!r}")
-            entries.add((i, j, 1))
-        for u, v in remove:
-            i, j = sorted((net.index_of(u), net.index_of(v)))
-            if i == j:
-                raise InputError(f"self-loop change on node {u!r}")
-            entries.add((i, j, -1))
+        for pairs, sign in ((add, 1), (remove, -1)):
+            for u, v in pairs:
+                i, j = sorted((net.index_of(u), net.index_of(v)))
+                if i == j:
+                    raise InputError(f"self-loop change on node {u!r}")
+                entries.add((i, j, sign))
         iv = StructuralIntervention(frozenset(entries))
         iv.check_legal(net)
         return iv
@@ -141,7 +137,7 @@ class StructuralIntervention:
 
     def applied_to(self, net: Network) -> Network:
         self.check_legal(net)
-        return Network(net.labels, net.adjacency + self.as_matrix(net.n))
+        return net.with_changes(self.entries)
 
 
 @dataclass(frozen=True, eq=False)
@@ -157,10 +153,10 @@ class EffectReport:
     def to_json_dict(self) -> dict:
         return {
             "labels": list(self.labels),
-            "delta_x": [float(x) for x in self.delta_x],
+            "delta_x": self.delta_x.tolist(),
             "delta_aggregate": float(self.delta_aggregate),
-            "equivalent_delta_theta": [float(x) for x in self.equivalent_delta_theta],
-            "post_b": [float(x) for x in self.post_b],
+            "equivalent_delta_theta": self.equivalent_delta_theta.tolist(),
+            "post_b": self.post_b.tolist(),
         }
 
 

@@ -101,11 +101,9 @@ def intercentrality(spec: GameSpec, s: NodeSet) -> GroupScore:
         raise InputError("group must be nonempty")
     if s.members[-1] >= spec.n:
         raise InputError(f"node index {s.members[-1]} out of range for n={spec.n}")
-    b_theta = spec.b
-    b_unw = b_theta if spec.theta_is_ones() else spec.b_unit
     idx = np.array([s.members])  # one group, shape (1, k)
     m_ss = spec.columns(idx[0])[idx[0], :]
-    d, direct = _score(m_ss[None], b_theta[idx], b_unw[idx])
+    d, direct = _score(m_ss[None], spec.b[idx], spec.b_unit[idx])
     return _group_scores(idx, d, direct)[0]
 
 
@@ -129,8 +127,7 @@ def key_group_exhaustive(
         raise InputError(
             f"{count} subsets exceed the enumeration cap ({cap}); use the greedy mode"
         )
-    b_theta = spec.b
-    b_unw = b_theta if spec.theta_is_ones() else spec.b_unit
+    b_theta, b_unw = spec.b, spec.b_unit
     m_full = spec.influence()
     combos = itertools.chain.from_iterable(itertools.combinations(range(spec.n), k))
     groups = np.fromiter(combos, dtype=np.intp, count=count * k).reshape(count, k)

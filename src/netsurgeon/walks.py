@@ -166,10 +166,10 @@ def avoidance_block(spec: GameSpec, a: NodeSet, b: NodeSet) -> np.ndarray:
     m_ab = m[ia, len(ia) :]
     m_bb = m[ib, len(ia) :]
     try:
-        w_bb_no_a = m_bb - m_ab.T @ np.linalg.solve(m_aa, m_ab)
-        first = np.linalg.solve(m_aa, m_ab) @ np.linalg.inv(w_bb_no_a)
-        w_aa_no_b = m_aa - m_ab @ np.linalg.solve(m_bb, m_ab.T)
-        second = np.linalg.solve(w_aa_no_b, np.linalg.solve(m_bb, m_ab.T).T)
+        aa_ab = np.linalg.solve(m_aa, m_ab)
+        bb_ba = np.linalg.solve(m_bb, m_ab.T)
+        first = aa_ab @ np.linalg.inv(m_bb - m_ab.T @ aa_ab)
+        second = np.linalg.solve(m_aa - m_ab @ bb_ba, bb_ba.T)
     except np.linalg.LinAlgError as exc:
         raise InternalCheckError(f"singular block in avoidance factorization: {exc}") from exc
     _require_agreement(float(np.max(np.abs(first - second))), "avoidance factorizations disagree")

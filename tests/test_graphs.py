@@ -11,12 +11,13 @@ from netsurgeon import (
     Network,
     NodeSet,
     SpectralConditionError,
+    StructuralIntervention,
     certify,
     label_key,
     parse_edge_list,
     spectral_radius,
 )
-from netsurgeon.graphs import embed, fill_upper
+from netsurgeon.graphs import embed
 
 from .conftest import dense_inverse, eig_lambda_max, random_graph
 
@@ -120,6 +121,29 @@ class TestNetworkValidation:
             net.index_of("zzz")
 
 
+class TestWithChanges:
+    def test_creates_and_deletes_links_on_a_copy(self):
+        rng = np.random.default_rng(12)
+        for _ in range(20):
+            net = random_graph(rng, int(rng.integers(3, 12)), p=0.4)
+            pairs = [(i, j) for i in range(net.n) for j in range(i + 1, net.n)]
+            picked = rng.permutation(len(pairs))[: int(rng.integers(1, len(pairs) + 1))]
+            iv = StructuralIntervention(frozenset(
+                (i, j, -1 if net.adjacency[i, j] else 1) for i, j in (pairs[t] for t in picked)
+            ))
+            before = net.adjacency.copy()
+            changed = net.with_changes(iv.entries)
+            assert changed == Network(net.labels, net.adjacency + iv.as_matrix(net.n))
+            assert np.array_equal(net.adjacency, before)
+            assert not net.adjacency.flags.writeable and not changed.adjacency.flags.writeable
+
+    @pytest.mark.parametrize("change", [(0, 1, 1), (1, 2, -1)], ids=["writes-2", "writes-minus-1"])
+    def test_a_change_off_zero_one_is_refused(self, change):
+        net = Network.from_edges([("a", "b")], isolated=["c"])
+        with pytest.raises(InputError, match="0 or 1"):
+            net.with_changes([change])
+
+
 class TestSpectralRadius:
     def test_star_is_sqrt_of_leaf_count(self):
         net = Network.from_edges([("h", f"l{i}") for i in range(1, 8)])
@@ -216,7 +240,8 @@ def _dpotri_inverse(spec):
     """M from a fresh dpotri on the factor, as influence() made it before M was held."""
     if spec.n == 0:
         return np.zeros((0, 0))
-    return fill_upper(dpotri(spec._factor[0], lower=True)[0], mirror=True)
+    low = dpotri(spec._factor[0], lower=True)[0]
+    return np.where(np.tri(spec.n, dtype=bool), low, low.T)  # the lower triangle, mirrored
 
 
 class TestHeldInverse:

@@ -103,6 +103,20 @@ class TestExhaustive:
             atol=0,
         )
 
+    def test_unit_theta_given_or_defaulted_scores_the_same_bits(self):
+        rng = np.random.default_rng(13)
+        for _ in range(10):
+            net = random_connected_graph(rng, int(rng.integers(4, 10)))
+            delta = safe_delta(rng, net, frac_hi=0.999)
+            default, given = certify(net, delta), certify(net, delta, np.ones(net.n))
+            s = NodeSet.of(range(3))
+            a, b = intercentrality(default, s), intercentrality(given, s)
+            assert (a.intercentrality, a.direct_effect) == (b.intercentrality, b.direct_effect)
+            ranked = [key_group_exhaustive(s, 2, top=None) for s in (default, given)]
+            assert [(g.group, g.intercentrality, g.direct_effect) for g in ranked[0]] == [
+                (g.group, g.intercentrality, g.direct_effect) for g in ranked[1]
+            ]
+
     def test_enumeration_cap(self, reg_spec):
         with pytest.raises(InputError, match="greedy"):
             key_group_exhaustive(reg_spec, 5, cap=100)

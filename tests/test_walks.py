@@ -246,6 +246,19 @@ class TestWalkMatrixFootprint:
         assert len(gaps) == 3
         assert max(gaps) <= walks.CROSS_ROUTE_TOL
 
+    def test_first_query_packs_the_held_inverse_without_influence(self, monkeypatch):
+        spec = _core_periphery_game(120, seed=5)
+        want = walk_matrix(certify(spec.network, spec.delta), NodeSet.of([3, 60], 120))
+
+        def refuse(self):
+            raise AssertionError("influence() called")
+
+        monkeypatch.setattr(graphs.GameSpec, "influence", refuse)
+        assert not spec._held
+        got = walk_matrix(spec, NodeSet.of([3, 60], 120))
+        for name in ("kept_kept", "kept_excluded", "excluded_kept", "excluded_excluded"):
+            assert np.array_equal(getattr(got, name), getattr(want, name))
+
     def test_repeated_queries_make_no_full_size_inverse(self, monkeypatch):
         n = 200
         spec = _core_periphery_game(n, seed=2)
