@@ -12,7 +12,8 @@ present link of a network from one influence matrix.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Callable, Sequence
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -76,8 +77,44 @@ class LinkValue:
     kind: str
     value: float
 
-    def to_json_dict(self) -> dict:
-        return {"i": self.i, "j": self.j, "kind": self.kind, "value": float(self.value)}
+
+@dataclass(frozen=True, eq=False)
+class RankedPairs(Sequence):
+    """Scored label pairs, best first, held as arrays.
+
+    Entry t pairs first[rows[t]] with second[cols[t]] at score values[t];
+    reading an entry builds it as item(u, v, score). Compares equal to any
+    sequence of the same entries.
+    """
+
+    first: tuple[str, ...]
+    second: tuple[str, ...]
+    rows: np.ndarray
+    cols: np.ndarray
+    values: np.ndarray
+    item: Callable = field(repr=False)
+
+    def __len__(self) -> int:
+        return len(self.values)
+
+    def __getitem__(self, t):
+        if isinstance(t, slice):
+            return [self[s] for s in range(*t.indices(len(self)))]
+        return self.item(self.first[self.rows[t]], self.second[self.cols[t]], float(self.values[t]))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return list(self) == list(other)
+
+    __hash__ = None
+
+    def label_columns(self) -> tuple[list[str], list[str]]:
+        """The entries' first labels and second labels, as two lists."""
+        return (
+            list(map(self.first.__getitem__, self.rows.tolist())),
+            list(map(self.second.__getitem__, self.cols.tolist())),
+        )
 
 
 def joined_network(net1: Network, net2: Network, bridge: tuple[str, str] | None = None) -> Network:
@@ -149,8 +186,8 @@ def pareto_frontier(spec: GameSpec) -> NodeSet:
     return NodeSet.of(_frontier(spec.b_unit, spec.self_loops), spec.n)
 
 
-def rank_bridges(spec1: GameSpec, spec2: GameSpec) -> list[BridgeScore]:
-    """All frontier-to-frontier candidate links, best first.
+def rank_bridges(spec1: GameSpec, spec2: GameSpec) -> RankedPairs:
+    """All frontier-to-frontier candidate links, best first; entries are BridgeScores.
 
     Only frontier endpoints can host the best bridge, so non-frontier pairs
     are never scored. Near-ties order by label pair.
@@ -162,11 +199,11 @@ def rank_bridges(spec1: GameSpec, spec2: GameSpec) -> list[BridgeScore]:
     rows, cols = np.repeat(front1, len(front2)), np.tile(front2, len(front1))
     value = _bridge_value(spec1.delta, b1[rows], m1[rows], b2[cols], m2[cols])
     order = rank_order(value, (rows, cols))
-    lab1, lab2 = spec1.network.labels, spec2.network.labels
-    return [
-        BridgeScore(lab1[i], lab2[j], v, spec1.delta * v)
-        for i, j, v in zip(rows[order].tolist(), cols[order].tolist(), value[order].tolist())
-    ]
+    delta = spec1.delta
+    return RankedPairs(
+        spec1.network.labels, spec2.network.labels, rows[order], cols[order], value[order],
+        lambda i, j, v: BridgeScore(i, j, v, delta * v),
+    )
 
 
 def key_bridge(spec1: GameSpec, spec2: GameSpec) -> BridgeScore:
@@ -233,8 +270,9 @@ def link_value_existing(spec: GameSpec, i: str, j: str) -> LinkValue:
     return _single_link(spec, i, j, "existing")
 
 
-def link_values(spec: GameSpec, kind: str) -> tuple[list[LinkValue], list[tuple[str, str, str]]]:
-    """Values of every potential (absent) or existing link, best first.
+def link_values(spec: GameSpec, kind: str) -> tuple[RankedPairs, list[tuple[str, str, str]]]:
+    """Values of every potential (absent) or existing link, best first;
+    entries are LinkValues.
 
     Near-ties order by label pair. A potential link whose addition would
     leave the certified range is skipped: skipped lists (i, j, reason) in
@@ -244,10 +282,16 @@ def link_values(spec: GameSpec, kind: str) -> tuple[list[LinkValue], list[tuple[
         raise InputError(f"link kind must be 'potential' or 'existing', got {kind!r}")
     _require_unit_theta(spec, f"the {kind}-link value")
     net = spec.network
+
+    def ranked(rows, cols, value):
+        return RankedPairs(
+            net.labels, net.labels, rows, cols, value, lambda i, j, v: LinkValue(i, j, kind, v)
+        )
+
     want = 1.0 if kind == "existing" else 0.0
     rows, cols = np.nonzero(np.triu(net.adjacency == want, 1))
     if not len(rows):
-        return [], []
+        return ranked(rows, cols, np.zeros(0)), []
     m = spec.influence()
     skipped = []
     if kind == "potential":
@@ -261,11 +305,7 @@ def link_values(spec: GameSpec, kind: str) -> tuple[list[LinkValue], list[tuple[
                 skipped.append((net.labels[rows[t]], net.labels[cols[t]], str(exc)))
         rows, cols = rows[fits], cols[fits]
         if not len(rows):  # also keeps delta**2 from overflowing when nothing certifies
-            return [], skipped
+            return ranked(rows, cols, np.zeros(0)), skipped
     value = _link_value(spec, kind, rows, cols, m[rows, rows], m[cols, cols], m[cols, rows])
     order = rank_order(value, (rows, cols))
-    ranked = [
-        LinkValue(net.labels[i], net.labels[j], kind, v)
-        for i, j, v in zip(rows[order].tolist(), cols[order].tolist(), value[order].tolist())
-    ]
-    return ranked, skipped
+    return ranked(rows[order], cols[order], value[order]), skipped

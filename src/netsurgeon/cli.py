@@ -9,10 +9,14 @@ digits with fixed key order, so identical inputs give identical bytes.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import functools
+import itertools
 import json
+import re
 import sys
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,6 +31,7 @@ from .graphs import (
     NodeSet,
     certify,
     label_key,
+    line_tokens,
     load_network,
 )
 from .intervene import (
@@ -50,11 +55,12 @@ class _Parser(argparse.ArgumentParser):
 # The JSON writer: the bytes of json.dump(payload, indent=2) with every float
 # rounded to 6 significant digits first, built as one string; keys must be
 # strings. Lists of scalars are formatted a column at a time and lists of
-# same-shaped records through one %-template, so the cost per printed number
-# is a few C calls.
+# same-shaped records, or _Columns, through one %-template, so the cost per
+# printed number is a few C calls.
 
 _SCALARS = {str, float, int, bool, type(None)}
 _NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+_INTEGRAL = re.compile(r"^-?\d+$", re.MULTILINE)
 
 
 class _Escaped(dict):
@@ -65,9 +71,30 @@ class _Escaped(dict):
         return text
 
 
+@dataclass(frozen=True)
+class _Columns:
+    """A list of records with the same keys, given column by column: fields
+    maps each key, in order, to the records' values at that key."""
+
+    fields: dict
+
+
 def _floats(values) -> list[str]:
-    texts = list(map(float.__repr__, map(float, map("{:.6g}".format, values))))
-    if "nan" in texts or "inf" in texts or "-inf" in texts:
+    """The repr of float("%.6g" % v) for each v, from one %-format of them all.
+
+    %g and repr agree on the digits of a 6-digit decimal; they differ in
+    form only for integral texts, where repr adds ".0", for decimal
+    exponents 6 to 15, where repr is positional, and for subnormals, where
+    repr is shorter. Texts holding "e+" or "e-3", which covers both of the
+    last two cases, are redone through repr one by one.
+    """
+    values = tuple(values)
+    text = _INTEGRAL.sub(r"\g<0>.0", ("%.6g\n" * len(values)) % values)
+    texts = text.split("\n")
+    texts.pop()
+    if "e+" in text or "e-3" in text:
+        texts = [float.__repr__(float(t)) if "e+" in t or "e-3" in t else t for t in texts]
+    if "n" in text:  # nan, inf
         texts = [_NONFINITE.get(t, t) for t in texts]
     return texts
 
@@ -92,38 +119,40 @@ def _scalars(values, kinds: set, esc: _Escaped) -> list[str]:
     if kinds == {float}:
         return _floats(values)
     if kinds == {str}:
-        return [esc[s] for s in values]
+        return list(map(esc.__getitem__, values))
     return [_scalar(v, esc) for v in values]
 
 
-def _records(rows: list, indent: str, esc: _Escaped) -> list[str]:
-    """Texts of dicts at indent; one template when all share keys and hold scalars."""
-    keys = list(rows[0])
-    if not keys or any(map(keys.__ne__, map(list, rows))):
-        return [_dict(row, indent, esc) for row in rows]
-    columns = [[row[k] for row in rows] for k in keys]
-    kinds = [set(map(type, col)) for col in columns]
-    if not all(kind <= _SCALARS for kind in kinds):
-        return [_dict(row, indent, esc) for row in rows]
-    columns = [_scalars(col, kind, esc) for col, kind in zip(columns, kinds)]
+def _bracketed(texts: list, indent: str) -> str:
     inner = indent + "  "
-    fields = ",\n".join(f"{inner}{esc[k].replace('%', '%%')}: %s" for k in keys)
-    template = "{\n" + fields + "\n" + indent + "}"
-    return [template % texts for texts in zip(*columns)]
+    return "[\n" + inner + (",\n" + inner).join(texts) + "\n" + indent + "]"
+
+
+def _columns(fields: dict, indent: str, esc: _Escaped) -> str:
+    """The list of records whose values at key k are fields[k], at indent;
+    through one template when every field holds scalars."""
+    inner = indent + "  "
+    kinds = [set(map(type, col)) for col in fields.values()]
+    if all(kind <= _SCALARS for kind in kinds):
+        columns = [_scalars(col, kind, esc) for col, kind in zip(fields.values(), kinds)]
+        lines = ",\n".join(f"{inner}  {esc[k].replace('%', '%%')}: %s" for k in fields)
+        texts = list(map(("{\n" + lines + "\n" + inner + "}").__mod__, zip(*columns)))
+    else:
+        texts = [_dict(dict(zip(fields, row)), inner, esc) for row in zip(*fields.values())]
+    return _bracketed(texts, indent) if texts else "[]"
 
 
 def _list(items, indent: str, esc: _Escaped) -> str:
     if not items:
         return "[]"
-    inner = indent + "  "
     kinds = set(map(type, items))
     if kinds <= _SCALARS:
-        texts = _scalars(items, kinds, esc)
-    elif kinds == {dict}:
-        texts = _records(items, inner, esc)
-    else:
-        texts = [_value(v, inner, esc) for v in items]
-    return "[\n" + inner + (",\n" + inner).join(texts) + "\n" + indent + "]"
+        return _bracketed(_scalars(items, kinds, esc), indent)
+    keys = list(items[0]) if kinds == {dict} else None
+    if keys and not any(map(keys.__ne__, map(list, items))):
+        return _columns({k: [row[k] for row in items] for k in keys}, indent, esc)
+    inner = indent + "  "
+    return _bracketed([_value(v, inner, esc) for v in items], indent)
 
 
 def _dict(obj: dict, indent: str, esc: _Escaped) -> str:
@@ -139,6 +168,8 @@ def _value(obj, indent: str, esc: _Escaped) -> str:
         return _list(obj, indent, esc)
     if isinstance(obj, dict):
         return _dict(obj, indent, esc)
+    if isinstance(obj, _Columns):
+        return _columns(obj.fields, indent, esc)
     return _scalar(obj, esc)
 
 
@@ -157,35 +188,47 @@ def _load_theta(arg: str | None, net: Network):
     """A theta flag is either the literal "ones" or a file of "label value" lines."""
     if arg is None or arg == "ones":
         return None
-    seen: dict[str, float] = {}
     try:
         with open(arg, encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
         raise InputError(f"--theta: cannot read {arg!r}: {exc}") from None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        if len(parts) != 2:
-            raise InputError(f"--theta: line {lineno}: expected 'label value'")
-        lab, val = parts
-        if lab in seen:
-            raise InputError(f"--theta: line {lineno}: duplicate label {lab!r}")
-        try:
-            seen[lab] = float(val)
-        except ValueError:
-            raise InputError(f"--theta: line {lineno}: bad number {val!r}") from None
-        if not np.isfinite(seen[lab]):
-            raise InputError(f"--theta: line {lineno}: non-finite number {val!r}")
+    tokens = line_tokens(text)
+    flat = list(itertools.chain.from_iterable(tokens))
+    labs, values = flat[0::2], []
+    if all(map((0, 2).__contains__, map(len, tokens))):
+        with contextlib.suppress(ValueError):
+            values = list(map(float, flat[1::2]))
+    if len(values) != len(labs) or len(set(labs)) != len(labs) or not np.isfinite(values).all():
+        _theta_error(tokens)
+    seen = dict(zip(labs, values))
     missing = [lab for lab in net.labels if lab not in seen]
     extra = [lab for lab in seen if lab not in net.index]
     if missing or extra:
         raise InputError(
             f"--theta: labels do not match the graph (missing {missing}, unknown {extra})"
         )
-    return np.array([seen[lab] for lab in net.labels])
+    return np.fromiter(map(seen.__getitem__, net.labels), dtype=float, count=net.n)
+
+
+def _theta_error(tokens: list) -> None:
+    """Raise the error of the first bad line of a theta file's tokens."""
+    seen = set()
+    for lineno, parts in enumerate(tokens, start=1):
+        if not parts:
+            continue
+        if len(parts) != 2:
+            raise InputError(f"--theta: line {lineno}: expected 'label value'")
+        lab, val = parts
+        if lab in seen:
+            raise InputError(f"--theta: line {lineno}: duplicate label {lab!r}")
+        seen.add(lab)
+        try:
+            number = float(val)
+        except ValueError:
+            raise InputError(f"--theta: line {lineno}: bad number {val!r}") from None
+        if not np.isfinite(number):
+            raise InputError(f"--theta: line {lineno}: non-finite number {val!r}")
 
 
 def _parse_pair(raw: str, flag: str) -> tuple[str, str]:
@@ -361,16 +404,15 @@ def _cmd_key_bridge(args, out) -> int:
     spec1 = certify(load_network(args.graph1), args.delta)
     spec2 = certify(load_network(args.graph2), args.delta)
     ranked = rank_bridges(spec1, spec2)
+    i, j = ranked.label_columns()
+    index = ranked.values.tolist()
+    predicted = (spec1.delta * ranked.values).tolist()
     if args.format == "csv":
-        rows = [(sc.i, sc.j, sc.index, sc.predicted_delta_aggregate) for sc in ranked]
-        _emit_csv(("i", "j", "index", "predicted_delta_aggregate"), rows, out)
+        _emit_csv(("i", "j", "index", "predicted_delta_aggregate"), zip(i, j, index, predicted), out)
     else:
+        candidates = {"i": i, "j": j, "index": index, "predicted_delta_aggregate": predicted}
         _emit_json(
-            {
-                "winner": ranked[0].to_json_dict(),
-                "candidates": [sc.to_json_dict() for sc in ranked],
-            },
-            out,
+            {"winner": ranked[0].to_json_dict(), "candidates": _Columns(candidates)}, out
         )
     return 0
 
@@ -382,14 +424,18 @@ def _cmd_link_value(args, out) -> int:
     if args.pair:
         u, v = _parse_pair(args.pair, "--pair")
         present = net.adjacency[net.index_of(u), net.index_of(v)]
-        values = [(link_value_existing if present else link_value_potential)(spec, u, v)]
+        lv = (link_value_existing if present else link_value_potential)(spec, u, v)
+        i, j, kind, value = [lv.i], [lv.j], lv.kind, [float(lv.value)]
     else:
-        values, skipped = link_values(spec, "potential" if args.all_potential else "existing")
+        kind = "potential" if args.all_potential else "existing"
+        ranked, skipped = link_values(spec, kind)
+        i, j = ranked.label_columns()
+        value = ranked.values.tolist()
+    kinds = [kind] * len(value)
     if args.format == "csv":
-        rows = [(lv.i, lv.j, lv.kind, lv.value) for lv in values]
-        _emit_csv(("i", "j", "kind", "value"), rows, out)
+        _emit_csv(("i", "j", "kind", "value"), zip(i, j, kinds, value), out)
     else:
-        payload = {"values": [lv.to_json_dict() for lv in values]}
+        payload = {"values": _Columns({"i": i, "j": j, "kind": kinds, "value": value})}
         if skipped:
             payload["skipped"] = [{"i": u, "j": v, "reason": why} for u, v, why in skipped]
         _emit_json(payload, out)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import cho_factor, cho_solve, eigh
 
 from .graphs import (
     GameSpec,
@@ -109,12 +109,14 @@ class CongestionSpec:
     @cached_property
     def smallest_eigenvalue(self) -> float:
         system = _congestion_system(self.network, self.delta, self.gamma)
-        return float(np.linalg.eigvalsh(system)[0])
+        return float(eigh(system, eigvals_only=True, subset_by_index=[0, 0])[0])
 
 
 def _congestion_system(net: Network, delta: float, gamma: float) -> np.ndarray:
-    a = net.adjacency
-    return np.eye(net.n) - delta * a + gamma * (a @ a)
+    # A^2 counts common neighbours, integers exact in either product; the
+    # sparse one skips the n^3 multiply of the dense one.
+    a, s = net.adjacency, net.sparse_adjacency
+    return np.eye(net.n) - delta * a + gamma * (s @ s).toarray()
 
 
 def certify_congestion(net: Network, delta: float, gamma: float, theta=None) -> CongestionSpec:

@@ -86,11 +86,11 @@ class InternalCheckError(NetsurgeonError):
 def label_key(label: str) -> tuple[int, int, str]:
     """Natural sort key for node labels.
 
-    All-digit labels compare by numeric value and precede everything else;
+    Labels of decimal digits compare by numeric value and precede everything else;
     remaining labels compare lexicographically. Keeps "10" after "2" so
     tie-breaks on numerically named nodes match the obvious ordering.
     """
-    if label.isdigit():
+    if label.isdecimal():
         return (0, int(label), label)
     return (1, 0, label)
 
@@ -105,18 +105,32 @@ def rank_order(values: np.ndarray, keys: tuple) -> np.ndarray:
     order = np.lexsort(keys[::-1] + (-values,))
     v = values[order]
     gap = v[:-1] - v[1:]
-    # Only a gap within the loosest tolerance can join two values into a run.
-    near = np.flatnonzero(gap <= NEAR_TIE * max(1.0, float(np.abs(v).max(initial=0.0))))
-    end = 0
-    for start in near:
-        if start < end:
-            continue
-        limit = NEAR_TIE * max(1.0, abs(v[start]))
-        end = start + 1
-        while end < len(v) and gap[end - 1] <= limit:
-            end += 1
-        run = order[start:end]
-        order[start:end] = run[np.lexsort(tuple(k[run] for k in keys[::-1]))]
+    # Only a gap within the loosest tolerance can join two values into a run,
+    # so runs lie inside the chains of consecutive such gaps.
+    near = gap <= NEAR_TIE * max(1.0, float(np.abs(v).max(initial=0.0)))
+    bounds = np.flatnonzero(np.diff(near, prepend=False, append=False))
+    first, last = bounds[0::2], bounds[1::2]  # chain k: gaps first[k] to last[k] - 1
+    widest = np.maximum.reduceat(np.where(near, gap, -np.inf), first) if first.size else gap[:0]
+    whole = widest <= NEAR_TIE * np.maximum(1.0, np.abs(v[first]))
+    # A chain within its first value's tolerance is one run, positions lo to
+    # lo + size - 1: all such runs sort in one lexsort.
+    lo, size = first[whole], last[whole] - first[whole] + 1
+    if lo.size:
+        members = np.arange(size.sum()) + np.repeat(lo - (np.cumsum(size) - size), size)
+        chain = np.repeat(np.arange(lo.size), size)
+        run = order[members]
+        order[members] = run[np.lexsort(tuple(k[run] for k in keys[::-1]) + (chain,))]
+    # A chain that breaks its first value's tolerance splits run by run: each
+    # run starts where the last one ended and takes gaps within its own.
+    for start, stop in zip(first[~whole].tolist(), last[~whole].tolist()):
+        while start < stop:
+            limit = NEAR_TIE * max(1.0, abs(v[start]))
+            end = start + 1
+            while end < len(v) and gap[end - 1] <= limit:
+                end += 1
+            run = order[start:end]
+            order[start:end] = run[np.lexsort(tuple(k[run] for k in keys[::-1]))]
+            start = end
     return order
 
 
@@ -158,29 +172,55 @@ class Network:
             raise InputError("adjacency entries must be 0 or 1")
         a.flags.writeable = False
 
+    @classmethod
+    def _trusted(cls, labels: tuple, adjacency: np.ndarray) -> "Network":
+        """A Network with none of the checks: labels distinct and in natural
+        order, adjacency float64, symmetric, 0/1 and loop-free, and taken over."""
+        net = object.__new__(cls)
+        object.__setattr__(net, "labels", labels)
+        object.__setattr__(net, "adjacency", adjacency)
+        adjacency.flags.writeable = False
+        return net
+
+    @classmethod
+    def _of_links(cls, labels: tuple, rows: np.ndarray, cols: np.ndarray) -> "Network":
+        """The network on labels (distinct, in natural order) linking each
+        rows[t] to cols[t] != rows[t]; symmetric and 0/1 by construction."""
+        a = np.zeros((len(labels), len(labels)))
+        a[rows, cols] = 1.0
+        a[cols, rows] = 1.0
+        return cls._trusted(labels, a)
+
     @staticmethod
     def from_edges(edges, isolated=()) -> "Network":
         """Build a Network from (label, label) pairs plus optional isolated nodes."""
         edges = list(edges)
-        for u, v in edges:
-            if u == v:
-                raise InputError(f"self-loop on node {u!r}")
         ends = list(itertools.chain.from_iterable(edges))
-        labels = tuple(sorted(set(isolated).union(ends), key=label_key))
-        index = {lab: i for i, lab in enumerate(labels)}
-        at = np.fromiter(map(index.__getitem__, ends), dtype=np.intp, count=len(ends))
-        a = np.zeros((len(labels), len(labels)))
-        a[at[0::2], at[1::2]] = 1.0
-        a[at[1::2], at[0::2]] = 1.0
-        return Network(labels, a)
+        if len(ends) != 2 * len(edges):
+            raise InputError("edges must be (label, label) pairs")
+        labels, at = _label_indices(set(isolated).union(ends), ends)
+        rows, cols = at[0::2], at[1::2]
+        loops = np.flatnonzero(rows == cols)
+        if loops.size:
+            raise InputError(f"self-loop on node {edges[loops[0]][0]!r}")
+        return Network._of_links(labels, rows, cols)
 
     def with_changes(self, changes) -> "Network":
         """This network with signed link changes (i, j, +1 create / -1 delete)
-        written over a copy of its adjacency, validated as any Network."""
+        written over a copy of its adjacency; only the written entries are
+        checked, against the rules every Network keeps."""
         a = self.adjacency.copy()
+        touched = []
         for i, j, sign in changes:
             a[i, j] = a[j, i] = self.adjacency[i, j] + sign
-        return Network(self.labels, a)
+            touched.append((i, j))
+        rows, cols = np.array(touched, dtype=np.intp).reshape(-1, 2).T
+        if np.any(a[rows, rows] != 0):
+            raise InputError("self-loops are not allowed")
+        written = a[rows, cols]
+        if not np.all((written == 0) | (written == 1)):
+            raise InputError("adjacency entries must be 0 or 1")
+        return Network._trusted(self.labels, a)
 
     @property
     def n(self) -> int:
@@ -189,7 +229,7 @@ class Network:
     @cached_property
     def sparse_adjacency(self):
         """The adjacency as a scipy CSR array, built on first read and kept."""
-        from scipy.sparse import csr_array  # only walk queries pay its import
+        from scipy.sparse import csr_array  # only walk queries and congestion pay its import
 
         return csr_array(self.adjacency)
 
@@ -220,31 +260,46 @@ class Network:
         return "\n".join(lines) + "\n"
 
 
+def _label_indices(names, ends: list) -> tuple[tuple[str, ...], np.ndarray]:
+    """The distinct names in natural order, and the index of each of ends among them."""
+    labels = tuple(sorted(names, key=label_key))
+    index = dict(zip(labels, range(len(labels))))
+    return labels, np.fromiter(map(index.__getitem__, ends), dtype=np.intp, count=len(ends))
+
+
+def line_tokens(text: str) -> list[list[str]]:
+    """The whitespace-separated tokens of each line of text (str.splitlines),
+    with everything from a `#` on dropped; a blank line gives []."""
+    lines = text.splitlines()
+    if "#" not in text:
+        return list(map(str.split, lines))
+    return [raw.split("#", 1)[0].split() for raw in lines]
+
+
 def parse_edge_list(text: str) -> Network:
     """Parse "u v" lines into a Network.
 
     `#` starts a comment; a line holding a single label declares an isolated
-    node; duplicate edges collapse. Self-loops are rejected.
+    node; duplicate edges collapse. Self-loops are rejected. The first bad
+    line, a self-loop or one of three or more labels, is reported.
     """
-    edges = []
-    isolated = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        if len(parts) == 1:
-            isolated.append(parts[0])
-        elif len(parts) == 2:
-            u, v = parts
-            if u == v:
-                raise GraphFormatError(f"self-loop on node {u!r}", lineno)
-            edges.append((u, v))
-        else:
-            raise GraphFormatError(f"expected 'u v', got {raw.strip()!r}", lineno)
-    if not edges and not isolated:
+    tokens = line_tokens(text)
+    widths = np.fromiter(map(len, tokens), dtype=np.intp, count=len(tokens))
+    ends = list(itertools.chain.from_iterable(tokens))
+    if not ends:
         raise InputError("empty edge list")
-    return Network.from_edges(edges, isolated)
+    labels, at = _label_indices(set(ends), ends)
+    pairs = np.flatnonzero(widths == 2)
+    first = (np.cumsum(widths) - widths)[pairs]
+    rows, cols = at[first], at[first + 1]
+    bad = np.union1d(pairs[rows == cols], np.flatnonzero(widths > 2))
+    if bad.size:
+        t = int(bad[0])
+        if widths[t] == 2:
+            raise GraphFormatError(f"self-loop on node {tokens[t][0]!r}", t + 1)
+        raw = text.splitlines()[t]
+        raise GraphFormatError(f"expected 'u v', got {raw.strip()!r}", t + 1)
+    return Network._of_links(labels, rows, cols)
 
 
 def load_network(path) -> Network:

@@ -8,9 +8,12 @@ import subprocess
 import sys
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from netsurgeon import cli, reference
+from netsurgeon import InputError, Network, cli, reference
 
 
 def invoke(argv):
@@ -86,6 +89,63 @@ class TestCentrality:
             ["centrality", "--graph", dyad_file, "--delta", "0.25", "--theta", str(tf)]
         )
         assert code == 1 and "duplicate" in err
+
+
+def load_theta_by_line(text, labels):
+    """cli._load_theta's parse as one Python step per line."""
+    seen = {}
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        parts = line.split()
+        if len(parts) != 2:
+            raise InputError(f"--theta: line {lineno}: expected 'label value'")
+        lab, val = parts
+        if lab in seen:
+            raise InputError(f"--theta: line {lineno}: duplicate label {lab!r}")
+        try:
+            seen[lab] = float(val)
+        except ValueError:
+            raise InputError(f"--theta: line {lineno}: bad number {val!r}") from None
+        if not np.isfinite(seen[lab]):
+            raise InputError(f"--theta: line {lineno}: non-finite number {val!r}")
+    missing = [lab for lab in labels if lab not in seen]
+    extra = [lab for lab in seen if lab not in labels]
+    if missing or extra:
+        raise InputError(
+            f"--theta: labels do not match the graph (missing {missing}, unknown {extra})"
+        )
+    return np.array([seen[lab] for lab in labels])
+
+
+THETA_LINES = st.one_of(
+    st.tuples(st.sampled_from(["a", "b", "c", "d"]), st.sampled_from(["1", "0.5", "-2e3", "7_0"])),
+    st.tuples(st.sampled_from(["a", "b", "e"]), st.sampled_from(["one", "nan", "-inf", "1e999"])),
+    st.sampled_from([("a",), ("a", "1", "2"), (), ("# b 1",), ("c", "2", "# 3")]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(THETA_LINES, max_size=7),
+    st.lists(st.sampled_from(["\n", "\r\n", "\x0b", "\u2028"]), min_size=7, max_size=7),
+    st.sampled_from([" ", "\t", "  "]),
+)
+def test_theta_file_matches_the_line_loop(tmp_path_factory, lines, breaks, space):
+    text = "".join(space.join(parts) + brk for parts, brk in zip(lines, breaks))
+    path = tmp_path_factory.getbasetemp() / "theta_by_line.txt"
+    path.write_text(text, encoding="utf-8", newline="")
+    net = Network.from_edges([("a", "b"), ("b", "c"), ("c", "d")])
+    try:
+        want = load_theta_by_line(text, net.labels)
+    except InputError as exc:
+        with pytest.raises(InputError) as got:
+            cli._load_theta(str(path), net)
+        assert str(got.value) == str(exc)
+        return
+    got = cli._load_theta(str(path), net)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 class TestErrorPaths:

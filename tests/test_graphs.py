@@ -143,6 +143,12 @@ class TestWithChanges:
         with pytest.raises(InputError, match="0 or 1"):
             net.with_changes([change])
 
+    @pytest.mark.parametrize("change", [(1, 1, 1), (2, 2, -1)], ids=["creates", "deletes"])
+    def test_a_self_loop_change_is_refused(self, change):
+        net = Network.from_edges([("a", "b")], isolated=["c"])
+        with pytest.raises(InputError, match="^self-loops are not allowed$"):
+            net.with_changes([(0, 1, -1), change])
+
 
 class TestSpectralRadius:
     def test_star_is_sqrt_of_leaf_count(self):
@@ -420,3 +426,102 @@ def test_from_edges_matches_the_loop(edges, isolated):
     net = Network.from_edges(iter(edges), isolated)
     assert net.labels == labels
     assert net.adjacency.dtype == a.dtype and np.array_equal(net.adjacency, a)
+
+
+def test_from_edges_equals_the_validated_network():
+    # from_edges skips the n x n checks; its networks must pass them all.
+    rng = np.random.default_rng(31)
+    for _ in range(40):
+        n = int(rng.integers(1, 30))
+        names = [str(k) for k in rng.permutation(n) + 1] + ["a", "b10", "b2"][: rng.integers(0, 4)]
+        ends = rng.choice(names, size=(int(rng.integers(0, 60)), 2)).tolist()
+        edges = [(u, v) for u, v in ends if u != v]
+        net = Network.from_edges(edges, isolated=names)
+        labels, a = loop_from_edges(edges, names)
+        assert net == Network(labels, a)
+        assert net.adjacency.dtype == np.float64 and not net.adjacency.flags.writeable
+        assert parse_edge_list(net.serialize()) == Network(labels, a)
+
+
+def parse_edge_list_by_line(text):
+    """parse_edge_list as one Python step per line: (labels, adjacency)."""
+    edges = []
+    isolated = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        parts = line.split()
+        if len(parts) == 1:
+            isolated.append(parts[0])
+        elif len(parts) == 2:
+            u, v = parts
+            if u == v:
+                raise GraphFormatError(f"self-loop on node {u!r}", lineno)
+            edges.append((u, v))
+        else:
+            raise GraphFormatError(f"expected 'u v', got {raw.strip()!r}", lineno)
+    if not edges and not isolated:
+        raise InputError("empty edge list")
+    return loop_from_edges(edges, isolated)
+
+
+# Every break str.splitlines honours, and whitespace str.split drops.
+LINE_BREAKS = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028"]
+SPACES = [" ", "\t", "  ", " \t", "\u3000", "\x1f"]
+
+
+@st.composite
+def edge_list_lines(draw):
+    """One line: blank, a comment, or 1-3 labels with spacing and maybe a comment."""
+    kind = draw(st.sampled_from(["edge", "edge", "edge", "node", "blank", "comment", "wide"]))
+    width = {"edge": 2, "node": 1, "wide": 3, "blank": 0, "comment": 0}[kind]
+    if kind == "wide":
+        width = draw(st.integers(3, 4))
+    line = draw(st.sampled_from(SPACES + [""]))
+    for _ in range(width):
+        line += draw(LABELS) + draw(st.sampled_from(SPACES))
+    if kind == "comment" or draw(st.booleans()):
+        line += "#" + draw(st.sampled_from(["", " a b", "# 1 1", "x y z"]))
+    return line
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(edge_list_lines(), max_size=14),
+    st.lists(st.sampled_from(LINE_BREAKS), min_size=14, max_size=14),
+    st.booleans(),
+)
+def test_parse_edge_list_matches_the_line_loop(lines, breaks, trailing):
+    text = "".join(line + brk for line, brk in zip(lines, breaks))
+    if not trailing and lines:
+        text = text[: -len(breaks[len(lines) - 1])]
+    try:
+        labels, a = parse_edge_list_by_line(text)
+    except InputError as exc:
+        with pytest.raises(type(exc)) as got:
+            parse_edge_list(text)
+        assert str(got.value) == str(exc)
+        assert getattr(got.value, "line", None) == getattr(exc, "line", None)
+        return
+    net = parse_edge_list(text)
+    assert net == Network(labels, a)
+    assert not net.adjacency.flags.writeable
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("1 2\n2 2\n1 2 3\n", "line 2: self-loop on node '2'"),
+        ("1 2\n1 2 3\n2 2\n", "line 2: expected 'u v', got '1 2 3'"),
+        ("# a a\n\n\ta a\t# b\n", "line 3: self-loop on node 'a'"),
+        ("1 2\r\n\x0b 3 4 5 \u2028 6 6", "line 3: expected 'u v', got '3 4 5'"),
+    ],
+)
+def test_the_first_bad_line_is_reported(text, message):
+    with pytest.raises(GraphFormatError) as got:
+        parse_edge_list(text)
+    assert str(got.value) == message
+    with pytest.raises(GraphFormatError) as want:
+        parse_edge_list_by_line(text)
+    assert str(want.value) == message

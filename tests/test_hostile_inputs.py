@@ -37,6 +37,7 @@ GRAPHS = {
     "self_loop": "1 2\n2 2\n",
     "edgeless": "1\n2\n3\n4\n",
     "three_tokens": "1 2 3\n",
+    "digit_like": "1 2\n2 \u00b3\n\u00b3 4\n",  # superscript three: a digit int() cannot read
 }
 THETAS = {
     "nan": "1 nan\n2 1\n3 1\n4 1\n",
@@ -83,7 +84,9 @@ def graph_commands(graph, delta):
 
 def corpus(files):
     cases = []
-    for graph in ("path", "empty", "comments", "self_loop", "edgeless", "three_tokens", "absent"):
+    for graph in (
+        "path", "empty", "comments", "self_loop", "edgeless", "three_tokens", "digit_like", "absent"
+    ):
         for delta in DELTAS:
             cases += graph_commands(files[graph], delta)
             cases.append(["key-bridge", "--graph1", files[graph], "--graph2", files["other"],

@@ -4,7 +4,10 @@ The reference rounds every float to 6 significant digits and hands the
 payload to json.dump(indent=2), as the CLI once did; the writer must produce
 the same string for every payload, including the shapes its fast paths take
 (lists of one scalar type, lists of same-shaped records) and the ones that
-fall back (mixed lists, records whose keys or key orders differ).
+fall back (mixed lists, records whose keys or key orders differ). The float
+texts, made in one %-format of a whole list, are also checked against the
+one-value-at-a-time route they replaced, and records given column by column
+(_Columns) against the same list of dicts.
 """
 
 import io
@@ -16,7 +19,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from netsurgeon.cli import _emit_json
+from netsurgeon.cli import _Columns, _emit_json, _floats
 
 
 def _sig6(obj):
@@ -123,3 +126,60 @@ def test_unserializable_values_raise_type_error_like_json_dump(bad):
         reference(bad)
     with pytest.raises(TypeError):
         written(bad)
+
+
+def floats_one_by_one(values) -> list[str]:
+    """The JSON text of each float, one value at a time: repr of the 6-digit rounding."""
+    texts = [float.__repr__(float("{:.6g}".format(x))) for x in values]
+    return [{"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}.get(t, t) for t in texts]
+
+
+def _around(p: float) -> list[float]:
+    """p, its neighbouring doubles, and values that round to p at 6 digits."""
+    near = [p, np.nextafter(p, 0.0), np.nextafter(p, np.inf)]
+    near += [p * (1 - 4e-7), p * (1 - 5e-7), p * (1 - 6e-7), p * (1 + 5e-7)]
+    return [float(x) for x in near]
+
+
+# Powers of ten where %g or repr changes form: e-5 and e-4 (scientific below),
+# e+5 and e+6 (%g goes scientific at 6 digits), e+15 and e+16 (repr does).
+SWITCHES = [x for e in (-5, -4, 5, 6, 15, 16) for x in _around(10.0**e)]
+MIN_NORMAL = 2.2250738585072014e-308
+
+text_floats = st.one_of(
+    st.floats(allow_subnormal=True),
+    st.floats(-MIN_NORMAL, MIN_NORMAL, allow_subnormal=True),
+    st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, MIN_NORMAL]),
+    st.sampled_from(SWITCHES + [-x for x in SWITCHES]),
+    # Decimal halfway cases at the 7th digit: exact in binary (k + 0.5, integers
+    # ending in 5) and not (a 7-digit mantissa ending in 5 at any exponent).
+    st.integers(100000, 999999).map(lambda k: k + 0.5),
+    st.integers(10**6, 10**7 - 1).map(lambda k: float(k - k % 10 + 5)),
+    st.builds(lambda m, e: float(f"{m}5e{e}"), st.integers(100000, 999999), st.integers(-330, 300)),
+    st.integers(-(10**16), 10**16).map(float),
+    st.builds(lambda m, e: m * 10.0**e, st.floats(1.0, 10.0), st.integers(-8, 20)),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(text_floats, max_size=30))
+@example(SWITCHES)
+@example([1e16, 1e15, 999999.5, 123456.5, 1234565.0, 9.999995e15, -0.0, 5e-324])
+def test_float_texts_match_the_one_at_a_time_route(values):
+    assert _floats(values) == floats_one_by_one(values)
+
+
+@settings(max_examples=150, deadline=None)
+@given(records())
+@example([{"i": "a", "v": 1.0}, {"i": "b", "v": math.nan}])
+@example([{"x": [1.0]}])
+@example([{}])
+def test_columns_write_as_the_list_of_records(rows):
+    keys = list(rows[0])
+    rows = [row for row in rows if list(row) == keys]
+    fields = {k: [row[k] for row in rows] for k in keys}
+    if not keys:
+        return  # no columns to hold them
+    assert written({"rows": _Columns(fields)}) == reference({"rows": rows})
+    empty = {k: [] for k in keys}
+    assert written({"rows": _Columns(empty)}) == reference({"rows": []})

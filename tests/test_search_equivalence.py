@@ -1,7 +1,7 @@
 """The array searches against the per-item loops they replace.
 
-Each reference below is written out in the test, one item at a time: one
-intercentrality per subset, a re-certified and re-inverted residual game per
+Each reference below is written out in the test, one item at a time: the
+near-tie ranking one run at a time, one intercentrality per subset, a re-certified and re-inverted residual game per
 greedy step (on random and circulant graphs), the pairwise frontier
 definition, one link value per pair, and one certificate per grown network.
 """
@@ -68,6 +68,64 @@ def test_rank_order_matches_the_run_loop(coarse, noise):
     key = np.arange(len(values))[::-1].copy()
     want = loop_ranked(range(len(values)), lambda t: values[t], lambda t: key[t])
     assert rank_order(values, (key,)).tolist() == want
+
+
+def rank_order_by_loop(values, keys):
+    """rank_order as it was: one run at a time from each near gap of the sorted values."""
+    order = np.lexsort(keys[::-1] + (-values,))
+    v = values[order]
+    gap = v[:-1] - v[1:]
+    near = np.flatnonzero(gap <= NEAR_TIE * max(1.0, float(np.abs(v).max(initial=0.0))))
+    end = 0
+    for start in near:
+        if start < end:
+            continue
+        limit = NEAR_TIE * max(1.0, abs(v[start]))
+        end = start + 1
+        while end < len(v) and gap[end - 1] <= limit:
+            end += 1
+        run = order[start:end]
+        order[start:end] = run[np.lexsort(tuple(k[run] for k in keys[::-1]))]
+    return order
+
+
+def test_rank_order_matches_the_loop_on_circulant_bridge_grids():
+    # Every endpoint of a circulant graph is alike: the whole grid is one tie run.
+    for n in (5, 12, 30):
+        s1, s2 = (
+            certify(Network.from_edges(
+                [(f"{p}{i}", f"{p}{(i + o) % n}") for i in range(n) for o in (1, 2, 3)]
+            ), 0.1)
+            for p in ("", "r")
+        )
+        ranked = rank_bridges(s1, s2)
+        assert len(ranked) == n * n  # a regular graph keeps every node on its frontier
+        values = ranked.values[np.argsort(ranked.rows * n + ranked.cols)]
+        rows, cols = np.repeat(np.arange(n), n), np.tile(np.arange(n), n)
+        assert len(set(values.tolist())) > 1  # rounding noise, not exact ties
+        assert rank_order(values, (rows, cols)).tolist() == rank_order_by_loop(
+            values, (rows, cols)
+        ).tolist()
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.integers(-3, 3), max_size=50),
+    st.sampled_from([1e-6, 1.0, 1e3, 1e7]),
+    st.sampled_from([0.0, 0.4, 1.0, 3.0, 1e3]),
+    st.lists(st.floats(0.05, 0.95), max_size=25),
+    st.integers(0, 2**32 - 1),
+)
+def test_rank_order_matches_the_loop(coarse, scale, spread, steps, seed):
+    rng = np.random.default_rng(seed)
+    tol = NEAR_TIE * max(1.0, scale * 3)
+    values = np.array(coarse, dtype=float) * scale + rng.uniform(-1, 1, len(coarse)) * spread * tol
+    # A chain of steps each within tolerance but summing past it breaks mid-way.
+    start = 4.0 * max(1.0, scale * 3)
+    chain = start - NEAR_TIE * max(1.0, start) * np.cumsum(steps)
+    values = np.concatenate([values, chain, chain[::2]])
+    keys = (rng.integers(0, 3, len(values)), rng.permutation(len(values)))
+    assert rank_order(values, keys).tolist() == rank_order_by_loop(values, keys).tolist()
 
 
 @settings(max_examples=40, deadline=None)
