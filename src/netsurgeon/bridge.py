@@ -12,8 +12,10 @@ present link of a network from one influence matrix.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Sequence
-from dataclasses import dataclass, field
+from abc import abstractmethod
+from collections.abc import Sequence
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -82,9 +84,8 @@ class LinkValue:
 class RankedPairs(Sequence):
     """Scored label pairs, best first, held as arrays.
 
-    Entry t pairs first[rows[t]] with second[cols[t]] at score values[t];
-    reading an entry builds it as item(u, v, score). Compares equal to any
-    sequence of the same entries.
+    Entry t pairs first[rows[t]] with second[cols[t]] at score values[t].
+    Compares equal to any sequence of the same entries.
     """
 
     first: tuple[str, ...]
@@ -92,15 +93,12 @@ class RankedPairs(Sequence):
     rows: np.ndarray
     cols: np.ndarray
     values: np.ndarray
-    item: Callable = field(repr=False)
 
     def __len__(self) -> int:
         return len(self.values)
 
     def __getitem__(self, t):
-        if isinstance(t, slice):
-            return [self[s] for s in range(*t.indices(len(self)))]
-        return self.item(self.first[self.rows[t]], self.second[self.cols[t]], float(self.values[t]))
+        return self._entry(self.first[self.rows[t]], self.second[self.cols[t]], t)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Sequence):
@@ -109,12 +107,53 @@ class RankedPairs(Sequence):
 
     __hash__ = None
 
-    def label_columns(self) -> tuple[list[str], list[str]]:
-        """The entries' first labels and second labels, as two lists."""
-        return (
-            list(map(self.first.__getitem__, self.rows.tolist())),
-            list(map(self.second.__getitem__, self.cols.tolist())),
-        )
+    def columns(self) -> dict[str, list]:
+        """The entries field by field, in the entries' field order: each
+        field's values as one list."""
+        return {
+            "i": list(map(self.first.__getitem__, self.rows.tolist())),
+            "j": list(map(self.second.__getitem__, self.cols.tolist())),
+            **self._scores(),
+        }
+
+    @abstractmethod
+    def _entry(self, i: str, j: str, t: int):
+        """Entry t, on labels i and j."""
+
+    @abstractmethod
+    def _scores(self) -> dict[str, list]:
+        """The entries' fields after i and j, each as one list."""
+
+
+@dataclass(frozen=True, eq=False)
+class BridgeRanking(RankedPairs):
+    """Bridges best first, values their indices; entries are BridgeScores."""
+
+    delta: float
+
+    @cached_property
+    def predicted(self) -> np.ndarray:
+        """The realized aggregate change of each bridge: delta times its index."""
+        return self.delta * self.values
+
+    def _entry(self, i: str, j: str, t: int) -> BridgeScore:
+        return BridgeScore(i, j, float(self.values[t]), float(self.predicted[t]))
+
+    def _scores(self) -> dict[str, list]:
+        return {"index": self.values.tolist(), "predicted_delta_aggregate": self.predicted.tolist()}
+
+
+@dataclass(frozen=True, eq=False)
+class LinkRanking(RankedPairs):
+    """Links of one kind best first; entries are LinkValues."""
+
+    kind: str
+
+    def _entry(self, i: str, j: str, t: int) -> LinkValue:
+        return LinkValue(i, j, self.kind, float(self.values[t]))
+
+    def _scores(self) -> dict[str, list]:
+        return {"kind": [self.kind] * len(self), "value": self.values.tolist()}
 
 
 def joined_network(net1: Network, net2: Network, bridge: tuple[str, str] | None = None) -> Network:
@@ -186,7 +225,7 @@ def pareto_frontier(spec: GameSpec) -> NodeSet:
     return NodeSet.of(_frontier(spec.b_unit, spec.self_loops), spec.n)
 
 
-def rank_bridges(spec1: GameSpec, spec2: GameSpec) -> RankedPairs:
+def rank_bridges(spec1: GameSpec, spec2: GameSpec) -> BridgeRanking:
     """All frontier-to-frontier candidate links, best first; entries are BridgeScores.
 
     Only frontier endpoints can host the best bridge, so non-frontier pairs
@@ -199,10 +238,9 @@ def rank_bridges(spec1: GameSpec, spec2: GameSpec) -> RankedPairs:
     rows, cols = np.repeat(front1, len(front2)), np.tile(front2, len(front1))
     value = _bridge_value(spec1.delta, b1[rows], m1[rows], b2[cols], m2[cols])
     order = rank_order(value, (rows, cols))
-    delta = spec1.delta
-    return RankedPairs(
+    return BridgeRanking(
         spec1.network.labels, spec2.network.labels, rows[order], cols[order], value[order],
-        lambda i, j, v: BridgeScore(i, j, v, delta * v),
+        spec1.delta,
     )
 
 
@@ -270,7 +308,7 @@ def link_value_existing(spec: GameSpec, i: str, j: str) -> LinkValue:
     return _single_link(spec, i, j, "existing")
 
 
-def link_values(spec: GameSpec, kind: str) -> tuple[RankedPairs, list[tuple[str, str, str]]]:
+def link_values(spec: GameSpec, kind: str) -> tuple[LinkRanking, list[tuple[str, str, str]]]:
     """Values of every potential (absent) or existing link, best first;
     entries are LinkValues.
 
@@ -284,9 +322,7 @@ def link_values(spec: GameSpec, kind: str) -> tuple[RankedPairs, list[tuple[str,
     net = spec.network
 
     def ranked(rows, cols, value):
-        return RankedPairs(
-            net.labels, net.labels, rows, cols, value, lambda i, j, v: LinkValue(i, j, kind, v)
-        )
+        return LinkRanking(net.labels, net.labels, rows, cols, value, kind)
 
     want = 1.0 if kind == "existing" else 0.0
     rows, cols = np.nonzero(np.triu(net.adjacency == want, 1))

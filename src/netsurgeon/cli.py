@@ -9,11 +9,10 @@ digits with fixed key order, so identical inputs give identical bytes.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import csv
 import functools
-import itertools
 import json
+import math
 import re
 import sys
 from dataclasses import dataclass
@@ -193,28 +192,8 @@ def _load_theta(arg: str | None, net: Network):
             text = fh.read()
     except OSError as exc:
         raise InputError(f"--theta: cannot read {arg!r}: {exc}") from None
-    tokens = line_tokens(text)
-    flat = list(itertools.chain.from_iterable(tokens))
-    labs, values = flat[0::2], []
-    if all(map((0, 2).__contains__, map(len, tokens))):
-        with contextlib.suppress(ValueError):
-            values = list(map(float, flat[1::2]))
-    if len(values) != len(labs) or len(set(labs)) != len(labs) or not np.isfinite(values).all():
-        _theta_error(tokens)
-    seen = dict(zip(labs, values))
-    missing = [lab for lab in net.labels if lab not in seen]
-    extra = [lab for lab in seen if lab not in net.index]
-    if missing or extra:
-        raise InputError(
-            f"--theta: labels do not match the graph (missing {missing}, unknown {extra})"
-        )
-    return np.fromiter(map(seen.__getitem__, net.labels), dtype=float, count=net.n)
-
-
-def _theta_error(tokens: list) -> None:
-    """Raise the error of the first bad line of a theta file's tokens."""
-    seen = set()
-    for lineno, parts in enumerate(tokens, start=1):
+    seen: dict[str, float] = {}
+    for lineno, parts in enumerate(line_tokens(text), start=1):
         if not parts:
             continue
         if len(parts) != 2:
@@ -222,13 +201,20 @@ def _theta_error(tokens: list) -> None:
         lab, val = parts
         if lab in seen:
             raise InputError(f"--theta: line {lineno}: duplicate label {lab!r}")
-        seen.add(lab)
         try:
             number = float(val)
         except ValueError:
             raise InputError(f"--theta: line {lineno}: bad number {val!r}") from None
-        if not np.isfinite(number):
+        if not math.isfinite(number):
             raise InputError(f"--theta: line {lineno}: non-finite number {val!r}")
+        seen[lab] = number
+    missing = [lab for lab in net.labels if lab not in seen]
+    extra = [lab for lab in seen if lab not in net.index]
+    if missing or extra:
+        raise InputError(
+            f"--theta: labels do not match the graph (missing {missing}, unknown {extra})"
+        )
+    return np.fromiter(map(seen.__getitem__, net.labels), dtype=float, count=net.n)
 
 
 def _parse_pair(raw: str, flag: str) -> tuple[str, str]:
@@ -404,13 +390,10 @@ def _cmd_key_bridge(args, out) -> int:
     spec1 = certify(load_network(args.graph1), args.delta)
     spec2 = certify(load_network(args.graph2), args.delta)
     ranked = rank_bridges(spec1, spec2)
-    i, j = ranked.label_columns()
-    index = ranked.values.tolist()
-    predicted = (spec1.delta * ranked.values).tolist()
+    candidates = ranked.columns()
     if args.format == "csv":
-        _emit_csv(("i", "j", "index", "predicted_delta_aggregate"), zip(i, j, index, predicted), out)
+        _emit_csv(tuple(candidates), zip(*candidates.values()), out)
     else:
-        candidates = {"i": i, "j": j, "index": index, "predicted_delta_aggregate": predicted}
         _emit_json(
             {"winner": ranked[0].to_json_dict(), "candidates": _Columns(candidates)}, out
         )
@@ -425,17 +408,14 @@ def _cmd_link_value(args, out) -> int:
         u, v = _parse_pair(args.pair, "--pair")
         present = net.adjacency[net.index_of(u), net.index_of(v)]
         lv = (link_value_existing if present else link_value_potential)(spec, u, v)
-        i, j, kind, value = [lv.i], [lv.j], lv.kind, [float(lv.value)]
+        values = {"i": [lv.i], "j": [lv.j], "kind": [lv.kind], "value": [float(lv.value)]}
     else:
-        kind = "potential" if args.all_potential else "existing"
-        ranked, skipped = link_values(spec, kind)
-        i, j = ranked.label_columns()
-        value = ranked.values.tolist()
-    kinds = [kind] * len(value)
+        ranked, skipped = link_values(spec, "potential" if args.all_potential else "existing")
+        values = ranked.columns()
     if args.format == "csv":
-        _emit_csv(("i", "j", "kind", "value"), zip(i, j, kinds, value), out)
+        _emit_csv(tuple(values), zip(*values.values()), out)
     else:
-        payload = {"values": _Columns({"i": i, "j": j, "kind": kinds, "value": value})}
+        payload = {"values": _Columns(values)}
         if skipped:
             payload["skipped"] = [{"i": u, "j": v, "reason": why} for u, v, why in skipped]
         _emit_json(payload, out)

@@ -24,6 +24,7 @@ computed only to word a rejection, or on demand.
 from __future__ import annotations
 
 import itertools
+import unicodedata
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -83,16 +84,20 @@ class InternalCheckError(NetsurgeonError):
     """An internal identity or guard failed; signals a bug, not bad input."""
 
 
-def label_key(label: str) -> tuple[int, int, str]:
+def label_key(label: str) -> tuple[int, int, str, str]:
     """Natural sort key for node labels.
 
     Labels of decimal digits compare by numeric value and precede everything else;
     remaining labels compare lexicographically. Keeps "10" after "2" so
-    tie-breaks on numerically named nodes match the obvious ordering.
+    tie-breaks on numerically named nodes match the obvious ordering. Values
+    compare as digit strings, shorter first, so labels of any length sort
+    without int() and its limit on digits.
     """
-    if label.isdecimal():
-        return (0, int(label), label)
-    return (1, 0, label)
+    if not label.isdecimal():
+        return (1, 0, "", label)
+    digits = label if label.isascii() else "".join(str(unicodedata.decimal(c)) for c in label)
+    digits = digits.lstrip("0")
+    return (0, len(digits), digits, label)
 
 
 def rank_order(values: np.ndarray, keys: tuple) -> np.ndarray:
@@ -108,26 +113,26 @@ def rank_order(values: np.ndarray, keys: tuple) -> np.ndarray:
     # Only a gap within the loosest tolerance can join two values into a run,
     # so runs lie inside the chains of consecutive such gaps.
     near = gap <= NEAR_TIE * max(1.0, float(np.abs(v).max(initial=0.0)))
-    bounds = np.flatnonzero(np.diff(near, prepend=False, append=False))
-    first, last = bounds[0::2], bounds[1::2]  # chain k: gaps first[k] to last[k] - 1
-    widest = np.maximum.reduceat(np.where(near, gap, -np.inf), first) if first.size else gap[:0]
-    whole = widest <= NEAR_TIE * np.maximum(1.0, np.abs(v[first]))
-    # A chain within its first value's tolerance is one run, positions lo to
-    # lo + size - 1: all such runs sort in one lexsort.
-    lo, size = first[whole], last[whole] - first[whole] + 1
-    if lo.size:
-        members = np.arange(size.sum()) + np.repeat(lo - (np.cumsum(size) - size), size)
-        chain = np.repeat(np.arange(lo.size), size)
-        run = order[members]
-        order[members] = run[np.lexsort(tuple(k[run] for k in keys[::-1]) + (chain,))]
-    # A chain that breaks its first value's tolerance splits run by run: each
-    # run starts where the last one ended and takes gaps within its own.
-    for start, stop in zip(first[~whole].tolist(), last[~whole].tolist()):
+    bounds = np.flatnonzero(np.diff(near, prepend=False, append=False)).tolist()
+    # Chain from start to stop: gaps start to stop - 1, values start to stop.
+    # Each run starts where the last one ended and takes the gaps within its
+    # first value's tolerance. Its first gap past that is searched for in
+    # windows that double from the run's start, so a chain that breaks into
+    # many short runs costs time linear in its length.
+    for start, stop in zip(bounds[0::2], bounds[1::2]):
         while start < stop:
             limit = NEAR_TIE * max(1.0, abs(v[start]))
-            end = start + 1
-            while end < len(v) and gap[end - 1] <= limit:
-                end += 1
+            if gap[start] > limit:  # a run of one value
+                start += 1
+                continue
+            end, width = start, 256
+            while True:
+                window = gap[end : min(stop, end + width)]
+                wide = np.flatnonzero(window > limit)
+                if wide.size or end + width >= stop:
+                    end += 1 + (int(wide[0]) if wide.size else len(window))
+                    break
+                end, width = end + width, 2 * width
             run = order[start:end]
             order[start:end] = run[np.lexsort(tuple(k[run] for k in keys[::-1]))]
             start = end
@@ -195,9 +200,9 @@ class Network:
     def from_edges(edges, isolated=()) -> "Network":
         """Build a Network from (label, label) pairs plus optional isolated nodes."""
         edges = list(edges)
-        ends = list(itertools.chain.from_iterable(edges))
-        if len(ends) != 2 * len(edges):
+        if any(len(e) != 2 for e in edges):
             raise InputError("edges must be (label, label) pairs")
+        ends = list(itertools.chain.from_iterable(edges))
         labels, at = _label_indices(set(isolated).union(ends), ends)
         rows, cols = at[0::2], at[1::2]
         loops = np.flatnonzero(rows == cols)

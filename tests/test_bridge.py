@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -331,3 +332,16 @@ class TestLinkValues:
         spec = certify(net, 0.25, np.array([1.0, 2.0]))
         with pytest.raises(InputError):
             link_value_existing(spec, "a", "b")
+
+
+def test_rankings_give_their_entries_field_by_field(star_and_hubs):
+    s1, s2 = star_and_hubs(0.2)
+    spec = certify(random_connected_graph(np.random.default_rng(3), 9, 0.4), 0.1)
+    rankings = [rank_bridges(s1, s2)] + [
+        link_values(spec, kind)[0] for kind in ("potential", "existing")
+    ]
+    for ranked in rankings:
+        entries = [dataclasses.asdict(e) for e in ranked]
+        assert len(entries) == len(ranked) > 0
+        assert ranked.columns() == {k: [e[k] for e in entries] for k in entries[0]}
+    assert rankings[0][-1] == list(rankings[0])[-1]

@@ -92,7 +92,7 @@ class TestCentrality:
 
 
 def load_theta_by_line(text, labels):
-    """cli._load_theta's parse as one Python step per line."""
+    """Reference theta parse: each line's comment cut and split by hand."""
     seen = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()

@@ -68,6 +68,22 @@ class TestNaturalOrder:
     def test_label_key_orders_zero_padding_deterministically(self):
         assert sorted(["07", "7"], key=label_key) == ["07", "7"]
 
+    def test_label_key_orders_decimals_by_value(self):
+        # Zero padding, non-ASCII decimal digits and letters, against int().
+        rng = np.random.default_rng(5)
+        digits = list("0123456789") + ["\u0663", "\u0660", "\uff17"]
+        names = ["".join(rng.choice(digits, size=rng.integers(1, 5))) for _ in range(300)]
+        names += ["a", "b2", "\u00b3", "Z"]
+        want = sorted(names, key=lambda s: (0, int(s), s) if s.isdecimal() else (1, 0, s))
+        assert sorted(names, key=label_key) == want
+
+    def test_label_key_reads_labels_longer_than_int_allows(self):
+        huge = "9" * 5000
+        names = [huge, "1" + "0" * 5000, "0" + huge, "8" + "9" * 4999, "12", "x"]
+        assert sorted(names, key=label_key) == [
+            "12", "8" + "9" * 4999, "0" + huge, huge, "1" + "0" * 5000, "x"
+        ]
+
     def test_unsorted_labels_rejected(self):
         with pytest.raises(InputError):
             Network(("b", "a"), np.zeros((2, 2)))
@@ -428,6 +444,14 @@ def test_from_edges_matches_the_loop(edges, isolated):
     assert net.adjacency.dtype == a.dtype and np.array_equal(net.adjacency, a)
 
 
+@pytest.mark.parametrize(
+    "edges", [[("a",), ("b", "c", "d")], [("a", "b"), ("c",)], [("a", "b", "c", "d")]]
+)
+def test_from_edges_refuses_anything_but_pairs(edges):
+    with pytest.raises(InputError, match=r"^edges must be \(label, label\) pairs$"):
+        Network.from_edges(edges)
+
+
 def test_from_edges_equals_the_validated_network():
     # from_edges skips the n x n checks; its networks must pass them all.
     rng = np.random.default_rng(31)
@@ -525,3 +549,9 @@ def test_the_first_bad_line_is_reported(text, message):
     with pytest.raises(GraphFormatError) as want:
         parse_edge_list_by_line(text)
     assert str(want.value) == message
+
+
+def test_a_bad_line_with_a_label_longer_than_int_reads_is_reported():
+    huge = "7" * 5000
+    with pytest.raises(GraphFormatError, match=f"^line 2: expected 'u v', got '{huge} 1 2'$"):
+        parse_edge_list(f"1 2\n{huge} 1 2\n")

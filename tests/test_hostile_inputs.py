@@ -37,7 +37,10 @@ GRAPHS = {
     "self_loop": "1 2\n2 2\n",
     "edgeless": "1\n2\n3\n4\n",
     "three_tokens": "1 2 3\n",
-    "digit_like": "1 2\n2 \u00b3\n\u00b3 4\n",  # superscript three: a digit int() cannot read
+    # Superscript three, a digit int() cannot read, and decimal labels longer
+    # than int() reads by default, on a good line and on a bad one.
+    "digit_like": "1 2\n2 \u00b3\n\u00b3 4\n4 " + "5" * 5000 + "\n",
+    "long_label_bad_line": "1 2\n" + "5" * 5000 + " 1 2\n",
 }
 THETAS = {
     "nan": "1 nan\n2 1\n3 1\n4 1\n",
@@ -85,7 +88,8 @@ def graph_commands(graph, delta):
 def corpus(files):
     cases = []
     for graph in (
-        "path", "empty", "comments", "self_loop", "edgeless", "three_tokens", "digit_like", "absent"
+        "path", "empty", "comments", "self_loop", "edgeless", "three_tokens", "digit_like",
+        "long_label_bad_line", "absent",
     ):
         for delta in DELTAS:
             cases += graph_commands(files[graph], delta)

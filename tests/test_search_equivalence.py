@@ -1,9 +1,10 @@
 """The array searches against the per-item loops they replace.
 
 Each reference below is written out in the test, one item at a time: the
-near-tie ranking one run at a time, one intercentrality per subset, a re-certified and re-inverted residual game per
-greedy step (on random and circulant graphs), the pairwise frontier
-definition, one link value per pair, and one certificate per grown network.
+near-tie ranking one run at a time, one intercentrality per subset, a
+re-certified and re-inverted residual game per greedy step (on random and
+circulant graphs), the pairwise frontier definition, one link value per
+pair, and one certificate per grown network.
 """
 
 import itertools
