@@ -540,6 +540,11 @@ def test_parse_edge_list_matches_the_line_loop(lines, breaks, trailing):
         ("1 2\n1 2 3\n2 2\n", "line 2: expected 'u v', got '1 2 3'"),
         ("# a a\n\n\ta a\t# b\n", "line 3: self-loop on node 'a'"),
         ("1 2\r\n\x0b 3 4 5 \u2028 6 6", "line 3: expected 'u v', got '3 4 5'"),
+        pytest.param(
+            "1 2\n" + "7" * 5000 + " 1 2\n",
+            "line 2: expected 'u v', got '" + "7" * 5000 + " 1 2'",
+            id="label-longer-than-int-reads",
+        ),
     ],
 )
 def test_the_first_bad_line_is_reported(text, message):
@@ -549,9 +554,3 @@ def test_the_first_bad_line_is_reported(text, message):
     with pytest.raises(GraphFormatError) as want:
         parse_edge_list_by_line(text)
     assert str(want.value) == message
-
-
-def test_a_bad_line_with_a_label_longer_than_int_reads_is_reported():
-    huge = "7" * 5000
-    with pytest.raises(GraphFormatError, match=f"^line 2: expected 'u v', got '{huge} 1 2'$"):
-        parse_edge_list(f"1 2\n{huge} 1 2\n")
