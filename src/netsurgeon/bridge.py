@@ -280,9 +280,10 @@ def _single_link(spec: GameSpec, i: str, j: str, kind: str) -> LinkValue:
     ii, jj = spec.network.index_of(i), spec.network.index_of(j)
     if ii == jj:
         raise InputError(f"no self-link on node {i!r}")
-    if spec.network.adjacency[ii, jj] and kind == "potential":
+    present = spec.network.has_link(ii, jj)
+    if present and kind == "potential":
         raise InputError(f"link ({i},{j}) already present; use the existing-link value")
-    if not spec.network.adjacency[ii, jj] and kind == "existing":
+    if not present and kind == "existing":
         raise InputError(f"link ({i},{j}) not present; use the potential-link value")
     m = spec.columns([ii, jj])
     if kind == "potential":
@@ -324,8 +325,10 @@ def link_values(spec: GameSpec, kind: str) -> tuple[LinkRanking, list[tuple[str,
     def ranked(rows, cols, value):
         return LinkRanking(net.labels, net.labels, rows, cols, value, kind)
 
-    want = 1.0 if kind == "existing" else 0.0
-    rows, cols = np.nonzero(np.triu(net.adjacency == want, 1))
+    if kind == "existing":
+        rows, cols = net.links
+    else:  # every absent pair: O(n^2) whatever holds the links
+        rows, cols = np.nonzero(np.triu(net.adjacency == 0.0, 1))
     if not len(rows):
         return ranked(rows, cols, np.zeros(0)), []
     m = spec.influence()

@@ -406,7 +406,7 @@ def _cmd_link_value(args, out) -> int:
     skipped = []
     if args.pair:
         u, v = _parse_pair(args.pair, "--pair")
-        present = net.adjacency[net.index_of(u), net.index_of(v)]
+        present = net.has_link(net.index_of(u), net.index_of(v))
         lv = (link_value_existing if present else link_value_potential)(spec, u, v)
         values = {"i": [lv.i], "j": [lv.j], "kind": [lv.kind], "value": [float(lv.value)]}
     else:

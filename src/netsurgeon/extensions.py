@@ -107,16 +107,34 @@ class CongestionSpec:
     gamma: float
 
     @cached_property
-    def smallest_eigenvalue(self) -> float:
+    def system(self) -> np.ndarray:
+        """I - delta G + gamma G^2, read-only: built once, shared by the
+        positive-definite test, the solve and smallest_eigenvalue."""
         system = _congestion_system(self.network, self.delta, self.gamma)
-        return float(eigh(system, eigvals_only=True, subset_by_index=[0, 0])[0])
+        system.flags.writeable = False
+        return system
+
+    @cached_property
+    def smallest_eigenvalue(self) -> float:
+        return float(eigh(self.system, eigvals_only=True, subset_by_index=[0, 0])[0])
 
 
 def _congestion_system(net: Network, delta: float, gamma: float) -> np.ndarray:
-    # A^2 counts common neighbours, integers exact in either product; the
-    # sparse one skips the n^3 multiply of the dense one.
-    a, s = net.adjacency, net.sparse_adjacency
-    return np.eye(net.n) - delta * a + gamma * (s @ s).toarray()
+    """np.eye(n) - delta * G + gamma * G^2 bit for bit, from the links.
+
+    G^2 counts common neighbours, integers exact in either product; the
+    sparse one skips the n^3 multiply of the dense one. Each entry is
+    gamma * k, then less delta at a link and plus 1 on the diagonal: the
+    dense sum's two terms added in the other order, which rounds the same.
+    """
+    s = net.sparse_adjacency
+    system = (s @ s).toarray()
+    system *= gamma
+    rows, cols = net.links
+    system[rows, cols] -= delta
+    system[cols, rows] -= delta
+    system[np.diag_indices(net.n)] += 1.0
+    return system
 
 
 def certify_congestion(net: Network, delta: float, gamma: float, theta=None) -> CongestionSpec:
@@ -128,7 +146,7 @@ def certify_congestion(net: Network, delta: float, gamma: float, theta=None) -> 
         theta = np.ones(net.n)
     theta = check_theta(theta, net.n)
     spec = CongestionSpec(net, theta, float(delta), float(gamma))
-    shifted = _congestion_system(net, delta, gamma)
+    shifted = spec.system.copy()  # the test factors in place
     shifted[np.diag_indices(net.n)] -= PD_FLOOR
     if not is_positive_definite(shifted):
         raise InputError(
@@ -156,8 +174,7 @@ def congestion_equilibrium(spec: CongestionSpec) -> np.ndarray:
     that sum is below it, so a disagreement marks a fault, not rounding.
     """
     n = spec.network.n
-    system = _congestion_system(spec.network, spec.delta, spec.gamma)
-    x = cho_solve(cho_factor(system, lower=True), spec.theta)
+    x = cho_solve(cho_factor(spec.system, lower=True), spec.theta)
     disc = spec.delta * spec.delta - 4.0 * spec.gamma
     if disc > 0 and np.sqrt(disc) > ROOT_SPLIT_FLOOR:
         root = float(np.sqrt(disc))

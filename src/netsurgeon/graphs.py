@@ -1,7 +1,8 @@
 """Graph representation, edge-list parsing, and spectral certification.
 
-Networks are labeled, undirected, simple 0/1 graphs stored densely as
-float64. Node indices are the ranks of the labels under natural order
+Networks are labeled, undirected, simple graphs kept as their links, the
+sorted index pairs i < j; a certified game's one n x n array is its
+Cholesky factor. Node indices are the ranks of the labels under natural order
 (all-digit labels compare numerically and come first, the rest
 lexicographically), so every downstream argmax and tie-break is
 deterministic across runs and matches how people number nodes.
@@ -139,29 +140,24 @@ def rank_order(values: np.ndarray, keys: tuple) -> np.ndarray:
     return order
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class Network:
-    """Undirected simple graph over string labels in natural order."""
+    """Undirected simple graph over string labels in natural order.
+
+    Kept as its links: links = (rows, cols), the index pairs rows[t] <
+    cols[t] in row-major order, read-only. Network(labels, adjacency) checks
+    a dense 0/1 array and keeps only its links, not the array.
+    """
 
     labels: tuple[str, ...]
-    adjacency: np.ndarray = field(repr=False)
+    links: tuple[np.ndarray, np.ndarray] = field(repr=False)
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Network):
-            return NotImplemented
-        return self.labels == other.labels and np.array_equal(self.adjacency, other.adjacency)
-
-    def __hash__(self) -> int:
-        return hash(self.labels)
-
-    def __post_init__(self):
-        a = np.asarray(self.adjacency)
+    def __init__(self, labels, adjacency):
+        object.__setattr__(self, "labels", labels)
+        a = np.asarray(adjacency)
         if a.dtype.kind not in "biuf":
             raise InputError(f"adjacency must be a numeric 0/1 array, got dtype {a.dtype}")
-        # Every solver assumes a float64 G: boolean matmul or integer scaling
-        # in place would compute something else.
         a = a.astype(np.float64, copy=False)
-        object.__setattr__(self, "adjacency", a)
         n = len(self.labels)
         if len(set(self.labels)) != n:
             raise InputError("duplicate node labels")
@@ -175,26 +171,38 @@ class Network:
             raise InputError("self-loops are not allowed")
         if not np.all((a == 0) | (a == 1)):
             raise InputError("adjacency entries must be 0 or 1")
-        a.flags.writeable = False
+        rows, cols = np.nonzero(a)
+        upper = rows < cols
+        self._set_links(rows[upper], cols[upper])
+
+    def _set_links(self, rows: np.ndarray, cols: np.ndarray) -> None:
+        rows.flags.writeable = cols.flags.writeable = False
+        object.__setattr__(self, "links", (rows, cols))
 
     @classmethod
-    def _trusted(cls, labels: tuple, adjacency: np.ndarray) -> "Network":
-        """A Network with none of the checks: labels distinct and in natural
-        order, adjacency float64, symmetric, 0/1 and loop-free, and taken over."""
+    def _of_keys(cls, labels: tuple, keys: np.ndarray) -> "Network":
+        """The network on labels (distinct, in natural order) whose links are
+        the sorted, distinct keys i * n + j, i < j."""
         net = object.__new__(cls)
         object.__setattr__(net, "labels", labels)
-        object.__setattr__(net, "adjacency", adjacency)
-        adjacency.flags.writeable = False
+        net._set_links(*np.divmod(keys, max(len(labels), 1)))
         return net
 
     @classmethod
     def _of_links(cls, labels: tuple, rows: np.ndarray, cols: np.ndarray) -> "Network":
         """The network on labels (distinct, in natural order) linking each
-        rows[t] to cols[t] != rows[t]; symmetric and 0/1 by construction."""
-        a = np.zeros((len(labels), len(labels)))
-        a[rows, cols] = 1.0
-        a[cols, rows] = 1.0
-        return cls._trusted(labels, a)
+        rows[t] to cols[t] != rows[t], in either order, repeats allowed."""
+        n = len(labels)
+        keys = np.minimum(rows, cols).astype(np.int64) * n + np.maximum(rows, cols)
+        return cls._of_keys(labels, np.unique(keys))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Network):
+            return NotImplemented
+        return self.labels == other.labels and all(map(np.array_equal, self.links, other.links))
+
+    def __hash__(self) -> int:
+        return hash(self.labels)
 
     @staticmethod
     def from_edges(edges, isolated=()) -> "Network":
@@ -210,33 +218,71 @@ class Network:
             raise InputError(f"self-loop on node {edges[loops[0]][0]!r}")
         return Network._of_links(labels, rows, cols)
 
+    @cached_property
+    def _keys(self) -> np.ndarray:
+        """The links as sorted keys i * n + j, i < j."""
+        rows, cols = self.links
+        return rows.astype(np.int64) * self.n + cols
+
+    def _linked(self, keys: np.ndarray) -> np.ndarray:
+        """Whether each key i * n + j (i < j) is a link, by binary search."""
+        ours = self._keys
+        if not len(ours):
+            return np.zeros(len(keys), dtype=bool)
+        return ours[np.minimum(np.searchsorted(ours, keys), len(ours) - 1)] == keys
+
+    def has_link(self, i: int, j: int) -> bool:
+        """Whether nodes i and j are linked, O(log m); indices as numpy reads them."""
+        i, j = sorted((range(self.n)[i], range(self.n)[j]))
+        return bool(self._linked(np.array([i * self.n + j]))[0])
+
     def with_changes(self, changes) -> "Network":
-        """This network with signed link changes (i, j, +1 create / -1 delete)
-        written over a copy of its adjacency; only the written entries are
-        checked, against the rules every Network keeps."""
-        a = self.adjacency.copy()
-        touched = []
+        """This network with signed link changes (i, j, +1 create / -1 delete),
+        each pair written as its value here plus sign, the last change of a
+        pair winning; only the written pairs are checked, against the rules
+        every Network keeps."""
+        n, at = self.n, range(self.n)
+        last = {}
         for i, j, sign in changes:
-            a[i, j] = a[j, i] = self.adjacency[i, j] + sign
-            touched.append((i, j))
-        rows, cols = np.array(touched, dtype=np.intp).reshape(-1, 2).T
-        if np.any(a[rows, rows] != 0):
+            i, j = sorted((at[i], at[j]))
+            last[i * n + j] = sign
+        keys = np.fromiter(last, dtype=np.int64, count=len(last))
+        present = self._linked(keys)
+        written = present + np.array(list(last.values()), dtype=np.float64)
+        rows, cols = np.divmod(keys, max(n, 1))
+        if np.any(written[rows == cols] != 0):
             raise InputError("self-loops are not allowed")
-        written = a[rows, cols]
         if not np.all((written == 0) | (written == 1)):
             raise InputError("adjacency entries must be 0 or 1")
-        return Network._trusted(self.labels, a)
+        kept = np.delete(self._keys, np.searchsorted(self._keys, keys[present & (written == 0)]))
+        return Network._of_keys(self.labels, np.union1d(kept, keys[written == 1]))
 
     @property
     def n(self) -> int:
         return len(self.labels)
 
+    @property
+    def adjacency(self) -> np.ndarray:
+        """The n x n float64 0/1 adjacency matrix, read-only.
+
+        Built from the links on every read: each read costs O(n^2) time and
+        memory. Queries read links, has_link and sparse_adjacency instead.
+        """
+        rows, cols = self.links
+        a = np.zeros((self.n, self.n))
+        a[rows, cols] = a[cols, rows] = 1.0
+        a.flags.writeable = False
+        return a
+
     @cached_property
     def sparse_adjacency(self):
-        """The adjacency as a scipy CSR array, built on first read and kept."""
+        """The adjacency as a scipy CSR array, built from the links on first read and kept."""
         from scipy.sparse import csr_array  # only walk queries and congestion pay its import
 
-        return csr_array(self.adjacency)
+        rows, cols = self.links
+        starts = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=self.n))))
+        upper = csr_array((np.ones(len(rows)), cols, starts), shape=(self.n, self.n))
+        return (upper + upper.T).tocsr()
 
     @cached_property
     def index(self) -> dict[str, int]:
@@ -249,12 +295,13 @@ class Network:
             raise InputError(f"unknown node label {label!r}") from None
 
     def degree(self, i: int) -> int:
-        return int(self.adjacency[i].sum())
+        rows, cols = self.links
+        return int(np.count_nonzero(rows == i) + np.count_nonzero(cols == i))
 
     def edges(self) -> list[tuple[str, str]]:
         """Edges as (min-label, max-label) pairs, ascending."""
         # Indices rank labels in natural order, so row-major order is label order.
-        rows, cols = np.nonzero(np.triu(self.adjacency, 1))
+        rows, cols = self.links
         return [(self.labels[i], self.labels[j]) for i, j in zip(rows.tolist(), cols.tolist())]
 
     def serialize(self) -> str:
@@ -321,11 +368,10 @@ def spectral_radius(net: Network) -> float:
     One LAPACK eigenvalue, exact to rounding. Certification never needs it;
     it words rejections and answers direct queries.
     """
-    a = net.adjacency
     n = net.n
-    if n == 0 or not a.any():
+    if not len(net.links[0]):
         return 0.0
-    return float(eigh(a, eigvals_only=True, subset_by_index=[n - 1, n - 1])[0])
+    return float(eigh(net.adjacency, eigvals_only=True, subset_by_index=[n - 1, n - 1])[0])
 
 
 def is_positive_definite(matrix: np.ndarray) -> bool:
@@ -348,9 +394,17 @@ def within_bound(net: Network, weight: float) -> bool:
     """
     if not np.isfinite(weight):
         return False
-    system = -weight * net.adjacency
-    system[np.diag_indices(net.n)] = 1.0 - SPECTRAL_MARGIN
-    return is_positive_definite(system)
+    return is_positive_definite(_link_system(net, -weight, 1.0 - SPECTRAL_MARGIN))
+
+
+def _link_system(net: Network, link: float, diagonal: float) -> np.ndarray:
+    """A new n x n array holding link at every link of net, diagonal on the
+    diagonal and +0.0 elsewhere."""
+    rows, cols = net.links
+    system = np.zeros((net.n, net.n))
+    system[rows, cols] = system[cols, rows] = link
+    system[np.diag_indices(net.n)] = diagonal
+    return system
 
 
 def certify_change(net: Network, weight: float, changes) -> None:
@@ -476,10 +530,9 @@ class GameSpec:
 
     @cached_property
     def _factor(self):
-        # np.eye(n) - delta * G bit for bit, in one array factored in place.
-        system = self.delta * self.network.adjacency
-        np.subtract(0.0, system, out=system)
-        system[np.diag_indices(self.n)] = 1.0
+        # np.eye(n) - delta * G bit for bit (0.0 - delta * 0.0 is +0.0 off the
+        # links), in one array factored in place.
+        system = _link_system(self.network, 0.0 - self.delta, 1.0)
         low, lower = cho_factor(system.T, lower=True, overwrite_a=True)
         low.flags.writeable = False
         return low, lower
@@ -505,7 +558,12 @@ class GameSpec:
 
     @cached_property
     def b(self) -> np.ndarray:
-        """Weighted centralities (I - delta G)^-1 theta, the equilibrium; read-only."""
+        """Weighted centralities (I - delta G)^-1 theta, the equilibrium; read-only.
+
+        b_unit itself when theta is all ones: the same solve, with the same bits.
+        """
+        if self.theta_is_ones():
+            return self.b_unit
         b = self.solve(self.theta)
         b.flags.writeable = False
         return b

@@ -101,7 +101,9 @@ class StructuralIntervention:
         """Delete every link touching the given nodes."""
         drop = np.zeros(net.n, dtype=bool)
         drop[[net.index_of(lab) for lab in labels]] = True
-        rows, cols = np.nonzero(np.triu(net.adjacency, 1) * (drop[:, None] | drop))
+        rows, cols = net.links
+        touched = drop[rows] | drop[cols]
+        rows, cols = rows[touched], cols[touched]
         return StructuralIntervention(
             frozenset((i, j, -1) for i, j in zip(rows.tolist(), cols.tolist()))
         )
@@ -122,7 +124,7 @@ class StructuralIntervention:
         for i, j, sign in self.entries:
             if j >= net.n:
                 raise InputError(f"node index {j} out of range for n={net.n}")
-            present = bool(net.adjacency[i, j])
+            present = net.has_link(i, j)
             if sign > 0 and present:
                 raise InputError(
                     f"cannot create link ({net.labels[i]},{net.labels[j]}): already present"

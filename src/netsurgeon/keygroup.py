@@ -57,7 +57,7 @@ class GroupScore:
             idx = list(rest.members)
             sub = Network(
                 tuple(spec.network.labels[i] for i in idx),
-                spec.network.adjacency[np.ix_(idx, idx)].copy(),
+                spec.network.sparse_adjacency[idx][:, idx].toarray(),
             )
             # Deleting nodes never raises lambda_max, so the subgame stays certified.
             subgame = GameSpec(sub, spec.theta[idx], spec.delta)

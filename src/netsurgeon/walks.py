@@ -79,7 +79,7 @@ def _deleted_network_gaps(spec: GameSpec, e: list, w_cc, w_cs, w_ss) -> tuple:
     keep[e] = False
     g_kept = g[keep]
     g_cc, g_cs = g_kept[:, keep], g_kept[:, e].toarray()
-    g_ss = spec.network.adjacency[np.ix_(e, e)]
+    g_ss = g[e][:, e].toarray()
     deg = int(np.diff(g.indptr).max(initial=0))
     slack = (deg + 4) * _UNIT_ROUNDOFF / (1.0 - (deg + 4) * _UNIT_ROUNDOFF)
     reach = 1.0 + delta * deg  # |A| |W| <= reach max|W| entrywise
@@ -201,7 +201,7 @@ def enumerate_avoiding_walks(
     for step in range(1, max_len + 1):
         if step >= 2:
             u[blocked] = 0.0
-        u = net.adjacency @ u
+        u = net.sparse_adjacency @ u
         weight *= delta
         total += weight * u[j]
     return float(total)

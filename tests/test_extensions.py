@@ -137,12 +137,13 @@ class TestCongestion:
 
     def test_split_check_refuses_a_wrong_direct_solve(self, monkeypatch):
         # Well inside the bound the check is live: a system off by 1e-6 trips it.
+        # The spec keeps the system it was certified with, so the fault goes in first.
         net = Network.from_edges([("1", "2"), ("2", "3"), ("3", "4")])
-        spec = certify_congestion(net, 0.3, 0.02)
         right = extensions._congestion_system
         monkeypatch.setattr(
             extensions, "_congestion_system", lambda *args: right(*args) + 1e-6 * np.eye(4)
         )
+        spec = certify_congestion(net, 0.3, 0.02)
         with pytest.raises(InternalCheckError, match="congestion split disagrees"):
             congestion_equilibrium(spec)
 

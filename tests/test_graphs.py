@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from scipy.linalg.lapack import dpotri
@@ -122,9 +125,15 @@ class TestNetworkValidation:
         assert net.adjacency.dtype == np.float64
         assert net == Network(("a", "b", "c"), a.astype(float))
 
-    def test_float64_adjacency_is_kept_without_a_copy(self):
+    def test_float64_adjacency_is_neither_frozen_nor_kept(self):
         a = np.array([[0.0, 1.0], [1.0, 0.0]])
-        assert Network(("a", "b"), a).adjacency is a
+        net = Network(("a", "b"), a)
+        assert a.flags.writeable
+        kept = weakref.ref(a)
+        del a
+        gc.collect()
+        assert kept() is None
+        assert net.edges() == [("a", "b")] and net.adjacency is not net.adjacency
 
     @pytest.mark.parametrize("values", [[["0", "1"], ["1", "0"]], [[0j, 1j], [1j, 0j]]])
     def test_non_numeric_adjacency_rejected(self, values):
