@@ -285,11 +285,15 @@ def _single_link(spec: GameSpec, i: str, j: str, kind: str) -> LinkValue:
         raise InputError(f"link ({i},{j}) already present; use the existing-link value")
     if not present and kind == "existing":
         raise InputError(f"link ({i},{j}) not present; use the potential-link value")
-    m = spec.columns([ii, jj])
     if kind == "potential":
+        # The changed row sums need all of M[:, {i, j}].
+        m = spec.columns([ii, jj])
         certify_local(spec, [(ii, jj, 1)], [ii, jj], m, _ONE_LINK)
+        m = m[[ii, jj]]
+    else:
+        m = spec.block([ii, jj])
     rows, cols = np.array([ii]), np.array([jj])
-    value = _link_value(spec, kind, rows, cols, m[rows, 0], m[cols, 1], m[cols, 0])[0]
+    value = _link_value(spec, kind, rows, cols, m[:1, 0], m[1:, 1], m[1:, 0])[0]
     u, v = sorted((i, j), key=label_key)
     return LinkValue(u, v, kind, value)
 

@@ -24,13 +24,14 @@ computed only to word a rejection, or on demand.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import unicodedata
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, eigh
+from scipy.linalg import cho_factor, cho_solve, eigh, solve_triangular
 from scipy.linalg.lapack import dpotri, dtrtri
 
 # Safety margin on the spectral condition delta * lambda_max < 1. Keeps
@@ -480,8 +481,11 @@ class NodeSet:
         return NodeSet.of((net.index_of(lab) for lab in labels), net.n)
 
     def complement(self, n: int) -> "NodeSet":
-        inside = set(self.members)
-        return NodeSet(tuple(i for i in range(n) if i not in inside))
+        """The indices below n outside this set."""
+        inside = self.members[: bisect.bisect_left(self.members, n)]
+        out = object.__new__(NodeSet)  # sorted and distinct by construction: no re-check
+        object.__setattr__(out, "members", tuple(np.delete(np.arange(n), inside).tolist()))
+        return out
 
     def labels(self, net: Network) -> tuple[str, ...]:
         return tuple(net.labels[i] for i in self.members)
@@ -503,21 +507,29 @@ class GameSpec:
     Construct through certify(); direct construction skips the spectral check.
     The Cholesky factorization I - delta G = L L^T, which certify made and
     tested, is cached, read-only, and shared by every solve against this
-    spec. Queries read what they need of M = (I - delta G)^-1 through it:
-    columns(idx) solves for |idx| columns, O(n^2 |idx|). The first of
-    influence(), influence_rows and influence_less to run on a game
-    inverts the factor by LAPACK dpotri, about 2n^3/3 flops, and keeps M in
-    space the factor already owns: M's strict upper triangle in the factor
-    array's, which no LAPACK routine reads with L, and its diagonal as a
-    vector. influence() copies all of M out of that, O(n^2), and
-    influence_rows and influence_less read blocks of M from it.
-    The two routes round differently, so columns(idx) and
-    influence()[:, idx] can differ in the last bit; columns never reads the
-    held M, so its bits do not depend on what was asked before.
-    self_loops, the diagonal of M, comes from L^-1 (dtrtri, about n^3/3
-    flops). It and the centralities b_unit (theta = 1) and b (this theta)
-    are cached and read-only. lambda_max is computed on first read. with_theta
-    shares the factor, the held M and b_unit.
+    spec. Queries read what they need of M = (I - delta G)^-1 by one of
+    three routes:
+
+    - columns(idx), M[:, idx]: one solve (forward and back) for |idx| unit
+      columns, O(n^2 |idx|).
+    - block(idx), M[idx][:, idx]: one forward solve Y = L^-1 E_idx and its
+      Gram Y^T Y, O(n^2 |idx|) at half the cost of columns, exactly symmetric.
+    - the held M: the first of influence(), influence_rows and
+      influence_less to run on a game inverts the factor by LAPACK dpotri,
+      about 2n^3/3 flops, and keeps M in space the factor already owns: M's
+      strict upper triangle in the factor array's, which no LAPACK routine
+      reads with L, and its diagonal as a vector. influence() copies all of
+      M out of that, O(n^2), and influence_rows and influence_less read
+      blocks of M from it.
+
+    The three routes round differently, so columns(idx)[idx], block(idx)
+    and influence()[idx][:, idx] can differ in the last bit; each route
+    agrees bit for bit only with itself. columns and block read only L's
+    lower triangle, never the held M, so their bits do not depend on what
+    was asked before. self_loops, the diagonal of M, comes from L^-1
+    (dtrtri, about n^3/3 flops). It and the centralities b_unit (theta = 1)
+    and b (this theta) are cached and read-only. lambda_max is computed on
+    first read. with_theta shares the factor, the held M and b_unit.
     """
 
     network: Network
@@ -574,6 +586,20 @@ class GameSpec:
         rhs = np.zeros((self.n, idx.size))
         rhs[idx, np.arange(idx.size)] = 1.0
         return self.solve(rhs)
+
+    def block(self, idx) -> np.ndarray:
+        """M[idx][:, idx] for a sequence of node indices, as Y^T Y with Y = L^-1 E_idx.
+
+        One forward triangular solve on the held factor's lower triangle and
+        the Gram of its result: exactly symmetric, and half the work of
+        columns(idx). It can differ from columns(idx)[idx] in the last bit.
+        """
+        idx = np.asarray(idx, dtype=np.intp)
+        rhs = np.zeros((self.n, idx.size), order="F")
+        rhs[idx, np.arange(idx.size)] = 1.0
+        # The factor is finite by construction, so it is not scanned again.
+        y = solve_triangular(self._factor[0], rhs, lower=True, overwrite_b=True, check_finite=False)
+        return y.T @ y
 
     def _inverted_factor(self, routine) -> np.ndarray:
         """LAPACK routine (dpotri or dtrtri) run on a copy of the lower factor L."""

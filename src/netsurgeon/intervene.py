@@ -7,7 +7,9 @@ S had been shifted by
     dtheta*_S = delta C_SS (I - delta M_SS(G) C_SS)^-1 b_S(G, theta),
 
 computed entirely from pre-intervention quantities. Per-node and aggregate
-effects then follow linearly through M(G). The |S| x |S| system carries
+effects then follow linearly through M(G), read through the columns M[:, S]
+that the local system already solved: one solve of |S| columns a query (one
+more column, M(G) dtheta, for a hybrid's theta shift). The |S| x |S| system carries
 relative rounding error up to about u * cond(I - delta M_SS C_SS). Since its
 inverse is I + delta M_SS(G + C) C_SS, that condition number grows like the
 product of 1 / (1 - delta lambda_max) over the game before and after the
@@ -162,12 +164,20 @@ class EffectReport:
         }
 
 
-def characteristic_effect(spec: GameSpec, iv: CharacteristicIntervention) -> EffectReport:
-    """Effect of shifting theta with the network fixed.
+def _report(spec: GameSpec, shift: np.ndarray, s: NodeSet, delta_x: np.ndarray) -> EffectReport:
+    """The report of the theta shift with support s and per-node effect delta_x.
 
-    delta_x = M_{N,S} dtheta_S through one solve; the aggregate change is
-    b_S(G,1)' dtheta_S (the unweighted centralities price the shift).
+    The aggregate change is b_S(G,1)' shift_S: the unweighted centralities
+    price the shift.
     """
+    members = list(s.members)
+    delta_aggregate = float(spec.b_unit[members] @ shift[members])
+    return EffectReport(spec.network.labels, delta_x, delta_aggregate, shift, spec.b + delta_x)
+
+
+def characteristic_effect(spec: GameSpec, iv: CharacteristicIntervention) -> EffectReport:
+    """Effect of shifting theta with the network fixed: delta_x = M_{N,S} dtheta_S
+    through one solve."""
     dtheta = np.asarray(iv.delta_theta, dtype=float)
     if dtheta.shape != (spec.n,):
         raise InputError(f"delta_theta must have shape ({spec.n},), got {dtheta.shape}")
@@ -175,54 +185,69 @@ def characteristic_effect(spec: GameSpec, iv: CharacteristicIntervention) -> Eff
     if len(s) == 0:
         zero = np.zeros(spec.n)
         return EffectReport(spec.network.labels, zero, 0.0, zero.copy(), spec.b.copy())
-    delta_x = spec.solve(dtheta)
-    b_unw = spec.b_unit
-    delta_aggregate = float(b_unw[list(s.members)] @ dtheta[list(s.members)])
-    return EffectReport(
-        spec.network.labels, delta_x, delta_aggregate, dtheta.copy(), spec.b + delta_x
-    )
+    return _report(spec, dtheta.copy(), s, spec.solve(dtheta))
 
 
-def _equivalent_on(spec: GameSpec, iv: StructuralIntervention, theta, b_vec):
-    """dtheta*_S for iv in the game with characteristics theta and equilibrium b_vec.
+def _equivalent_on(spec: GameSpec, iv: StructuralIntervention, dv=None):
+    """dtheta*_S for iv in the game with characteristics theta + dv, dv None
+    for a structural change.
 
-    Also returns that game's equilibrium after the change when it had to be
-    solved in full, else None. The local route solves only an |S| x |S|
-    system against |S| columns of M; the same columns certify the changed
-    network. Its solution is the changed equilibrium on S.
+    One solve gives M[:, S] and, for a theta shift, M dv after it: the
+    columns certify the changed network, and b_S(theta + dv) = b_S +
+    (M dv)_S prices the |S| x |S| local system, whose solution is the changed
+    equilibrium on S. Returns the values on S, the solved columns, and the
+    changed game's equilibrium when the local system was too inexact and
+    that game was solved in full, else None.
     """
     iv.check_legal(spec.network)
-    s = iv.support()
-    idx = list(s.members)
+    idx = list(iv.support().members)
+    k = len(idx)
     pos = {node: t for t, node in enumerate(idx)}
-    c_ss = np.zeros((len(idx), len(idx)))
+    c_ss = np.zeros((k, k))
     for i, j, sign in iv.entries:
         c_ss[pos[i], pos[j]] = c_ss[pos[j], pos[i]] = float(sign)
-    cols = spec.columns(idx)
+    rhs = np.zeros((spec.n, k if dv is None else k + 1))
+    rhs[idx, np.arange(k)] = 1.0
+    if dv is not None:
+        rhs[:, k] = dv
+    solved = spec.solve(rhs)
+    cols = solved[:, :k]
     certify_local(spec, iv.entries, idx, cols, c_ss)
     m_ss = cols[idx, :]
-    b_s = b_vec[idx]
-    system = np.eye(len(idx)) - spec.delta * m_ss @ c_ss
+    b_s = spec.b[idx] if dv is None else spec.b[idx] + solved[idx, k]
+    system = np.eye(k) - spec.delta * m_ss @ c_ss
     if np.finfo(float).eps * np.linalg.cond(system) <= LOCAL_ROUNDING_TOL:
-        return spec.delta * (c_ss @ np.linalg.solve(system, b_s)), None
+        return spec.delta * (c_ss @ np.linalg.solve(system, b_s)), solved, None
     # Certified above, so the changed game has a Cholesky factor.
+    theta = spec.theta if dv is None else spec.theta + dv
     post = GameSpec(iv.applied_to(spec.network), theta, spec.delta).b
-    return spec.delta * (c_ss @ post[idx]), post
+    return spec.delta * (c_ss @ post[idx]), solved, post
 
 
-def _effect(spec: GameSpec, shift: np.ndarray, post) -> EffectReport:
-    """The report of the theta shift, through M(G) or from the solved changed game post."""
-    if post is None:
+def _effect(spec: GameSpec, iv: StructuralIntervention, dv=None) -> EffectReport:
+    """The report of iv after the theta shift dv (None for a structural
+    change), read through the columns the local system solved, or from the
+    solved changed game."""
+    values, solved, post = _equivalent_on(spec, iv, dv)
+    shift = embed(values, iv.support(), spec.n)
+    if dv is not None:
+        shift = dv + shift
+    if post is not None:
+        delta_x = post - spec.b
+        return EffectReport(spec.network.labels, delta_x, float(delta_x.sum()), shift, post)
+    s = NodeSet.of(np.flatnonzero(shift))
+    if len(s) == 0:
         return characteristic_effect(spec, CharacteristicIntervention(shift))
-    delta_x = post - spec.b
-    return EffectReport(spec.network.labels, delta_x, float(delta_x.sum()), shift, post)
+    # M [E_S, dv] [values; 1] = M (embed(values) + dv) = M shift.
+    weights = values if dv is None else np.append(values, 1.0)
+    return _report(spec, shift, s, solved @ weights)
 
 
 def equivalent_theta(spec: GameSpec, iv: StructuralIntervention) -> CharacteristicIntervention:
     """The endogenous theta shift on S replicating the structural intervention."""
     if iv.is_empty():
         return CharacteristicIntervention(np.zeros(spec.n))
-    values, _ = _equivalent_on(spec, iv, spec.theta, spec.b)
+    values, _, _ = _equivalent_on(spec, iv)
     return CharacteristicIntervention(embed(values, iv.support(), spec.n))
 
 
@@ -230,8 +255,7 @@ def structural_effect(spec: GameSpec, iv: StructuralIntervention) -> EffectRepor
     """Effect of changing the network from G to G + C, at fixed theta."""
     if iv.is_empty():
         return characteristic_effect(spec, equivalent_theta(spec, iv))
-    values, post = _equivalent_on(spec, iv, spec.theta, spec.b)
-    return _effect(spec, embed(values, iv.support(), spec.n), post)
+    return _effect(spec, iv)
 
 
 def hybrid_effect(
@@ -240,18 +264,17 @@ def hybrid_effect(
     """Joint network-and-characteristics intervention.
 
     Equivalent to the structural intervention applied to the theta-shifted
-    game: the local system is priced at b(G, theta + dtheta), obtained with
-    the existing factorization, and the combined shift acts through M(G),
-    unless the local system is too inexact and the changed game is solved.
+    game: the local system is priced at b(G, theta + dtheta), read from the
+    same solve as the columns of M(G), and the combined shift acts through
+    those columns, unless the local system is too inexact and the changed
+    game is solved.
     """
     dv = np.asarray(dtheta.delta_theta, dtype=float)
     if dv.shape != (spec.n,):
         raise InputError(f"delta_theta must have shape ({spec.n},), got {dv.shape}")
     if c.is_empty():
         return characteristic_effect(spec, dtheta)
-    shifted = spec.theta + dv
-    values, post = _equivalent_on(spec, c, shifted, spec.solve(shifted))
-    return _effect(spec, dv + embed(values, c.support(), spec.n), post)
+    return _effect(spec, c, dv)
 
 
 def sufficient_increase_check(spec: GameSpec, iv: StructuralIntervention) -> dict:

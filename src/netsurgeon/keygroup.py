@@ -96,14 +96,14 @@ def _group_scores(groups, d, direct) -> list[GroupScore]:
 
 
 def intercentrality(spec: GameSpec, s: NodeSet) -> GroupScore:
-    """Removal value of s, from the intact network only."""
+    """Removal value of s, from the intact network only: the block M_SS
+    (GameSpec.block) and one |S| x |S| solve."""
     if len(s) == 0:
         raise InputError("group must be nonempty")
     if s.members[-1] >= spec.n:
         raise InputError(f"node index {s.members[-1]} out of range for n={spec.n}")
     idx = np.array([s.members])  # one group, shape (1, k)
-    m_ss = spec.columns(idx[0])[idx[0], :]
-    d, direct = _score(m_ss[None], spec.b[idx], spec.b_unit[idx])
+    d, direct = _score(spec.block(idx[0])[None], spec.b[idx], spec.b_unit[idx])
     return _group_scores(idx, d, direct)[0]
 
 

@@ -10,7 +10,8 @@ of the network with the excluded set deleted, whose residuals times
 max(b_unit) bound each block's distance to the exact answer (walks that
 avoid a set are some of all walks, so that network's inverse has row sums
 at most max(b_unit)); the avoidance block by peeling the constraint off the
-other end, from the |a| + |b| columns of the influence matrix.
+other end, from the block of the influence matrix on a and b (GameSpec.block:
+one forward triangular solve and its Gram).
 
 The walk matrix also reads the intercentrality of S (keygroup): its direct
 part is the members' own play b[S], and its indirect part is the play of
@@ -24,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from .graphs import STRIP, GameSpec, InputError, InternalCheckError, Network, NodeSet
+from .graphs import STRIP, GameSpec, InputError, InternalCheckError, NodeSet
 
 CROSS_ROUTE_TOL = 1e-9
 
@@ -160,11 +161,9 @@ def avoidance_block(spec: GameSpec, a: NodeSet, b: NodeSet) -> np.ndarray:
     hi = max(a.members[-1], b.members[-1])
     if hi >= spec.n:
         raise InputError(f"node index {hi} out of range for n={spec.n}")
-    ia, ib = list(a.members), list(b.members)
-    m = spec.columns(ia + ib)  # M[:, a] then M[:, b]
-    m_aa = m[ia, : len(ia)]
-    m_ab = m[ia, len(ia) :]
-    m_bb = m[ib, len(ia) :]
+    k = len(a)
+    m = spec.block(a.members + b.members)  # M on a then b, exactly symmetric
+    m_aa, m_ab, m_bb = m[:k, :k], m[:k, k:], m[k:, k:]
     try:
         aa_ab = np.linalg.solve(m_aa, m_ab)
         bb_ba = np.linalg.solve(m_bb, m_ab.T)
@@ -174,42 +173,3 @@ def avoidance_block(spec: GameSpec, a: NodeSet, b: NodeSet) -> np.ndarray:
         raise InternalCheckError(f"singular block in avoidance factorization: {exc}") from exc
     _require_agreement(float(np.max(np.abs(first - second))), "avoidance factorizations disagree")
     return first
-
-
-def enumerate_avoiding_walks(
-    net: Network, delta: float, i: int, j: int, s: NodeSet, max_len: int = 40
-) -> float:
-    """Brute-force truncated total of discounted i-to-j walks avoiding s.
-
-    Dynamic program over (endpoint, length). A walk endpoint inside s is
-    legal but cannot be extended, because extension would turn it into an
-    interior node; the start position is never interior and so never masked.
-    Exact for the walks it counts; the tail beyond max_len is bounded by
-    truncation_tail_bound.
-    """
-    if max_len < 0:
-        raise InputError(f"max_len must be nonnegative, got {max_len}")
-    if not (0 <= i < net.n and 0 <= j < net.n):
-        raise InputError(f"node indices ({i},{j}) out of range for n={net.n}")
-    if s.members and s.members[-1] >= net.n:
-        raise InputError(f"node index {s.members[-1]} out of range for n={net.n}")
-    blocked = list(s.members)
-    u = np.zeros(net.n)
-    u[i] = 1.0
-    total = u[j]
-    weight = 1.0
-    for step in range(1, max_len + 1):
-        if step >= 2:
-            u[blocked] = 0.0
-        u = net.sparse_adjacency @ u
-        weight *= delta
-        total += weight * u[j]
-    return float(total)
-
-
-def truncation_tail_bound(delta: float, lambda_max: float, max_len: int) -> float:
-    """Upper bound on everything enumerate_avoiding_walks leaves uncounted."""
-    r = delta * lambda_max
-    if r >= 1.0:
-        return float("inf")
-    return r ** (max_len + 1) / (1.0 - r)

@@ -22,7 +22,6 @@ from netsurgeon import (
     certify_global_substitution,
     certify_multi_activity,
     congestion_equilibrium,
-    enumerate_avoiding_walks,
     global_substitution_equilibrium,
     hybrid_effect,
     intercentrality,
@@ -39,7 +38,6 @@ from netsurgeon import (
     spectral_radius,
     structural_effect,
     sufficient_increase_check,
-    truncation_tail_bound,
     walk_matrix,
 )
 
@@ -49,6 +47,7 @@ from .conftest import (
     random_legal_intervention,
     safe_delta,
 )
+from .walk_oracle import enumerate_avoiding_walks, truncation_tail_bound
 
 
 def _finish(num, detail, failures):

@@ -375,6 +375,11 @@ class TestNodeSet:
         assert s.members == (0, 2)
         assert s.complement(3).members == (1,)
         assert s.labels(net) == ("a", "c")
+        # The loop over range(n) it replaced: members at or past n are ignored.
+        for members, n in (((), 0), ((), 4), ((0, 1, 2), 3), ((1, 5), 3), ((0, 7), 9)):
+            got = NodeSet(members).complement(n)
+            assert got == NodeSet(tuple(i for i in range(n) if i not in members))
+            assert all(type(i) is int for i in got.members)
 
     def test_embed(self):
         out = embed(np.array([5.0, 6.0]), NodeSet.of([1, 3]), 4)

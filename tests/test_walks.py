@@ -19,16 +19,15 @@ from netsurgeon import (
     NodeSet,
     avoidance_block,
     certify,
-    enumerate_avoiding_walks,
     intercentrality,
     spectral_radius,
-    truncation_tail_bound,
     walk_matrix,
     walks,
 )
 from netsurgeon import graphs
 
 from .conftest import dense_inverse, dyad, path, random_connected_graph, random_graph, safe_delta
+from .walk_oracle import enumerate_avoiding_walks, truncation_tail_bound
 
 
 class TestWalkMatrix:

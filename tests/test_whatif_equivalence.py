@@ -1,20 +1,24 @@
-"""The what-if queries against the dense formulas they replaced.
+"""The what-if queries against the formulas they use and the dense ones they replaced.
 
-Each reference below is the earlier formula, written out in the test: the
-avoidance block read from M solved against an identity, the walk matrix's check
-route by cho_solve against an identity, and the post-change certificate of
-an intervention or a single potential link through a validated Network and
-within_bound (or certify). The queries now read |S| columns of M and test
-the changed system in place; their answers must be equal bit for bit. An
-intervention whose local system cannot be shown well conditioned (both games
-near the bound) is checked against an exact solve of the changed network.
+Each reference below is written out in the test. The walk matrix's check
+route is cho_solve against an identity, and the post-change certificate of
+an intervention or a single potential link goes through a validated Network
+and within_bound (or certify); those answers must be equal bit for bit. The
+avoidance block and the intervention reports have two references each: the
+one-solve formula the query uses (the block of M as the Gram of one forward
+solve; effects read through the columns M[:, S], and M dtheta, that the local
+system solved), equal bit for bit, and the earlier dense formula (M solved
+against an identity; effects through a second solve of the whole shift),
+within 1e-12 of the largest entry. An intervention whose local system cannot
+be shown well conditioned (both games near the bound) is checked against an
+exact solve of the changed network.
 """
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import cho_factor, cho_solve, solve_triangular
 
 from netsurgeon import (
     CharacteristicIntervention,
@@ -72,10 +76,22 @@ def reference_walk_matrix(spec, s):
     return w_cc, w_cs, w_sc, w_ss
 
 
-def reference_avoidance_block(spec, a, b):
+def dense_block(spec, idx):
+    """M[idx][:, idx] from M solved against an identity: the earlier route."""
+    return spec.solve(np.eye(spec.n))[np.ix_(idx, idx)]
+
+
+def gram_block(spec, idx):
+    """M[idx][:, idx] as Y^T Y, Y = L^-1 E_idx from the factor's lower triangle alone."""
+    y = solve_triangular(np.tril(spec._factor[0]), np.eye(spec.n)[:, idx], lower=True)
+    return y.T @ y
+
+
+def reference_avoidance_block(spec, a, b, block):
     ia, ib = list(a.members), list(b.members)
-    m = spec.solve(np.eye(spec.n))
-    m_aa, m_ab, m_bb = m[np.ix_(ia, ia)], m[np.ix_(ia, ib)], m[np.ix_(ib, ib)]
+    m = block(spec, ia + ib)
+    k = len(ia)
+    m_aa, m_ab, m_bb = m[:k, :k], m[:k, k:], m[k:, k:]
     w_bb_no_a = m_bb - m_ab.T @ np.linalg.solve(m_aa, m_ab)
     first = np.linalg.solve(m_aa, m_ab) @ np.linalg.inv(w_bb_no_a)
     w_aa_no_b = m_aa - m_ab @ np.linalg.solve(m_bb, m_ab.T)
@@ -84,14 +100,15 @@ def reference_avoidance_block(spec, a, b):
     return first
 
 
-def reference_equivalent_on(spec, iv, b_vec):
+def reference_equivalent_on(spec, iv, b_s):
+    """dtheta*_S priced at b_s, the equilibrium on S, after the certificate."""
     post = Network(spec.network.labels, spec.network.adjacency + iv.as_matrix(spec.n))
     if not within_bound(post, spec.delta):
         raise SpectralConditionError(spec.delta, spectral_radius(post))
     idx = list(iv.support().members)
     c_ss = iv.as_matrix(spec.n)[np.ix_(idx, idx)]
     m_ss = spec.solve(np.eye(spec.n)[:, idx])[idx, :]
-    y = np.linalg.solve(np.eye(len(idx)) - spec.delta * m_ss @ c_ss, b_vec[idx])
+    y = np.linalg.solve(np.eye(len(idx)) - spec.delta * m_ss @ c_ss, b_s)
     return spec.delta * (c_ss @ y)
 
 
@@ -115,14 +132,43 @@ def reference_characteristic(spec, dtheta):
     return delta_x, agg, spec.solve(spec.theta) + delta_x
 
 
-def reference_structural(spec, iv):
-    values = reference_equivalent_on(spec, iv, spec.solve(spec.theta))
+def dense_structural(spec, iv):
+    """The earlier report: the theta shift solved again as a whole vector."""
+    idx = list(iv.support().members)
+    values = reference_equivalent_on(spec, iv, spec.solve(spec.theta)[idx])
     return reference_characteristic(spec, embed(values, iv.support(), spec.n))
 
 
-def reference_hybrid(spec, iv, dtheta):
-    values = reference_equivalent_on(spec, iv, spec.solve(spec.theta + dtheta))
+def dense_hybrid(spec, iv, dtheta):
+    """The earlier report: b(theta + dtheta) and the combined shift each solved in full."""
+    idx = list(iv.support().members)
+    values = reference_equivalent_on(spec, iv, spec.solve(spec.theta + dtheta)[idx])
     return reference_characteristic(spec, dtheta + embed(values, iv.support(), spec.n))
+
+
+def shift_report(spec, shift, delta_x):
+    s = list(np.flatnonzero(shift))
+    agg = float(spec.solve(np.ones(spec.n))[s] @ shift[s])
+    return delta_x, agg, spec.solve(spec.theta) + delta_x
+
+
+def reference_structural(spec, iv):
+    """One solve: delta_x = M[:, S] dtheta*_S, from the columns that price it."""
+    idx = list(iv.support().members)
+    cols = spec.solve(np.eye(spec.n)[:, idx])
+    values = reference_equivalent_on(spec, iv, spec.solve(spec.theta)[idx])
+    return shift_report(spec, embed(values, iv.support(), spec.n), cols @ values)
+
+
+def reference_hybrid(spec, iv, dtheta):
+    """One solve for [E_S, dtheta]: b_S(theta + dtheta) = b_S + (M dtheta)_S, and
+    delta_x = M [E_S, dtheta] [dtheta*_S; 1] = M (dtheta + dtheta*)."""
+    idx = list(iv.support().members)
+    solved = spec.solve(np.column_stack((np.eye(spec.n)[:, idx], dtheta)))
+    b_s = spec.solve(spec.theta)[idx] + solved[idx, len(idx)]
+    values = reference_equivalent_on(spec, iv, b_s)
+    shift = dtheta + embed(values, iv.support(), spec.n)
+    return shift_report(spec, shift, solved @ np.append(values, 1.0))
 
 
 def loop_edges(net):
@@ -211,11 +257,20 @@ def assert_bits(actual, expected):
     np.testing.assert_array_equal(actual, expected, strict=True)
 
 
-def assert_report(report, expected):
+def assert_near(actual, expected):
+    """Within 1e-12 of expected's largest entry."""
+    assert np.max(np.abs(actual - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+
+def assert_report(report, expected, dense=None):
+    """Equal bits with the formula used; near the earlier dense one, if given."""
     delta_x, agg, post_b = expected
     assert_bits(report.delta_x, delta_x)
     assert report.delta_aggregate == agg
     assert_bits(report.post_b, post_b)
+    if dense is not None:
+        for ours, old in zip((report.delta_x, report.delta_aggregate, report.post_b), dense):
+            assert_near(np.asarray(ours), np.asarray(old))
 
 
 # --------------------------------------------------------------------------
@@ -235,6 +290,22 @@ def test_columns_equal_influence_columns(seeded):
         assert_bits(spec.columns(idx), m[:, idx])
 
 
+def test_block_is_the_gram_of_one_forward_solve(seeded):
+    # Exactly symmetric, the same bits before and after the held M is packed
+    # into the factor array, and within 1e-12 of the columns route.
+    spec, _, _, rng = seeded
+    fresh = certify(spec.network, spec.delta)
+    picks = [rng.choice(spec.n, size=k, replace=False) for k in (1, 2, 3, 5, 17)]
+    before = [fresh.block(idx) for idx in picks]
+    fresh.influence()
+    for idx, first in zip(picks, before):
+        got = fresh.block(idx)
+        assert_bits(got, first)
+        assert_bits(got, got.T)
+        assert_bits(got, gram_block(fresh, idx))
+        assert_near(got, fresh.columns(idx)[idx])
+
+
 def test_walk_matrix_blocks(seeded):
     spec, _, _, rng = seeded
     for k in (1, 2, 3):
@@ -252,18 +323,26 @@ def test_avoidance_blocks(seeded):
     for size, split in ((2, 1), (3, 1), (3, 2), (4, 2)):
         nodes = rng.choice(spec.n, size=size, replace=False)
         a, b = NodeSet.of(nodes[:split]), NodeSet.of(nodes[split:])
-        assert_bits(avoidance_block(spec, a, b), reference_avoidance_block(spec, a, b))
+        got = avoidance_block(spec, a, b)
+        assert_bits(got, reference_avoidance_block(spec, a, b, gram_block))
+        assert_near(got, reference_avoidance_block(spec, a, b, dense_block))
 
 
 def test_intervention_reports(seeded):
     unit, weighted, changes, rng = seeded
     for spec in (unit, weighted):
         for iv in changes:
-            assert_report(structural_effect(spec, iv), reference_structural(spec, iv))
+            assert_report(
+                structural_effect(spec, iv), reference_structural(spec, iv),
+                dense_structural(spec, iv),
+            )
             dtheta = np.zeros(spec.n)
             dtheta[rng.choice(spec.n, size=2, replace=False)] = rng.uniform(-0.5, 0.5, size=2)
             civ = CharacteristicIntervention(dtheta)
-            assert_report(hybrid_effect(spec, iv, civ), reference_hybrid(spec, iv, dtheta))
+            assert_report(
+                hybrid_effect(spec, iv, civ), reference_hybrid(spec, iv, dtheta),
+                dense_hybrid(spec, iv, dtheta),
+            )
             assert_report(characteristic_effect(spec, civ), reference_characteristic(spec, dtheta))
 
 
@@ -286,7 +365,9 @@ def test_small_graphs_match_the_references(net, frac, data):
     for ours, want in zip(blocks, ref):
         assert_bits(ours, want)
     a, b = NodeSet.of(nodes[:1]), NodeSet.of(nodes[1 : 1 + min(k, net.n - 1)])
-    assert_bits(avoidance_block(spec, a, b), reference_avoidance_block(spec, a, b))
+    got = avoidance_block(spec, a, b)
+    assert_bits(got, reference_avoidance_block(spec, a, b, gram_block))
+    assert_near(got, reference_avoidance_block(spec, a, b, dense_block))
 
 
 @settings(max_examples=80, deadline=None)
@@ -311,7 +392,7 @@ def test_post_change_certificate_matches_the_network_route(net, frac, data):
     else:
         report = structural_effect(spec, iv)
         if np.finfo(float).eps * local_condition_bound(spec, iv) <= 1e-12:
-            assert_report(report, want)
+            assert_report(report, want, dense_structural(spec, iv))
         else:
             exact = exact_equilibrium(post, delta, np.ones(net.n))
             np.testing.assert_allclose(report.post_b, exact, rtol=1e-8, atol=0)
