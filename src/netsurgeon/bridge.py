@@ -25,7 +25,7 @@ from .graphs import (
     InternalCheckError,
     Network,
     NodeSet,
-    certify,
+    certified_game,
     certify_change,
     certify_local,
     label_key,
@@ -34,6 +34,8 @@ from .graphs import (
 )
 
 FRONTIER_SLACK = 1e-12
+
+_UNCERTIFIED = "bridging these endpoints pushes the joined game outside the certified range"
 
 # C_SS of one created link, on its two endpoints.
 _ONE_LINK = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -47,19 +49,6 @@ class BridgeScore:
     j: str
     index: float
     predicted_delta_aggregate: float
-
-    def check_prediction(self, spec1: GameSpec, spec2: GameSpec, tol: float = 1e-9) -> None:
-        """Re-solve the physically joined game and compare; raises on mismatch."""
-        joined = joined_network(spec1.network, spec2.network, bridge=(self.i, self.j))
-        before = float(spec1.b.sum() + spec2.b.sum())
-        spec = certify(joined, spec1.delta)
-        after = float(spec.b.sum())
-        gap = abs(after - before - self.predicted_delta_aggregate)
-        if gap > tol:
-            raise InternalCheckError(
-                f"bridge ({self.i},{self.j}) prediction off by {gap:.3g} "
-                f"against the joined-game solve"
-            )
 
     def to_json_dict(self) -> dict:
         return {
@@ -177,8 +166,27 @@ def _bridge_value(delta: float, b_i, m_ii, b_j, m_jj):
     """Bridge index from endpoint statistics; scalars or arrays."""
     den = 1.0 - delta * delta * m_ii * m_jj
     if np.any(den <= FRONTIER_SLACK):
-        raise InputError("bridging these endpoints pushes the joined game outside the certified range")
+        raise InputError(_UNCERTIFIED)
     return (delta * m_jj * b_i * b_i + delta * m_ii * b_j * b_j + 2.0 * b_i * b_j) / den
+
+
+def _require_certified(spec1: GameSpec, spec2: GameSpec, rows, cols) -> None:
+    """Raise unless certify accepts the joined network with each bridge (rows[t], cols[t]).
+
+    A bridge is a created link of the disjoint union, whose influence matrix
+    is block diagonal: m_ij = 0, and each side's max(b_unit), its largest row
+    sum, bounds its column maxima. links_certified decides in closed form,
+    and certify's own rule on the joined network decides the sliver it leaves.
+    """
+    b = np.concatenate((spec1.b_unit, spec2.b_unit))
+    loops = np.concatenate((spec1.self_loops, spec2.self_loops))
+    top = np.repeat([s.b_unit.max(initial=0.0) for s in (spec1, spec2)], (spec1.n, spec2.n))
+    fits = links_certified(spec1.delta, b, loops, top, rows, cols + spec1.n, np.zeros(len(rows)))
+    net1, net2 = spec1.network, spec2.network
+    for t in np.flatnonzero(~fits):
+        joined = joined_network(net1, net2, (net1.labels[rows[t]], net2.labels[cols[t]]))
+        if certified_game(joined, spec1.delta) is None:
+            raise InputError(_UNCERTIFIED)
 
 
 def _require_unit_theta(spec: GameSpec, what: str) -> None:
@@ -196,13 +204,15 @@ def _require_shared_delta(spec1: GameSpec, spec2: GameSpec, what: str) -> None:
 
 
 def bridge_index(spec1: GameSpec, spec2: GameSpec, i: str, j: str) -> BridgeScore:
-    """Score the link joining node i of the first component to j of the second."""
+    """Score the link joining node i of the first component to j of the second;
+    refused unless the joined game certifies."""
     _require_shared_delta(spec1, spec2, "the bridge index")
     b1, m1 = spec1.b_unit, spec1.self_loops
     b2, m2 = spec2.b_unit, spec2.self_loops
     ii = spec1.network.index_of(i)
     jj = spec2.network.index_of(j)
     value = _bridge_value(spec1.delta, b1[ii], m1[ii], b2[jj], m2[jj])
+    _require_certified(spec1, spec2, np.array([ii]), np.array([jj]))
     return BridgeScore(i, j, value, spec1.delta * value)
 
 
@@ -229,7 +239,8 @@ def rank_bridges(spec1: GameSpec, spec2: GameSpec) -> BridgeRanking:
     """All frontier-to-frontier candidate links, best first; entries are BridgeScores.
 
     Only frontier endpoints can host the best bridge, so non-frontier pairs
-    are never scored. Near-ties order by label pair.
+    are never scored. Near-ties order by label pair. The search is refused
+    unless the joined game certifies with every candidate.
     """
     _require_shared_delta(spec1, spec2, "the key-bridge search")
     b1, m1 = spec1.b_unit, spec1.self_loops
@@ -237,6 +248,7 @@ def rank_bridges(spec1: GameSpec, spec2: GameSpec) -> BridgeRanking:
     front1, front2 = _frontier(b1, m1), _frontier(b2, m2)
     rows, cols = np.repeat(front1, len(front2)), np.tile(front2, len(front1))
     value = _bridge_value(spec1.delta, b1[rows], m1[rows], b2[cols], m2[cols])
+    _require_certified(spec1, spec2, rows, cols)
     order = rank_order(value, (rows, cols))
     return BridgeRanking(
         spec1.network.labels, spec2.network.labels, rows[order], cols[order], value[order],
@@ -338,7 +350,8 @@ def link_values(spec: GameSpec, kind: str) -> tuple[LinkRanking, list[tuple[str,
     m = spec.influence()
     skipped = []
     if kind == "potential":
-        fits = links_certified(spec, m, rows, cols)
+        loops, top = np.diag(m), m.max(axis=0)
+        fits = links_certified(spec.delta, spec.b_unit, loops, top, rows, cols, m[cols, rows])
         for t in np.flatnonzero(~fits):
             try:
                 # The sliver and every refusal are settled by the exact certificate.

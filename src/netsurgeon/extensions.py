@@ -60,7 +60,6 @@ class MultiActivitySpec:
     beta: float
     # The sum game at weight delta / (1 + beta), the difference game at delta / (1 - beta).
     games: tuple[GameSpec, GameSpec] = field(repr=False)
-    lambda_max = cached_property(lambda self: spectral_radius(self.network))
 
 
 def certify_multi_activity(
@@ -205,7 +204,6 @@ class GlobalSubstitutionSpec:
     phi: float
     # The plain game at the stretched weight delta / (1 - phi).
     game: GameSpec = field(repr=False)
-    lambda_max = cached_property(lambda self: spectral_radius(self.network))
 
 
 def certify_global_substitution(net: Network, delta: float, phi: float) -> GlobalSubstitutionSpec:

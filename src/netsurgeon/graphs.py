@@ -269,9 +269,7 @@ class Network:
         Built from the links on every read: each read costs O(n^2) time and
         memory. Queries read links, has_link and sparse_adjacency instead.
         """
-        rows, cols = self.links
-        a = np.zeros((self.n, self.n))
-        a[rows, cols] = a[cols, rows] = 1.0
+        a = _link_system(self, 1.0, 0.0)
         a.flags.writeable = False
         return a
 
@@ -295,22 +293,11 @@ class Network:
         except KeyError:
             raise InputError(f"unknown node label {label!r}") from None
 
-    def degree(self, i: int) -> int:
-        rows, cols = self.links
-        return int(np.count_nonzero(rows == i) + np.count_nonzero(cols == i))
-
     def edges(self) -> list[tuple[str, str]]:
         """Edges as (min-label, max-label) pairs, ascending."""
         # Indices rank labels in natural order, so row-major order is label order.
         rows, cols = self.links
         return [(self.labels[i], self.labels[j]) for i, j in zip(rows.tolist(), cols.tolist())]
-
-    def serialize(self) -> str:
-        edges = self.edges()
-        lines = [f"{u} {v}" for u, v in edges]
-        touched = {u for e in edges for u in e}
-        lines.extend(lab for lab in self.labels if lab not in touched)
-        return "\n".join(lines) + "\n"
 
 
 def _label_indices(names, ends: list) -> tuple[tuple[str, ...], np.ndarray]:
@@ -492,12 +479,6 @@ class NodeSet:
 
     def __len__(self) -> int:
         return len(self.members)
-
-    def __iter__(self):
-        return iter(self.members)
-
-    def __contains__(self, i) -> bool:
-        return i in self.members
 
 
 @dataclass(frozen=True, eq=False)
@@ -784,18 +765,17 @@ def certify_local(spec: GameSpec, changes, idx, cols: np.ndarray, c_ss: np.ndarr
     certify_change(spec.network, spec.delta, changes)
 
 
-def links_certified(spec: GameSpec, m: np.ndarray, rows, cols) -> np.ndarray:
-    """Whether adding each absent link (rows[t], cols[t]) provably keeps the game certified.
+def links_certified(delta: float, b, loops, top, rows, cols, m_ij) -> np.ndarray:
+    """Whether adding each absent link (rows[t], cols[t]) provably keeps a game certified.
 
-    certify_local's two tests in closed form on the influence matrix m, for
-    all links at once. With S = {i, j}, I - delta R^T C_SS R is positive
-    definite exactly when delta (m_ij + sqrt(m_ii m_jj)) < 1, and the grown
-    row sums are at most max(b_unit) + delta (max_k m_ki |y_j| + max_k m_kj |y_i|).
-    False leaves the link to certify_change.
+    certify_local's two tests in closed form for all links at once, from the
+    game's b_unit, self-loops and bounds top on M's column maxima per node,
+    and M's entries m_ij per link. With S = {i, j}, I - delta R^T C_SS R is
+    positive definite exactly when delta (m_ij + sqrt(m_ii m_jj)) < 1, and
+    the grown row sums are at most max(b) + delta (top_i |y_j| + top_j |y_i|).
+    False leaves the link to certify's own rule.
     """
-    delta, b = spec.delta, spec.b_unit
-    m_ii, m_jj = np.diag(m)[rows], np.diag(m)[cols]
-    m_ij = m[np.maximum(rows, cols), np.minimum(rows, cols)]
+    m_ii, m_jj = loops[rows], loops[cols]
     # Links past the 2 x 2 test go no further; for the rest delta < 1, so
     # nothing below overflows.
     t = np.flatnonzero(delta * (m_ij + np.sqrt(m_ii * m_jj)) < 1.0)
@@ -805,7 +785,6 @@ def links_certified(spec: GameSpec, m: np.ndarray, rows, cols) -> np.ndarray:
     b_i, b_j = b[rows[t]], b[cols[t]]
     y_i = (s * b_i + delta * m_ii[t] * b_j) / den
     y_j = (delta * m_jj[t] * b_i + s * b_j) / den
-    top = m.max(axis=0)
     grown = b.max() + delta * (top[rows[t]] * np.abs(y_j) + top[cols[t]] * np.abs(y_i))
     fits = np.zeros(len(rows), dtype=bool)
     fits[t] = grown < ROW_SUM_BOUND

@@ -59,13 +59,10 @@ class CharacteristicIntervention:
     def support(self) -> NodeSet:
         return NodeSet.of(np.flatnonzero(self.delta_theta))
 
-    def scaled(self, alpha: float) -> "CharacteristicIntervention":
-        return CharacteristicIntervention(alpha * self.delta_theta)
-
 
 @dataclass(frozen=True)
 class StructuralIntervention:
-    """A set of signed link changes: (+1 create, -1 delete), i < j.
+    """A set of signed link changes: (+1 create, -1 delete), 0 <= i < j.
 
     Network-independent data; legality against a concrete network (create only
     absent links, delete only present ones) is checked at application time.
@@ -77,6 +74,8 @@ class StructuralIntervention:
     def __post_init__(self):
         seen = set()
         for i, j, sign in self.entries:
+            if i < 0:
+                raise InputError(f"negative node index in ({i},{j})")
             if i >= j:
                 raise InputError(f"entries must have i < j, got ({i},{j})")
             if sign not in (1, -1):
@@ -98,29 +97,11 @@ class StructuralIntervention:
         iv.check_legal(net)
         return iv
 
-    @staticmethod
-    def node_removal(net: Network, labels) -> "StructuralIntervention":
-        """Delete every link touching the given nodes."""
-        drop = np.zeros(net.n, dtype=bool)
-        drop[[net.index_of(lab) for lab in labels]] = True
-        rows, cols = net.links
-        touched = drop[rows] | drop[cols]
-        rows, cols = rows[touched], cols[touched]
-        return StructuralIntervention(
-            frozenset((i, j, -1) for i, j in zip(rows.tolist(), cols.tolist()))
-        )
-
     def support(self) -> NodeSet:
         return NodeSet.of({i for i, _, _ in self.entries} | {j for _, j, _ in self.entries})
 
     def is_empty(self) -> bool:
         return not self.entries
-
-    def as_matrix(self, n: int) -> np.ndarray:
-        c = np.zeros((n, n))
-        for i, j, sign in self.entries:
-            c[i, j] = c[j, i] = float(sign)
-        return c
 
     def check_legal(self, net: Network) -> None:
         for i, j, sign in self.entries:
@@ -135,9 +116,6 @@ class StructuralIntervention:
                 raise InputError(
                     f"cannot delete link ({net.labels[i]},{net.labels[j]}): not present"
                 )
-
-    def inverse(self) -> "StructuralIntervention":
-        return StructuralIntervention(frozenset((i, j, -s) for i, j, s in self.entries))
 
     def applied_to(self, net: Network) -> Network:
         self.check_legal(net)

@@ -47,27 +47,6 @@ class GroupScore:
     direct_effect: float
     indirect_effect: float
 
-    def check_definition(self, spec: GameSpec, tol: float = 1e-9) -> None:
-        """Verify against a literal subgame solve; raises on disagreement."""
-        rest = self.group.complement(spec.n)
-        full = float(spec.b.sum())
-        if len(rest) == 0:
-            residual = 0.0
-        else:
-            idx = list(rest.members)
-            sub = Network(
-                tuple(spec.network.labels[i] for i in idx),
-                spec.network.sparse_adjacency[idx][:, idx].toarray(),
-            )
-            # Deleting nodes never raises lambda_max, so the subgame stays certified.
-            subgame = GameSpec(sub, spec.theta[idx], spec.delta)
-            residual = float(subgame.solve(spec.theta[idx]).sum())
-        if abs(full - residual - self.intercentrality) > tol:
-            raise InternalCheckError(
-                f"intercentrality {self.intercentrality:.12g} disagrees with subgame "
-                f"difference {full - residual:.12g} for group {self.group.members}"
-            )
-
     def to_json_dict(self, net: Network) -> dict:
         return {
             "group": list(self.group.labels(net)),

@@ -49,20 +49,6 @@ class WalkMatrix:
     excluded_kept: np.ndarray = field(repr=False)
     excluded_excluded: np.ndarray = field(repr=False)
 
-    def entry(self, i: int, j: int) -> float:
-        """w_ij regardless of which side of the partition i and j sit on."""
-        in_e = set(self.excluded.members)
-        row_e, col_e = i in in_e, j in in_e
-        rows = self.excluded.members if row_e else self.kept.members
-        cols = self.excluded.members if col_e else self.kept.members
-        block = {
-            (False, False): self.kept_kept,
-            (False, True): self.kept_excluded,
-            (True, False): self.excluded_kept,
-            (True, True): self.excluded_excluded,
-        }[(row_e, col_e)]
-        return float(block[rows.index(i), cols.index(j)])
-
 
 def _deleted_network_gaps(spec: GameSpec, e: list, w_cc, w_cs, w_ss) -> tuple:
     """Upper bounds on the kept-kept, kept-excluded and excluded-excluded

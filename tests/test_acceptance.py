@@ -47,7 +47,7 @@ from .conftest import (
     random_legal_intervention,
     safe_delta,
 )
-from .walk_oracle import enumerate_avoiding_walks, truncation_tail_bound
+from .oracle import enumerate_avoiding_walks, truncation_tail_bound, walk_entry
 
 
 def _finish(num, detail, failures):
@@ -267,7 +267,7 @@ def test_criterion_07_walk_identities():
 
         # walks from outside into s, priced by b[s], are its indirect removal value
         gs = intercentrality(spec, s)
-        into = float(wm.kept_excluded.sum(axis=0) @ spec.b[list(s)])
+        into = float(wm.kept_excluded.sum(axis=0) @ spec.b[list(s.members)])
         reading_gap = abs(into - gs.indirect_effect)
         if reading_gap > 1e-12 * gs.intercentrality:
             failures.append(f"trial {trial}: walk reading off by {reading_gap:.3e}")
@@ -304,7 +304,7 @@ def test_criterion_07_walk_identities():
         if len(s) < n and tgt_i not in s.members and tgt_j not in s.members:
             enum = enumerate_avoiding_walks(net, delta, tgt_i, tgt_j, s, max_len=cap)
             tail = truncation_tail_bound(delta, spec.lambda_max, cap)
-            if abs(enum - wm.entry(tgt_i, tgt_j)) > tail + 1e-12:
+            if abs(enum - walk_entry(wm, tgt_i, tgt_j)) > tail + 1e-12:
                 failures.append(f"trial {trial}: enumeration outside tail bound")
     _finish(7, "40 instances of block, walk-reading, rank-one, exchange, tail identities", failures)
 

@@ -1,4 +1,5 @@
 import dataclasses
+import io
 import itertools
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from netsurgeon import (
     InputError,
     Network,
+    SpectralConditionError,
     bridge_index,
     certify,
     joined_network,
@@ -19,9 +21,11 @@ from netsurgeon import (
     rank_bridges,
     spectral_radius,
 )
+from netsurgeon import cli
 from netsurgeon.bridge import _bridge_value
 
-from .conftest import dense_inverse, oracle_b, random_connected_graph, safe_delta
+from .conftest import dense_inverse, eig_lambda_max, oracle_b, random_connected_graph, safe_delta
+from .oracle import degree, serialize
 
 
 @pytest.fixture(scope="module")
@@ -44,7 +48,10 @@ class TestBridgeIndex:
     def test_prediction_is_exact(self, star_and_hubs):
         s1, s2 = star_and_hubs(0.25)
         score = bridge_index(s1, s2, "h", "a2")
-        score.check_prediction(s1, s2)  # re-solves the joined game
+        gain = oracle_b(joined_network(s1.network, s2.network, ("h", "a2")), 0.25).sum() - (
+            katz_bonacich(s1).aggregate + katz_bonacich(s2).aggregate
+        )
+        assert score.predicted_delta_aggregate == pytest.approx(gain, abs=1e-9)
         assert score.predicted_delta_aggregate == pytest.approx(0.25 * score.index, abs=1e-12)
 
     def test_winner_flips_with_delta(self, star_and_hubs):
@@ -61,6 +68,47 @@ class TestBridgeIndex:
         s1 = certify(star7, 0.25, np.full(8, 2.0))
         with pytest.raises(InputError):
             bridge_index(s1, certify(twohub9, 0.25), "h", "a1")
+
+
+class TestCertifiedRange:
+    """A bridge is scored only if certify accepts the joined network: its
+    factor, its row sums, and in the sliver next to the bound the margin
+    test. delta sits at (1 - gap) / lambda_max of star7 + twohub9 joined
+    by h-a2, the winning bridge; certify's margin is 1e-9."""
+
+    REFUSAL = "bridging these endpoints pushes the joined game outside the certified range"
+
+    @staticmethod
+    def run_at(star7, twohub9, gap, tmp_path):
+        joined = joined_network(star7, twohub9, ("h", "a2"))
+        delta = (1.0 - gap) / eig_lambda_max(joined)
+        paths = [tmp_path / "star7.txt", tmp_path / "twohub9.txt"]
+        for path, net in zip(paths, (star7, twohub9)):
+            path.write_text(serialize(net))
+        out, err = io.StringIO(), io.StringIO()
+        argv = ["key-bridge", "--graph1", str(paths[0]), "--graph2", str(paths[1])]
+        code = cli.run(argv + ["--delta", repr(delta)], out=out, err=err)
+        return joined, delta, (code, out.getvalue(), err.getvalue())
+
+    def test_refused_inside_the_margin(self, star7, twohub9, tmp_path):
+        joined, delta, run = self.run_at(star7, twohub9, 5e-10, tmp_path)
+        with pytest.raises(SpectralConditionError):
+            certify(joined, delta)
+        s1, s2 = certify(star7, delta), certify(twohub9, delta)
+        with pytest.raises(InputError, match=f"^{self.REFUSAL}$"):
+            rank_bridges(s1, s2)
+        with pytest.raises(InputError, match=f"^{self.REFUSAL}$"):
+            bridge_index(s1, s2, "h", "a2")
+        assert run == (1, "", f"error: {self.REFUSAL}\n")
+
+    def test_answered_past_the_margin(self, star7, twohub9, tmp_path):
+        joined, delta, (code, out, err) = self.run_at(star7, twohub9, 2e-9, tmp_path)
+        certify(joined, delta)
+        s1, s2 = certify(star7, delta), certify(twohub9, delta)
+        winner = key_bridge(s1, s2)
+        assert (winner.i, winner.j) == ("h", "a2")
+        assert bridge_index(s1, s2, "h", "a2") == winner
+        assert (code, err) == (0, "") and '"j": "a2"' in out
 
 
 class TestJoin:
@@ -154,7 +202,7 @@ class TestScalarShape:
     def test_small_delta_expansion_orders_by_degree(self, star7, twohub9):
         lam = max(spectral_radius(star7), spectral_radius(twohub9))
         degrees = {
-            lab: twohub9.degree(twohub9.index_of(lab)) for lab in ("a1", "a2", "a41")
+            lab: degree(twohub9, twohub9.index_of(lab)) for lab in ("a1", "a2", "a41")
         }
         assert degrees["a1"] > degrees["a2"] > degrees["a41"]
         for frac in (1e-1, 1e-2, 1e-3):
@@ -163,7 +211,7 @@ class TestScalarShape:
             vals = {lab: bridge_index(s1, s2, "h", lab).index for lab in degrees}
             assert vals["a1"] > vals["a2"] > vals["a41"]
         # linear coefficient of the expansion around zero: 2(1 + e_i + e_j)
-        e_h = star7.degree(star7.index_of("h"))
+        e_h = degree(star7, star7.index_of("h"))
         slope = (vals["a1"] - 2.0) / (2.0 * delta)
         assert slope == pytest.approx(1 + e_h + degrees["a1"], abs=0.05)
 

@@ -15,6 +15,8 @@ from hypothesis import strategies as st
 
 from netsurgeon import InputError, Network, cli, reference
 
+from .oracle import serialize
+
 
 def invoke(argv):
     out, err = io.StringIO(), io.StringIO()
@@ -39,7 +41,7 @@ def path4_file(tmp_path):
 @pytest.fixture()
 def reg_file(tmp_path, regular10):
     p = tmp_path / "reg10.txt"
-    p.write_text(regular10.serialize())
+    p.write_text(serialize(regular10))
     return str(p)
 
 
@@ -282,14 +284,6 @@ class TestKeyGroup:
         assert lines[0] == "rank,group,intercentrality,direct_effect,indirect_effect"
         assert lines[1].startswith("1,1 8,10.2083,")
 
-    def test_thread_cap_respected(self, reg_file, monkeypatch):
-        monkeypatch.setenv("NETSURGEON_THREADS", "2")
-        argv = ["key-group", "--graph", reg_file, "--delta", "0.2", "--k", "2"]
-        code, out, _ = invoke(argv)
-        assert code == 0
-        monkeypatch.setenv("NETSURGEON_THREADS", "1")
-        assert invoke(argv)[1] == out
-
     def test_thread_variable_is_ignored(self, reg_file, monkeypatch):
         argv = ["key-group", "--graph", reg_file, "--delta", "0.2", "--k", "2"]
         monkeypatch.delenv("NETSURGEON_THREADS", raising=False)
@@ -310,8 +304,8 @@ class TestKeyBridge:
     def test_winner_json(self, tmp_path, star7, twohub9):
         f1 = tmp_path / "one.txt"
         f2 = tmp_path / "two.txt"
-        f1.write_text(star7.serialize())
-        f2.write_text(twohub9.serialize())
+        f1.write_text(serialize(star7))
+        f2.write_text(serialize(twohub9))
         code, out, _ = invoke(
             ["key-bridge", "--graph1", str(f1), "--graph2", str(f2), "--delta", "0.25"]
         )

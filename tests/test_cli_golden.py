@@ -9,7 +9,7 @@ the JSON escapes are pinned too; the key-group, key-bridge and link-value
 cases on it pin them on the search side. Each stdout must equal the bytes in
 tests/data/cli_golden.json. To record them from another checkout:
 
-    PYTHONPATH=<checkout>/src python tests/test_cli_golden.py [NAME ...]
+    PYTHONPATH=<checkout>/src python -m tests.test_cli_golden [NAME ...]
 
 Named cases are re-recorded and every other recorded output is kept; with
 no names, all cases are recorded afresh.
@@ -26,6 +26,8 @@ import numpy as np
 import pytest
 
 from netsurgeon import Network, cli, reference
+
+from .oracle import serialize
 
 GOLDEN = Path(__file__).parent / "data" / "cli_golden.json"
 RECORDED = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
@@ -60,7 +62,7 @@ def cases(root) -> dict:
     path = {}
     for name, net in nets.items():
         path[name] = os.path.join(root, f"{name}.txt")
-        Path(path[name]).write_text(net.serialize(), encoding="utf-8")
+        Path(path[name]).write_text(serialize(net), encoding="utf-8")
     theta = {}
     for name in ("odd16", "er24"):
         theta[name] = os.path.join(root, f"{name}.theta")

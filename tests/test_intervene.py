@@ -20,6 +20,7 @@ from netsurgeon import (
 )
 
 from .conftest import oracle_b, random_graph, random_legal_intervention, safe_delta
+from .oracle import as_matrix, degree, inverse, node_removal
 
 
 def small_spec(delta=0.2, theta=None):
@@ -54,9 +55,9 @@ class TestCharacteristic:
         spec = small_spec()
         iv = CharacteristicIntervention.from_pairs(spec.network, {"1": 0.3, "3": -0.1})
         one = characteristic_effect(spec, iv)
-        scaled = characteristic_effect(spec, iv.scaled(2.5))
-        np.testing.assert_allclose(scaled.delta_x, 2.5 * one.delta_x, atol=1e-10)
-        assert scaled.delta_aggregate == pytest.approx(2.5 * one.delta_aggregate, abs=1e-10)
+        stretched = characteristic_effect(spec, CharacteristicIntervention(2.5 * iv.delta_theta))
+        np.testing.assert_allclose(stretched.delta_x, 2.5 * one.delta_x, atol=1e-10)
+        assert stretched.delta_aggregate == pytest.approx(2.5 * one.delta_aggregate, abs=1e-10)
 
 
 class TestStructuralValidation:
@@ -70,6 +71,14 @@ class TestStructuralValidation:
         with pytest.raises(InputError):
             StructuralIntervention(frozenset([(0, 1, 1), (0, 1, -1)]))
 
+    def test_negative_index_rejected(self):
+        # Read as range(n)[-1], index -1 would name the last node: on the
+        # path 0-1-2-3-4 this change priced and added link (2, 4).
+        net = Network.from_edges([(str(i), str(i + 1)) for i in range(4)])
+        with pytest.raises(InputError, match=r"^negative node index in \(-1,2\)$"):
+            iv = StructuralIntervention(frozenset({(-1, 2, 1)}))
+            sufficient_increase_check(certify(net, 0.2), iv)
+
     def test_legality_against_network(self):
         spec = small_spec()
         with pytest.raises(InputError):
@@ -82,10 +91,10 @@ class TestStructuralValidation:
         iv = StructuralIntervention.from_label_pairs(
             spec.network, add=[("1", "3")], remove=[("2", "4")]
         )
-        c = iv.as_matrix(4)
+        c = as_matrix(iv, 4)
         np.testing.assert_array_equal(c, c.T)
         assert c[0, 2] == 1 and c[1, 3] == -1
-        np.testing.assert_array_equal(iv.inverse().as_matrix(4), -c)
+        np.testing.assert_array_equal(as_matrix(inverse(iv), 4), -c)
         assert iv.support().labels(spec.network) == ("1", "2", "3", "4")
 
     def test_applied_to(self):
@@ -97,9 +106,9 @@ class TestStructuralValidation:
 
     def test_node_removal_cuts_every_incident_link(self):
         spec = small_spec()
-        iv = StructuralIntervention.node_removal(spec.network, ["2"])
+        iv = node_removal(spec.network, ["2"])
         post = iv.applied_to(spec.network)
-        assert post.degree(post.index_of("2")) == 0
+        assert degree(post, post.index_of("2")) == 0
         assert post.adjacency.sum() == 2 * 2  # edges 3-4 and 1-4 survive
 
 
@@ -120,7 +129,7 @@ class TestStructuralEffect:
         spec = small_spec()
         iv = StructuralIntervention.from_label_pairs(spec.network, remove=[("2", "4")])
         shift = equivalent_theta(spec, iv)
-        outside = [i for i in range(4) if i not in iv.support()]
+        outside = [i for i in range(4) if i not in iv.support().members]
         assert np.all(shift.delta_theta[outside] == 0.0)
         # feeding the shift back as a plain theta change reproduces the new equilibrium
         replay = characteristic_effect(spec, shift)
@@ -153,7 +162,7 @@ class TestStructuralEffect:
             spec = certify(net, delta, rng.uniform(0.5, 2.0, 7))
             forward = structural_effect(spec, iv)
             back = structural_effect(
-                certify(post_net, delta, spec.theta), iv.inverse()
+                certify(post_net, delta, spec.theta), inverse(iv)
             )
             np.testing.assert_allclose(forward.delta_x + back.delta_x, 0.0, atol=1e-9)
 

@@ -45,8 +45,7 @@ class TestIntercentrality:
         net = reg_spec.network
         s = NodeSet.of_labels(net, ["2", "7"])
         gs = intercentrality(reg_spec, s)
-        gs.check_definition(reg_spec)  # re-solves the shrunken game internally
-        keep = [i for i in range(net.n) if i not in s]
+        keep = [i for i in range(net.n) if i not in s.members]
         sub = net.adjacency[np.ix_(keep, keep)]
         residual = oracle_b(
             type(net)(tuple(net.labels[i] for i in keep), sub), reg_spec.delta
@@ -61,7 +60,9 @@ class TestIntercentrality:
         assert gs.direct_effect + gs.indirect_effect == pytest.approx(
             gs.intercentrality, abs=1e-12
         )
-        assert gs.direct_effect == pytest.approx(katz_bonacich(reg_spec).b[list(s)].sum(), abs=1e-12)
+        assert gs.direct_effect == pytest.approx(
+            katz_bonacich(reg_spec).b[list(s.members)].sum(), abs=1e-12
+        )
 
     def test_whole_network_removes_everything(self, reg_spec):
         s = NodeSet.of(range(10))
@@ -93,15 +94,11 @@ class TestExhaustive:
         values = [gs.intercentrality for gs in ranked]
         assert all(a >= b - 1e-12 for a, b in zip(values, values[1:]))
 
-    def test_worker_count_does_not_change_output(self, reg_spec):
-        one = key_group_exhaustive(reg_spec, 2, workers=1)
-        four = key_group_exhaustive(reg_spec, 2, workers=4)
-        assert [gs.group for gs in one] == [gs.group for gs in four]
-        np.testing.assert_allclose(
-            [gs.intercentrality for gs in one],
-            [gs.intercentrality for gs in four],
-            atol=0,
-        )
+    def test_workers_is_accepted_and_ignored(self, reg_spec):
+        ranked = key_group_exhaustive(reg_spec, 2)
+        for workers in (1, 2, 4):
+            assert key_group_exhaustive(reg_spec, 2, workers=workers) == ranked
+        assert key_group_exhaustive(reg_spec, 2, workers=2, top=3) == ranked[:3]
 
     def test_unit_theta_given_or_defaulted_scores_the_same_bits(self):
         rng = np.random.default_rng(13)
@@ -173,11 +170,6 @@ class TestTop:
         assert top[0].intercentrality > top[5].intercentrality + 0.5
         assert top == key_group_exhaustive(spec, 2)[:15]
 
-    def test_workers_is_still_accepted(self, reg_spec):
-        assert key_group_exhaustive(reg_spec, 2, workers=2, top=3) == key_group_exhaustive(
-            reg_spec, 2
-        )[:3]
-
     @pytest.mark.parametrize("t", [0, -1])
     def test_nonpositive_top_rejected(self, reg_spec, t):
         with pytest.raises(InputError, match="top must be positive"):
@@ -240,7 +232,8 @@ class TestMonotonicity:
             net = random_connected_graph(rng, n)
             spec = certify(net, safe_delta(rng, net))
             small = NodeSet.of(rng.permutation(n)[: int(rng.integers(1, n - 2))])
-            extra = [i for i in range(n) if i not in small][int(rng.integers(n - len(small)))]
+            outside = [i for i in range(n) if i not in small.members]
+            extra = outside[int(rng.integers(n - len(small)))]
             big = NodeSet.of(list(small.members) + [extra])
             assert (
                 intercentrality(spec, small).intercentrality
@@ -256,5 +249,5 @@ class TestMonotonicity:
             s = NodeSet.of(rng.permutation(n)[: int(rng.integers(1, n))])
             m = spec.influence()
             b = katz_bonacich(spec).b
-            v = np.linalg.solve(m[np.ix_(s.members, s.members)], b[list(s)])
+            v = np.linalg.solve(m[np.ix_(s.members, s.members)], b[list(s.members)])
             assert np.all(v >= -1e-12)

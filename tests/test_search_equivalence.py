@@ -215,7 +215,9 @@ def test_frontier_and_bridge_grid_match_the_pairwise_loops(net1, net2, data):
     assert front2 == frontier_by_definition(s2)
     ranked = rank_bridges(s1, s2)
     singles = [
-        bridge_index(s1, s2, net1.labels[i], net2.labels[j]) for i in front1 for j in front2
+        bridge_index(s1, s2, net1.labels[i], net2.labels[j])
+        for i in front1.members
+        for j in front2.members
     ]
     want = loop_ranked(
         singles,
@@ -302,5 +304,6 @@ def test_two_by_two_link_test_is_exact_at_one_part_per_million(net, data):
         assert within_bound(grown, delta) == fits
         spec = certify(net, delta)
         m = spec.influence()
-        assert links_certified(spec, m, rows, cols)[0] == fits
-        assert links_certified(spec, m, cols, rows)[0] == fits
+        loops, top = np.diag(m), m.max(axis=0)
+        for r, c in ((rows, cols), (cols, rows)):
+            assert links_certified(delta, spec.b_unit, loops, top, r, c, m[c, r])[0] == fits

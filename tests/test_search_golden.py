@@ -7,7 +7,7 @@ bytes in tests/data/search_golden.json, which were recorded from the
 per-subset, per-pair search code that the array searches replaced. To record
 them from another checkout:
 
-    PYTHONPATH=<checkout>/src python tests/test_search_golden.py [NAME ...]
+    PYTHONPATH=<checkout>/src python -m tests.test_search_golden [NAME ...]
 
 Named cases (such as potential_circ10_0.2.json) are re-recorded and every
 other recorded output is kept; with no names, all cases are recorded afresh.
@@ -24,6 +24,8 @@ import numpy as np
 import pytest
 
 from netsurgeon import Network, cli
+
+from .oracle import serialize
 
 GOLDEN = Path(__file__).parent / "data" / "search_golden.json"
 RECORDED = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
@@ -61,7 +63,7 @@ def cases(root) -> dict:
     path = {}
     for name, net in nets.items():
         path[name] = os.path.join(root, f"{name}.txt")
-        Path(path[name]).write_text(net.serialize())
+        Path(path[name]).write_text(serialize(net))
     theta = os.path.join(root, "er20.theta")
     values = rng.uniform(0.5, 2.0, 20)
     Path(theta).write_text("".join(f"{i + 1} {v!r}\n" for i, v in enumerate(values.tolist())))

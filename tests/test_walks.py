@@ -27,7 +27,7 @@ from netsurgeon import (
 from netsurgeon import graphs
 
 from .conftest import dense_inverse, dyad, path, random_connected_graph, random_graph, safe_delta
-from .walk_oracle import enumerate_avoiding_walks, truncation_tail_bound
+from .oracle import enumerate_avoiding_walks, truncation_tail_bound, walk_entry
 
 
 class TestWalkMatrix:
@@ -57,7 +57,7 @@ class TestWalkMatrix:
             keep = s.complement(n)
             wm = walk_matrix(spec, s)
             survivor = Network(
-                tuple(net.labels[i] for i in keep),
+                tuple(net.labels[i] for i in keep.members),
                 net.adjacency[np.ix_(keep.members, keep.members)].copy(),
             )
             np.testing.assert_allclose(
@@ -68,10 +68,10 @@ class TestWalkMatrix:
         spec = path(4, 0.2)
         s = NodeSet.of([1, 3])
         wm = walk_matrix(spec, s)
-        assert wm.entry(0, 2) == wm.kept_kept[0, 1]
-        assert wm.entry(0, 3) == wm.kept_excluded[0, 1]
-        assert wm.entry(1, 0) == wm.excluded_kept[0, 0]
-        assert wm.entry(3, 1) == wm.excluded_excluded[1, 0]
+        assert walk_entry(wm, 0, 2) == wm.kept_kept[0, 1]
+        assert walk_entry(wm, 0, 3) == wm.kept_excluded[0, 1]
+        assert walk_entry(wm, 1, 0) == wm.excluded_kept[0, 0]
+        assert walk_entry(wm, 3, 1) == wm.excluded_excluded[1, 0]
 
     def test_rejects_empty_and_full_exclusions(self):
         spec = path(4, 0.2)
@@ -480,7 +480,7 @@ class TestEnumeration:
                 prev = cur
             wm = walk_matrix(spec, s)
             tail = truncation_tail_bound(spec.delta, spec.lambda_max, 40)
-            assert abs(wm.entry(i, j) - prev) <= tail + 1e-12
+            assert abs(walk_entry(wm, i, j) - prev) <= tail + 1e-12
 
     def test_bounds_checked(self):
         net = path(3, 0.2).network

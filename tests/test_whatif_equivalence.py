@@ -42,6 +42,7 @@ from netsurgeon.graphs import certify_change, embed, spectral_radius, within_bou
 from netsurgeon.walks import CROSS_ROUTE_TOL
 
 from .conftest import eig_lambda_max
+from .oracle import as_matrix
 from .test_graphs import small_networks
 from .test_local_certificate import exact_equilibrium
 
@@ -102,11 +103,11 @@ def reference_avoidance_block(spec, a, b, block):
 
 def reference_equivalent_on(spec, iv, b_s):
     """dtheta*_S priced at b_s, the equilibrium on S, after the certificate."""
-    post = Network(spec.network.labels, spec.network.adjacency + iv.as_matrix(spec.n))
+    post = Network(spec.network.labels, spec.network.adjacency + as_matrix(iv, spec.n))
     if not within_bound(post, spec.delta):
         raise SpectralConditionError(spec.delta, spectral_radius(post))
     idx = list(iv.support().members)
-    c_ss = iv.as_matrix(spec.n)[np.ix_(idx, idx)]
+    c_ss = as_matrix(iv, spec.n)[np.ix_(idx, idx)]
     m_ss = spec.solve(np.eye(spec.n)[:, idx])[idx, :]
     y = np.linalg.solve(np.eye(len(idx)) - spec.delta * m_ss @ c_ss, b_s)
     return spec.delta * (c_ss @ y)
@@ -119,7 +120,7 @@ def local_condition_bound(spec, iv):
     influence matrix, and |M|_2 = 1 / (1 - delta lambda_max) for each game.
     """
     idx = list(iv.support().members)
-    reach = spec.delta * np.linalg.norm(iv.as_matrix(spec.n)[np.ix_(idx, idx)], 2)
+    reach = spec.delta * np.linalg.norm(as_matrix(iv, spec.n)[np.ix_(idx, idx)], 2)
     h_pre = 1.0 / (1.0 - spec.delta * eig_lambda_max(spec.network))
     h_post = 1.0 / (1.0 - spec.delta * eig_lambda_max(changed(spec.network, iv)))
     return (1.0 + reach * h_pre) * (1.0 + reach * h_post)
@@ -180,16 +181,6 @@ def loop_edges(net):
     return sorted(out, key=lambda e: (label_key(e[0]), label_key(e[1])))
 
 
-def loop_node_removal(net, labels):
-    drop = {net.index_of(lab) for lab in labels}
-    entries = set()
-    for i in range(net.n):
-        for j in range(i + 1, net.n):
-            if net.adjacency[i, j] and (i in drop or j in drop):
-                entries.add((i, j, -1))
-    return StructuralIntervention(frozenset(entries))
-
-
 # --------------------------------------------------------------------------
 # Inputs: seeded Erdos-Renyi and core-periphery games, and small graphs.
 
@@ -227,7 +218,7 @@ def random_change(rng, net, count):
 
 
 def changed(net, iv):
-    return Network(net.labels, net.adjacency + iv.as_matrix(net.n))
+    return Network(net.labels, net.adjacency + as_matrix(iv, net.n))
 
 
 def accepts(net, delta, entries):
@@ -427,11 +418,9 @@ def test_single_potential_link_matches_certify_of_the_grown_network(net, frac, d
 
 
 @settings(max_examples=60, deadline=None)
-@given(small_networks(max_nodes=12), st.data())
-def test_edges_and_node_removal_match_the_loops(net, data):
+@given(small_networks(max_nodes=12))
+def test_edges_match_the_loop(net):
     assert net.edges() == loop_edges(net)
-    labels = data.draw(st.lists(st.sampled_from(net.labels), max_size=4))
-    assert StructuralIntervention.node_removal(net, labels) == loop_node_removal(net, labels)
 
 
 def test_edges_keep_the_natural_label_order():
