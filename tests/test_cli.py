@@ -284,6 +284,14 @@ class TestKeyGroup:
         assert lines[0] == "rank,group,intercentrality,direct_effect,indirect_effect"
         assert lines[1].startswith("1,1 8,10.2083,")
 
+    def test_thread_cap_respected(self, reg_file, monkeypatch):
+        monkeypatch.setenv("NETSURGEON_THREADS", "2")
+        argv = ["key-group", "--graph", reg_file, "--delta", "0.2", "--k", "2"]
+        code, out, _ = invoke(argv)
+        assert code == 0
+        monkeypatch.setenv("NETSURGEON_THREADS", "1")
+        assert invoke(argv)[1] == out
+
     def test_thread_variable_is_ignored(self, reg_file, monkeypatch):
         argv = ["key-group", "--graph", reg_file, "--delta", "0.2", "--k", "2"]
         monkeypatch.delenv("NETSURGEON_THREADS", raising=False)

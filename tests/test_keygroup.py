@@ -94,11 +94,15 @@ class TestExhaustive:
         values = [gs.intercentrality for gs in ranked]
         assert all(a >= b - 1e-12 for a, b in zip(values, values[1:]))
 
-    def test_workers_is_accepted_and_ignored(self, reg_spec):
-        ranked = key_group_exhaustive(reg_spec, 2)
-        for workers in (1, 2, 4):
-            assert key_group_exhaustive(reg_spec, 2, workers=workers) == ranked
-        assert key_group_exhaustive(reg_spec, 2, workers=2, top=3) == ranked[:3]
+    def test_worker_count_does_not_change_output(self, reg_spec):
+        one = key_group_exhaustive(reg_spec, 2, workers=1)
+        four = key_group_exhaustive(reg_spec, 2, workers=4)
+        assert [gs.group for gs in one] == [gs.group for gs in four]
+        np.testing.assert_allclose(
+            [gs.intercentrality for gs in one],
+            [gs.intercentrality for gs in four],
+            atol=0,
+        )
 
     def test_unit_theta_given_or_defaulted_scores_the_same_bits(self):
         rng = np.random.default_rng(13)
@@ -169,6 +173,11 @@ class TestTop:
             assert groups == sorted(groups, key=lambda g: tuple(map(int, g)))
         assert top[0].intercentrality > top[5].intercentrality + 0.5
         assert top == key_group_exhaustive(spec, 2)[:15]
+
+    def test_workers_is_still_accepted(self, reg_spec):
+        assert key_group_exhaustive(reg_spec, 2, workers=2, top=3) == key_group_exhaustive(
+            reg_spec, 2
+        )[:3]
 
     @pytest.mark.parametrize("t", [0, -1])
     def test_nonpositive_top_rejected(self, reg_spec, t):
