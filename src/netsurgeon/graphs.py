@@ -47,8 +47,8 @@ ROW_SUM_BOUND = 1e8
 NEAR_TIE = 1e-9
 
 # Rows per step when an n x n matrix is worked on a strip at a time (packing
-# or zeroing a triangle of a LAPACK inverse, a walk check's residual); bounds
-# the temporaries to one strip of the matrix.
+# or zeroing a triangle of a LAPACK inverse, the residual of the held M or of
+# a walk check); bounds the temporaries to one strip of the matrix.
 STRIP = 256
 _STRICT_LOWER = np.tri(STRIP, k=-1, dtype=bool)
 
@@ -443,6 +443,34 @@ def zero_upper(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _inverse_residual(net: Network, delta: float, tri: np.ndarray, diag: np.ndarray) -> tuple:
+    """(max |(I - delta G) M - I| as evaluated, max |M|), NaN-preserving, for
+    the M whose strict lower triangle is tri's and whose diagonal is diag.
+
+    O(nnz(G) n): M a block of columns at a time, gathered from the triangle,
+    then one sparse product; the block and its product are half a strip each.
+    """
+    g, n, width = net.sparse_adjacency, net.n, STRIP // 2
+    residual, size = [0.0], [0.0]
+    for lo in range(0, n, width):
+        hi = min(lo + width, n)
+        at = np.arange(hi - lo)
+        cols = np.empty((n, hi - lo))  # M[:, lo:hi]
+        cols[:lo] = tri[lo:hi, :lo].T
+        square = tri[lo:hi, lo:hi]
+        cols[lo:hi] = np.where(_STRICT_LOWER[: hi - lo, : hi - lo], square, square.T)
+        cols[lo + at, at] = diag[lo:hi]
+        cols[hi:] = tri[hi:, lo:hi]
+        size.append(np.maximum(cols.max(), -cols.min()))
+        r = g @ cols
+        r *= -delta
+        r += cols
+        r[lo + at, at] -= 1.0
+        residual.append(np.maximum(r.max(), -r.min()))
+        del cols, r  # freed before the next block is gathered
+    return float(np.max(residual)), float(np.max(size))
+
+
 @dataclass(frozen=True)
 class NodeSet:
     """Sorted, duplicate-free internal node indices."""
@@ -501,7 +529,10 @@ class GameSpec:
       strict upper triangle in the factor array's, which no LAPACK routine
       reads with L, and its diagonal as a vector. influence() copies all of
       M out of that, O(n^2), and influence_rows and influence_less read
-      blocks of M from it.
+      blocks of M from it. Beside it the held M carries, once the first
+      walk query has asked for them, the largest entry of its evaluated
+      residual (I - delta G) M - I and its largest entry, O(nnz(G) n) for
+      both, from which walk queries bound their own residuals.
 
     The three routes round differently, so columns(idx)[idx], block(idx)
     and influence()[idx][:, idx] can differ in the last bit; each route
@@ -510,7 +541,8 @@ class GameSpec:
     was asked before. self_loops, the diagonal of M, comes from L^-1
     (dtrtri, about n^3/3 flops). It and the centralities b_unit (theta = 1)
     and b (this theta) are cached and read-only. lambda_max is computed on
-    first read. with_theta shares the factor, the held M and b_unit.
+    first read. with_theta shares the factor, the held M (with its
+    residual) and b_unit.
     """
 
     network: Network
@@ -594,7 +626,8 @@ class GameSpec:
     @cached_property
     def _held(self) -> list:
         # Empty until _held_inverse packs M into the factor array, then [M's
-        # diagonal]; one list shared with every with_theta spec.
+        # diagonal], then [M's diagonal, _held_residual()] once that has run;
+        # one list shared with every with_theta spec.
         return []
 
     def _held_inverse(self) -> tuple[np.ndarray, np.ndarray]:
@@ -616,6 +649,15 @@ class GameSpec:
             diagonal.flags.writeable = False
             self._held.append(diagonal)
         return low.T, self._held[0]
+
+    def _held_residual(self) -> tuple[float, float]:
+        """(max |(I - delta G) M - I| as evaluated, max |M|) over the held M,
+        NaN-preserving; computed by the first call (_inverse_residual) and
+        kept in _held."""
+        tri, diag = self._held_inverse()
+        if len(self._held) == 1:
+            self._held.append(_inverse_residual(self.network, self.delta, tri, diag))
+        return self._held[1]
 
     def influence(self) -> np.ndarray:
         """M = (I - delta G)^-1, exactly symmetric, in Fortran order; a fresh array each call.

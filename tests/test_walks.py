@@ -10,6 +10,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.linalg import cho_factor, cho_solve
 
 from netsurgeon import (
@@ -283,6 +285,149 @@ class TestWalkMatrixFootprint:
         spec.with_theta(np.full(n, 2.0)).influence()
         assert inverses == []
         assert factors == [(3, 3), (1, 1)]
+
+
+def _er_game(n, seed, fraction=0.5):
+    """An Erdos-Renyi game of mean degree 6 at the given fraction of its bound."""
+    rng = np.random.default_rng(seed)
+    a = np.triu(rng.random((n, n)) < 6.0 / (n - 1), 1)
+    net = Network(tuple(str(i + 1) for i in range(n)), (a | a.T).astype(float))
+    return certify(net, fraction / spectral_radius(net))
+
+
+class TestHeldResidual:
+    """The kept-kept check reads one residual of the held M per game."""
+
+    @pytest.mark.parametrize(
+        "game, excluded",
+        [
+            (lambda: _er_game(300, seed=1), [0]),
+            (lambda: _er_game(300, seed=1), [5, 150, 299]),
+            (lambda: _er_game(613, seed=2), list(range(10, 610, 60))),
+            (lambda: _core_periphery_game(300, seed=4), [0, 1]),
+            (lambda: _core_periphery_game(600, seed=5), [3, 100, 300]),
+        ],
+        ids=["er-one", "er-three", "er-ten", "core-hubs", "core-three"],
+    )
+    def test_half_bound_queries_never_form_the_kept_residual(self, monkeypatch, game, excluded):
+        spec = game()
+
+        def refuse(*args):
+            raise AssertionError("the kept-kept residual was formed")
+
+        monkeypatch.setattr(walks, "_direct_kept_residual", refuse)
+        walk_matrix(spec, NodeSet.of(excluded, spec.n))
+
+    def test_the_residual_is_computed_once_per_game(self, monkeypatch):
+        n = 200
+        spec = _core_periphery_game(n, seed=6)
+        calls = []
+        residual = graphs._inverse_residual
+
+        def counted(*args):
+            calls.append(args[0])
+            return residual(*args)
+
+        monkeypatch.setattr(graphs, "_inverse_residual", counted)
+        walk_matrix(spec, NodeSet.of([4, 9], n))
+        walk_matrix(spec, NodeSet.of([0, 50, 199], n))
+        weighted = spec.with_theta(np.full(n, 2.0))
+        walk_matrix(weighted, NodeSet.of([7], n))
+        assert calls == [spec.network]
+        assert weighted._held_residual() == spec._held_residual()
+        walk_matrix(certify(spec.network, spec.delta), NodeSet.of([7], n))
+        assert len(calls) == 2  # a new game holds its own M
+
+    def test_the_residual_allocates_about_one_strip(self):
+        n = 1000
+        spec = _core_periphery_game(n, seed=1)
+        spec.influence_rows([0])  # packs the held M
+        spec.network.sparse_adjacency  # built and kept by the network
+        tracemalloc.start()
+        try:
+            spec._held_residual()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * graphs.STRIP * n * 8
+
+    def test_a_row_sum_preserving_change_is_refused(self, monkeypatch):
+        # Invisible to an all-ones probe: the changed row's sum is unchanged.
+        n = 300
+        spec = _core_periphery_game(n, seed=3)
+
+        def shift(name, w):
+            if name == "kept-kept":
+                w[17, 0] += 1e-8
+                w[17, -1] -= 1e-8
+            return w
+
+        _checked_blocks(monkeypatch, shift)
+        with pytest.raises(InternalCheckError, match="on the kept-kept block by"):
+            walk_matrix(spec, NodeSet.of([4, 90, 200], n))
+
+
+def _longdouble_inverse(a):
+    """The inverse of a square array by Gauss-Jordan elimination with partial
+    pivoting in np.longdouble."""
+    k = len(a)
+    rows = np.hstack([a.astype(np.longdouble), np.eye(k, dtype=np.longdouble)])
+    for col in range(k):
+        pivot = col + int(np.argmax(np.abs(rows[col:, col])))
+        rows[[col, pivot]] = rows[[pivot, col]]
+        rows[col] /= rows[col, col]
+        others = np.arange(k) != col
+        rows[others] -= np.outer(rows[others, col], rows[col])
+    return rows[:, k:]
+
+
+@st.composite
+def _family_networks(draw):
+    """Small networks of one family: Erdos-Renyi, path, star, circulant,
+    two components, or Erdos-Renyi plus an isolated node."""
+    family = draw(st.sampled_from(["er", "path", "star", "circulant", "disconnected", "isolated"]))
+    n = draw(st.integers(4, 14))
+    a = np.zeros((n, n))
+    if family in ("er", "isolated"):
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        m = n - 1 if family == "isolated" else n
+        a[:m, :m] = np.triu(rng.random((m, m)) < draw(st.floats(0.2, 0.7)), 1)
+    elif family == "star":
+        a[0, 1:] = 1.0
+    else:
+        steps = (1, 2) if family == "circulant" else (1,)
+        links = [(i, i + d) for d in steps for i in range(n - d)]
+        if family == "circulant":
+            links += [(n - d + i, i) for d in steps for i in range(d)]
+        elif family == "disconnected":
+            links.remove((n // 2 - 1, n // 2))
+        for i, j in links:
+            a[min(i, j), max(i, j)] = 1.0
+    return Network(tuple(str(i + 1) for i in range(n)), np.maximum(a, a.T))
+
+
+class TestKeptBound:
+    """The kept-kept gap read off the held M's residual covers the error
+    against an extended-precision inverse of the deleted network's system."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(_family_networks(), st.floats(0.3, 0.999), st.data())
+    def test_reported_gap_covers_the_extended_precision_error(self, net, fraction, data):
+        lam = spectral_radius(net)
+        assume(lam > 0)
+        spec = certify(net, fraction / lam)
+        nodes = data.draw(st.permutations(range(net.n)))
+        s = NodeSet.of(nodes[: data.draw(st.integers(1, min(3, net.n - 1)))])
+        kept = list(s.complement(net.n).members)
+        for tol in (walks.CROSS_ROUTE_TOL, np.inf):  # the gate, and the bound alone
+            gaps = []
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(walks, "CROSS_ROUTE_TOL", tol)
+                mp.setattr(walks, "_require_agreement", lambda gap, what: gaps.append(gap))
+                wm = walk_matrix(spec, s)
+            system = np.eye(len(kept)) - spec.delta * net.adjacency[np.ix_(kept, kept)]
+            error = np.abs(wm.kept_kept - _longdouble_inverse(system)).max()
+            assert gaps[0] >= error, (tol, gaps[0], error)
 
 
 def _exact_walk_blocks(net, delta, s):
