@@ -50,14 +50,6 @@ class BridgeScore:
     index: float
     predicted_delta_aggregate: float
 
-    def to_json_dict(self) -> dict:
-        return {
-            "i": self.i,
-            "j": self.j,
-            "index": float(self.index),
-            "predicted_delta_aggregate": float(self.predicted_delta_aggregate),
-        }
-
 
 @dataclass(frozen=True)
 class LinkValue:
@@ -74,7 +66,8 @@ class RankedPairs(Sequence):
     """Scored label pairs, best first, held as arrays.
 
     Entry t pairs first[rows[t]] with second[cols[t]] at score values[t].
-    Compares equal to any sequence of the same entries.
+    Compares equal to any sequence of the same entries. Plain data: the
+    printed records and their field names are written in cli.py.
     """
 
     first: tuple[str, ...]
@@ -96,22 +89,9 @@ class RankedPairs(Sequence):
 
     __hash__ = None
 
-    def columns(self) -> dict[str, list]:
-        """The entries field by field, in the entries' field order: each
-        field's values as one list."""
-        return {
-            "i": list(map(self.first.__getitem__, self.rows.tolist())),
-            "j": list(map(self.second.__getitem__, self.cols.tolist())),
-            **self._scores(),
-        }
-
     @abstractmethod
     def _entry(self, i: str, j: str, t: int):
         """Entry t, on labels i and j."""
-
-    @abstractmethod
-    def _scores(self) -> dict[str, list]:
-        """The entries' fields after i and j, each as one list."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -128,9 +108,6 @@ class BridgeRanking(RankedPairs):
     def _entry(self, i: str, j: str, t: int) -> BridgeScore:
         return BridgeScore(i, j, float(self.values[t]), float(self.predicted[t]))
 
-    def _scores(self) -> dict[str, list]:
-        return {"index": self.values.tolist(), "predicted_delta_aggregate": self.predicted.tolist()}
-
 
 @dataclass(frozen=True, eq=False)
 class LinkRanking(RankedPairs):
@@ -140,9 +117,6 @@ class LinkRanking(RankedPairs):
 
     def _entry(self, i: str, j: str, t: int) -> LinkValue:
         return LinkValue(i, j, self.kind, float(self.values[t]))
-
-    def _scores(self) -> dict[str, list]:
-        return {"kind": [self.kind] * len(self), "value": self.values.tolist()}
 
 
 def joined_network(net1: Network, net2: Network, bridge: tuple[str, str] | None = None) -> Network:

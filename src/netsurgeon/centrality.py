@@ -25,14 +25,6 @@ class CentralityReport:
     self_loops: np.ndarray = field(repr=False)    # m_ii
     aggregate: float
 
-    def to_json_dict(self) -> dict:
-        return {
-            "labels": list(self.labels),
-            "b": self.b.tolist(),
-            "self_loops": self.self_loops.tolist(),
-            "aggregate": float(self.aggregate),
-        }
-
 
 def katz_bonacich(spec: GameSpec) -> CentralityReport:
     """Equilibrium actions, unweighted centralities, and self-loops m_ii."""

@@ -4,6 +4,10 @@ Subcommands: centrality, intervene, key-group, key-bridge, link-value,
 walks, extension, reproduce. Exit codes: 0 success, 1 bad input, 2 a
 violated internal identity. JSON output prints floats at 6 significant
 digits with fixed key order, so identical inputs give identical bytes.
+
+Only this module knows the output schema: it writes every JSON key and CSV
+header, and each command builds its CSV rows and its JSON payload from one
+tolist() of its result arrays. The library's result classes are plain data.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import extensions, reference
+from . import bridge, extensions, reference
 from .bridge import link_value_existing, link_value_potential, link_values, rank_bridges
 from .centrality import katz_bonacich
 from .graphs import (
@@ -301,15 +305,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_centrality(args, out) -> int:
     report = katz_bonacich(_spec_from(args))
+    labels, b, loops = list(report.labels), report.b.tolist(), report.self_loops.tolist()
     if args.format == "csv":
-        rows = [
-            (lab, float(report.b[i]), float(report.self_loops[i]))
-            for i, lab in enumerate(report.labels)
-        ]
-        rows.append(("aggregate", float(report.aggregate), ""))
+        rows = [*zip(labels, b, loops), ("aggregate", report.aggregate, "")]
         _emit_csv(("label", "b", "self_loop"), rows, out)
     else:
-        _emit_json(report.to_json_dict(), out)
+        payload = {"labels": labels, "b": b, "self_loops": loops, "aggregate": report.aggregate}
+        _emit_json(payload, out)
     return 0
 
 
@@ -337,20 +339,21 @@ def _cmd_intervene(args, out) -> int:
         effect = structural_effect(spec, structural)
     else:
         effect = hybrid_effect(spec, structural, characteristic)
+    labels, delta_x = list(effect.labels), effect.delta_x.tolist()
+    dtheta, post_b = effect.equivalent_delta_theta.tolist(), effect.post_b.tolist()
+    aggregate = effect.delta_aggregate
     if args.format == "csv":
-        rows = [
-            (
-                lab,
-                float(effect.delta_x[i]),
-                float(effect.equivalent_delta_theta[i]),
-                float(effect.post_b[i]),
-            )
-            for i, lab in enumerate(effect.labels)
-        ]
-        rows.append(("aggregate_change", float(effect.delta_aggregate), "", ""))
+        rows = [*zip(labels, delta_x, dtheta, post_b), ("aggregate_change", aggregate, "", "")]
         _emit_csv(("label", "delta_x", "equivalent_delta_theta", "post_b"), rows, out)
     else:
-        _emit_json(effect.to_json_dict(), out)
+        payload = {
+            "labels": labels,
+            "delta_x": delta_x,
+            "delta_aggregate": aggregate,
+            "equivalent_delta_theta": dtheta,
+            "post_b": post_b,
+        }
+        _emit_json(payload, out)
     return 0
 
 
@@ -362,41 +365,45 @@ def _cmd_key_group(args, out) -> int:
         results = [key_group_greedy(spec, args.k)]
     else:
         results = key_group_exhaustive(spec, args.k, top=args.top)
-    payload = {
-        "mode": args.mode,
-        "k": args.k,
-        "results": [gs.to_json_dict(spec.network) for gs in results],
+    fields = {
+        "group": [list(gs.group.labels(spec.network)) for gs in results],
+        "intercentrality": [gs.intercentrality for gs in results],
+        "direct_effect": [gs.direct_effect for gs in results],
+        "indirect_effect": [gs.indirect_effect for gs in results],
     }
     if args.format == "csv":
-        rows = [
-            (
-                rank + 1,
-                " ".join(gs.group.labels(spec.network)),
-                gs.intercentrality,
-                gs.direct_effect,
-                gs.indirect_effect,
-            )
-            for rank, gs in enumerate(results)
-        ]
-        _emit_csv(
-            ("rank", "group", "intercentrality", "direct_effect", "indirect_effect"), rows, out
-        )
+        records = enumerate(zip(*fields.values()), start=1)
+        rows = [(rank, " ".join(group), *scores) for rank, (group, *scores) in records]
+        _emit_csv(("rank", *fields), rows, out)
     else:
-        _emit_json(payload, out)
+        _emit_json({"mode": args.mode, "k": args.k, "results": _Columns(fields)}, out)
     return 0
+
+
+def _ranked_columns(ranked: bridge.RankedPairs) -> dict[str, list]:
+    """A ranking's entries field by field, in their field order: each
+    field's values as one list, the rows of key-bridge and link-value."""
+    values = ranked.values.tolist()
+    if isinstance(ranked, bridge.BridgeRanking):
+        scores = {"index": values, "predicted_delta_aggregate": ranked.predicted.tolist()}
+    else:
+        scores = {"kind": [ranked.kind] * len(values), "value": values}
+    return {
+        "i": list(map(ranked.first.__getitem__, ranked.rows.tolist())),
+        "j": list(map(ranked.second.__getitem__, ranked.cols.tolist())),
+        **scores,
+    }
 
 
 def _cmd_key_bridge(args, out) -> int:
     spec1 = certify(load_network(args.graph1), args.delta)
     spec2 = certify(load_network(args.graph2), args.delta)
-    ranked = rank_bridges(spec1, spec2)
-    candidates = ranked.columns()
+    candidates = _ranked_columns(rank_bridges(spec1, spec2))
     if args.format == "csv":
         _emit_csv(tuple(candidates), zip(*candidates.values()), out)
     else:
-        _emit_json(
-            {"winner": ranked[0].to_json_dict(), "candidates": _Columns(candidates)}, out
-        )
+        winner = {key: column[0] for key, column in candidates.items()}
+        _emit_json({"winner": winner, "candidates": _Columns(candidates)}, out)
     return 0
 
 
@@ -411,7 +418,7 @@ def _cmd_link_value(args, out) -> int:
         values = {"i": [lv.i], "j": [lv.j], "kind": [lv.kind], "value": [float(lv.value)]}
     else:
         ranked, skipped = link_values(spec, "potential" if args.all_potential else "existing")
-        values = ranked.columns()
+        values = _ranked_columns(ranked)
     if args.format == "csv":
         _emit_csv(tuple(values), zip(*values.values()), out)
     else:
@@ -514,7 +521,12 @@ def _cmd_extension(args, out) -> int:
 def _cmd_reproduce(args, out) -> int:
     report = reference.reproduce(args.table)
     if args.format == "json":
-        _emit_json(report.to_json_dict(), out)
+        cells = [
+            dict(table=c.table, row=c.row, quantity=c.quantity, expected=c.expected,
+                 actual=float(c.actual), tolerance=c.tolerance, ok=c.ok)
+            for c in report.cells
+        ]
+        _emit_json({"table": report.table, "ok": report.ok, "cells": cells}, out)
     else:
         width = max(len(c.row) for c in report.cells)
         out.write(f"table {report.table}\n")

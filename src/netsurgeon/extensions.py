@@ -25,6 +25,7 @@ from .graphs import (
     SpectralConditionError,
     certified_game,
     check_theta,
+    finite_equilibrium,
     is_positive_definite,
     spectral_radius,
 )
@@ -78,6 +79,8 @@ def certify_multi_activity(
     narrow = wide if weight == wide.delta else GameSpec(net, wide.theta, weight)
     ta = check_theta(theta_a, net.n, "theta_a")
     tb = check_theta(theta_b, net.n, "theta_b")
+    if not np.isfinite(float(np.abs(ta).max(initial=0.0)) + float(np.abs(tb).max(initial=0.0))):
+        raise InputError("theta_a and theta_b are too large: their sum overflows")
     games = (narrow, wide) if beta >= 0 else (wide, narrow)
     return MultiActivitySpec(net, ta, tb, float(delta), float(beta), games)
 
@@ -89,8 +92,8 @@ def multi_activity_equilibrium(spec: MultiActivitySpec) -> dict:
     differences at delta/(1-beta). Averaging recovers each activity.
     """
     sum_game, diff_game = spec.games
-    b_sum = sum_game.solve(spec.theta_a + spec.theta_b)
-    b_diff = diff_game.solve(spec.theta_a - spec.theta_b)
+    b_sum = finite_equilibrium(sum_game.solve(spec.theta_a + spec.theta_b))
+    b_diff = finite_equilibrium(diff_game.solve(spec.theta_a - spec.theta_b))
     half_sum = 0.5 * b_sum / (1.0 + spec.beta)
     half_diff = 0.5 * b_diff / (1.0 - spec.beta)
     return {"activity_a": half_sum + half_diff, "activity_b": half_sum - half_diff}
@@ -144,6 +147,9 @@ def certify_congestion(net: Network, delta: float, gamma: float, theta=None) -> 
     if theta is None:
         theta = np.ones(net.n)
     theta = check_theta(theta, net.n)
+    # The largest entry of G^2 is the largest degree.
+    if not np.isfinite(float(gamma) * int(np.diff(net.sparse_adjacency.indptr).max(initial=0))):
+        raise InputError(f"gamma {gamma:g} is too large: gamma G^2 overflows")
     spec = CongestionSpec(net, theta, float(delta), float(gamma))
     shifted = spec.system.copy()  # the test factors in place
     shifted[np.diag_indices(net.n)] -= PD_FLOOR
@@ -173,7 +179,7 @@ def congestion_equilibrium(spec: CongestionSpec) -> np.ndarray:
     that sum is below it, so a disagreement marks a fault, not rounding.
     """
     n = spec.network.n
-    x = cho_solve(cho_factor(spec.system, lower=True), spec.theta)
+    x = finite_equilibrium(cho_solve(cho_factor(spec.system, lower=True), spec.theta))
     disc = spec.delta * spec.delta - 4.0 * spec.gamma
     if disc > 0 and np.sqrt(disc) > ROOT_SPLIT_FLOOR:
         root = float(np.sqrt(disc))
@@ -211,10 +217,10 @@ def certify_global_substitution(net: Network, delta: float, phi: float) -> Globa
         raise InputError(f"global substitution weight must lie in [0, 1), got {phi:g}")
     if not 0 <= delta < np.inf:
         raise InputError(f"delta must be nonnegative and finite, got {delta:g}")
-    stretched = delta / (1.0 - phi)
-    game = _plain_game(net, stretched)
+    scale = 1.0 - phi
+    game = _plain_game(net, delta / scale)
     if game is None:
-        raise SpectralConditionError(stretched, spectral_radius(net))
+        raise SpectralConditionError(delta, spectral_radius(net) / scale)
     return GlobalSubstitutionSpec(net, float(delta), float(phi), game)
 
 

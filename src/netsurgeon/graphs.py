@@ -586,10 +586,11 @@ class GameSpec:
         """Weighted centralities (I - delta G)^-1 theta, the equilibrium; read-only.
 
         b_unit itself when theta is all ones: the same solve, with the same bits.
+        An equilibrium that overflows is refused as bad input.
         """
         if self.theta_is_ones():
             return self.b_unit
-        b = self.solve(self.theta)
+        b = finite_equilibrium(self.solve(self.theta))
         b.flags.writeable = False
         return b
 
@@ -738,6 +739,13 @@ def check_theta(theta, n: int, name: str = "theta") -> np.ndarray:
     out = theta.copy()
     out.flags.writeable = False
     return out
+
+
+def finite_equilibrium(x: np.ndarray) -> np.ndarray:
+    """x, an equilibrium solved from finite theta; refused if the solve overflowed."""
+    if not np.isfinite(x).all():
+        raise InputError("theta is too large: the equilibrium overflows")
+    return x
 
 
 def _row_sums_clear(b_unit: np.ndarray) -> bool:

@@ -132,15 +132,6 @@ class EffectReport:
     equivalent_delta_theta: np.ndarray = field(repr=False)
     post_b: np.ndarray = field(repr=False)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "labels": list(self.labels),
-            "delta_x": self.delta_x.tolist(),
-            "delta_aggregate": float(self.delta_aggregate),
-            "equivalent_delta_theta": self.equivalent_delta_theta.tolist(),
-            "post_b": self.post_b.tolist(),
-        }
-
 
 def _report(spec: GameSpec, shift: np.ndarray, s: NodeSet, delta_x: np.ndarray) -> EffectReport:
     """The report of the theta shift with support s and per-node effect delta_x.

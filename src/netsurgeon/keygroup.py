@@ -27,7 +27,6 @@ from .graphs import (
     GameSpec,
     InputError,
     InternalCheckError,
-    Network,
     NodeSet,
     rank_order,
 )
@@ -46,14 +45,6 @@ class GroupScore:
     intercentrality: float
     direct_effect: float
     indirect_effect: float
-
-    def to_json_dict(self, net: Network) -> dict:
-        return {
-            "group": list(self.group.labels(net)),
-            "intercentrality": float(self.intercentrality),
-            "direct_effect": float(self.direct_effect),
-            "indirect_effect": float(self.indirect_effect),
-        }
 
 
 def _score(m_ss, b_theta_s, b_unw_s) -> tuple[np.ndarray, np.ndarray]:

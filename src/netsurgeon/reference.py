@@ -119,17 +119,6 @@ class CellCheck:
     def ok(self) -> bool:
         return bool(abs(self.actual - self.expected) <= self.tolerance)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "table": self.table,
-            "row": self.row,
-            "quantity": self.quantity,
-            "expected": self.expected,
-            "actual": float(self.actual),
-            "tolerance": self.tolerance,
-            "ok": self.ok,
-        }
-
 
 @dataclass(frozen=True)
 class TableReport:
@@ -139,13 +128,6 @@ class TableReport:
     @property
     def ok(self) -> bool:
         return all(c.ok for c in self.cells)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "table": self.table,
-            "ok": self.ok,
-            "cells": [c.to_json_dict() for c in self.cells],
-        }
 
 
 def _regular10_spec(delta: float = 0.2) -> GameSpec:

@@ -72,9 +72,10 @@ def _direct_kept_residual(spec: GameSpec, keep: np.ndarray, w_cc, slack, reach) 
     return float(np.max(residual)) + slack * (reach * float(np.max(size)) + 1.0)
 
 
-def _deleted_network_gaps(spec: GameSpec, e: list, w_cc, w_cs, w_ss) -> tuple:
+def _deleted_network_gaps(spec: GameSpec, e: list, w_cc, w_cs, w_ss, m_cs) -> tuple:
     """Upper bounds on the kept-kept, kept-excluded and excluded-excluded
-    blocks' distances to the exact walk counts of the network without e.
+    blocks' distances to the exact walk counts of the network without e,
+    given m_cs = M_cs, the held M's kept-excluded block as walk_matrix read it.
 
     The exact blocks are A^-1, delta A^-1 G_cs and I + delta G_ss +
     delta G_cs^T (delta A^-1 G_cs), A = I - delta G_cc, so the first two
@@ -88,7 +89,7 @@ def _deleted_network_gaps(spec: GameSpec, e: list, w_cc, w_cs, w_ss) -> tuple:
     W_cc = fl(M_cc - fl(W_cs M_cs^T)) satisfies
     A W_cc - I = R_cc - R_cs M_cs^T - A E_gemm + A E_sub, so its max is
     bounded from the game's max |R| (GameSpec._held_residual, once per
-    game) and column maxima of the |e| columns, O(nnz(G) |e|). A probe
+    game) and column maxima of W_cs and M_cs, O(nnz(G) |e|). A probe
     A (W_cc P) - P on the two columns P = [1, (j + 1) / n_c], O(n_c^2),
     checks the block itself against the deleted network's equations; the
     larger of the two counts. Only when that bound fails is the residual
@@ -124,7 +125,7 @@ def _deleted_network_gaps(spec: GameSpec, e: list, w_cc, w_cs, w_ss) -> tuple:
 
     rho, m_size = spec._held_residual()
     rho += slack * (reach * m_size + 1.0)
-    m_cs_size = np.abs(spec.influence_rows(e)[:, keep]).max(axis=1)
+    m_cs_size = np.abs(m_cs).max(axis=0)
     update = float(cs_size @ m_cs_size)  # bounds |W_cs M_cs^T| entrywise
     gamma = k * _UNIT_ROUNDOFF / (1.0 - k * _UNIT_ROUNDOFF)
     cc_size = (1.0 + _UNIT_ROUNDOFF) * (m_size + (1.0 + gamma) * update)  # bounds |W_cc|
@@ -178,7 +179,7 @@ def walk_matrix(spec: GameSpec, s: NodeSet) -> WalkMatrix:
     w_sc = inv_ss @ m_cs.T
     w_cc = spec.influence_less(e, w_cs @ m_cs.T)
     w_ss = 2.0 * np.eye(len(e)) - inv_ss
-    gaps = _deleted_network_gaps(spec, e, w_cc, w_cs, w_ss)
+    gaps = _deleted_network_gaps(spec, e, w_cc, w_cs, w_ss, m_cs)
     for name, gap in zip(("kept-kept", "kept-excluded", "excluded-excluded"), gaps):
         what = f"walk counts miss the deleted network's equations on the {name} block"
         _require_agreement(gap, what)

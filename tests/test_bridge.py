@@ -391,5 +391,5 @@ def test_rankings_give_their_entries_field_by_field(star_and_hubs):
     for ranked in rankings:
         entries = [dataclasses.asdict(e) for e in ranked]
         assert len(entries) == len(ranked) > 0
-        assert ranked.columns() == {k: [e[k] for e in entries] for k in entries[0]}
+        assert cli._ranked_columns(ranked) == {k: [e[k] for e in entries] for k in entries[0]}
     assert rankings[0][-1] == list(rankings[0])[-1]

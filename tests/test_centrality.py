@@ -1,3 +1,6 @@
+import io
+import json
+
 import numpy as np
 import pytest
 
@@ -5,6 +8,7 @@ from netsurgeon import (
     Network,
     NodeSet,
     certify,
+    cli,
     katz_bonacich,
     spectral_radius,
 )
@@ -49,8 +53,12 @@ class TestClosedForms:
 
 
 class TestReportShape:
-    def test_json_dict_keys_and_rounding_are_stable(self):
-        d = katz_bonacich(dyad(0.25)).to_json_dict()
+    def test_json_dict_keys_and_rounding_are_stable(self, tmp_path):
+        graph = tmp_path / "dyad.txt"
+        graph.write_text("a b\n")
+        out = io.StringIO()
+        assert cli.run(["centrality", "--graph", str(graph), "--delta", "0.25"], out=out) == 0
+        d = json.loads(out.getvalue())
         assert list(d) == ["labels", "b", "self_loops", "aggregate"]
         assert d["labels"] == ["a", "b"]
 

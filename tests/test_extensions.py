@@ -271,7 +271,7 @@ class TestPlainGamesOnTheKernel:
         assert str(exc.value) == str(SpectralConditionError(0.5, lam / 0.6))
         with pytest.raises(SpectralConditionError) as exc:
             certify_global_substitution(net, 0.5, 0.4)
-        assert str(exc.value) == str(SpectralConditionError(0.5 / 0.6, lam))
+        assert str(exc.value) == str(SpectralConditionError(0.5, lam / 0.6))
 
     def test_an_overflowing_weight_is_refused_not_solved(self):
         # delta / (1 - |beta|) overflows; every G, even an edgeless one, is refused

@@ -243,3 +243,79 @@ class TestAdjacencyDtypes:
     def test_other_dtypes_are_input_errors(self):
         with pytest.raises(InputError):
             Network(("1", "2"), np.array([[None, 1], [1, None]]))
+
+
+def run_cli(argv):
+    out, err = io.StringIO(), io.StringIO()
+    code = cli.run(argv, out=out, err=err)
+    return code, out.getvalue(), err.getvalue()
+
+
+class TestOverflowIsRefused:
+    """Finite inputs whose arithmetic overflows on the way to an answer: exit
+    1 with one error line and nothing on stdout. The module's warning filter
+    turns any overflow warning into a failure."""
+
+    @pytest.fixture()
+    def kite(self, tmp_path):
+        # The 4-cycle a-b-c-d with the chord a-c, and a theta of 1e308 everywhere.
+        graph, huge = tmp_path / "kite.txt", tmp_path / "huge.txt"
+        graph.write_text("a b\nb c\nc d\nd a\na c\n")
+        huge.write_text("a 1e308\nb 1e308\nc 1e308\nd 1e308\n")
+        return ["--graph", str(graph)], str(huge)
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["extension", "--model", "congestion", "--delta", "0.1", "--gamma", "1e308"],
+             "gamma 1e+308 is too large: gamma G^2 overflows"),
+            (["extension", "--model", "multi", "--delta", "0.1", "--beta", "0.1",
+              "--theta", "HUGE", "--theta-b", "HUGE"],
+             "theta_a and theta_b are too large: their sum overflows"),
+            (["key-group", "--mode", "greedy", "--k", "2", "--delta", "0.3", "--theta", "HUGE"],
+             "theta is too large: the equilibrium overflows"),
+            # Printed Infinity, or warned and printed NaN, before the
+            # equilibria themselves were checked.
+            (["centrality", "--delta", "0.3", "--theta", "HUGE"],
+             "theta is too large: the equilibrium overflows"),
+            (["extension", "--model", "multi", "--delta", "0.3", "--beta", "0.1",
+              "--theta", "HUGE"],
+             "theta is too large: the equilibrium overflows"),
+            (["extension", "--model", "congestion", "--delta", "0.3", "--gamma", "0.01",
+              "--theta", "HUGE"],
+             "theta is too large: the equilibrium overflows"),
+        ],
+        ids=[
+            "congestion-gamma", "multi-theta-sum", "greedy-theta", "centrality-theta",
+            "multi-solve", "congestion-solve",
+        ],
+    )
+    def test_one_error_line(self, kite, argv, message):
+        graph, huge = kite
+        argv = [huge if a == "HUGE" else a for a in argv]
+        assert run_cli(argv + graph) == (1, "", f"error: {message}\n")
+
+    def test_global_substitution_words_the_given_delta(self, kite):
+        graph, _ = kite
+        argv = ["extension", "--model", "global", "--delta", "0.3", "--phi", "0.5"] + graph
+        message = "delta=0.3 with lambda_max=5.12311 requires delta < 0.195194"
+        assert run_cli(argv) == (1, "", f"error: spectral condition violated: {message}\n")
+
+
+def test_cli_input_errors_name_themselves(files):
+    path = ["--graph", files["path"], "--delta", "0.2"]
+    absent = files["absent"]
+    cases = {
+        f"--theta: cannot read {absent!r}: [Errno 2] No such file or directory: {absent!r}":
+            ["centrality", *path, "--theta", absent],
+        "--dtheta: expected LABEL=VALUE, got '2'": ["intervene", *path, "--dtheta", "2"],
+        "--dtheta: bad number 'x'": ["intervene", *path, "--dtheta", "2=x"],
+        "--exclude: no labels given": ["walks", *path, "--exclude", ","],
+        "--from: no labels given": ["walks", *path, "--from", ",", "--to", "1"],
+        "--gamma is required for the congestion model":
+            ["extension", "--model", "congestion", *path],
+        "--phi is required for the global-substitution model":
+            ["extension", "--model", "global", *path],
+    }
+    for message, argv in cases.items():
+        assert run_cli(argv) == (1, "", f"error: {message}\n"), argv

@@ -17,27 +17,27 @@ def test_every_export_resolves_and_star_imports():
 # The public members of each exported class: what netsurgeon's own classes
 # define, plus dataclass fields. A member added for tests alone shows here.
 PUBLIC_MEMBERS = {
-    "BridgeRanking": "cols columns delta first predicted rows second values",
-    "BridgeScore": "i index j predicted_delta_aggregate to_json_dict",
-    "CentralityReport": "aggregate b b_unweighted labels self_loops to_json_dict",
+    "BridgeRanking": "cols delta first predicted rows second values",
+    "BridgeScore": "i index j predicted_delta_aggregate",
+    "CentralityReport": "aggregate b b_unweighted labels self_loops",
     "CharacteristicIntervention": "delta_theta from_pairs support",
     "CongestionSpec": "delta gamma network smallest_eigenvalue system theta",
-    "EffectReport": "delta_aggregate delta_x equivalent_delta_theta labels post_b to_json_dict",
+    "EffectReport": "delta_aggregate delta_x equivalent_delta_theta labels post_b",
     "GameSpec": "b b_unit block columns delta influence influence_less influence_rows"
     " lambda_max n network self_loops solve theta theta_is_ones with_theta",
     "GlobalSubstitutionSpec": "delta game network phi",
     "GraphFormatError": "",
-    "GroupScore": "direct_effect group indirect_effect intercentrality to_json_dict",
+    "GroupScore": "direct_effect group indirect_effect intercentrality",
     "InputError": "",
     "InternalCheckError": "",
-    "LinkRanking": "cols columns first kind rows second values",
+    "LinkRanking": "cols first kind rows second values",
     "LinkValue": "i j kind value",
     "MultiActivitySpec": "beta delta games network theta_a theta_b",
     "NetsurgeonError": "",
     "Network": "adjacency edges from_edges has_link index index_of labels links n"
     " sparse_adjacency with_changes",
     "NodeSet": "complement labels members of of_labels",
-    "RankedPairs": "cols columns first rows second values",
+    "RankedPairs": "cols first rows second values",
     "SpectralConditionError": "",
     "StructuralIntervention": "applied_to check_legal entries from_label_pairs is_empty support",
     "WalkMatrix": "excluded excluded_excluded excluded_kept kept kept_excluded kept_kept",

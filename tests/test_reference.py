@@ -1,10 +1,14 @@
 """Frozen reference tables and the fixture-validation gate."""
 
+import io
+import json
+
 import pytest
 
 from netsurgeon import (
     InputError,
     TABLE_IDS,
+    cli,
     fixture_is_valid,
     load_fixture,
     reproduce,
@@ -49,7 +53,9 @@ def test_cell_check_boundary():
 
 
 def test_report_json_shape():
-    payload = reproduce(4).to_json_dict()
+    out = io.StringIO()
+    assert cli.run(["reproduce", "--table", "4", "--format", "json"], out=out) == 0
+    payload = json.loads(out.getvalue())
     assert payload["table"] == 4
     assert payload["ok"] is True
     cell = payload["cells"][0]

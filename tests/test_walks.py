@@ -137,9 +137,10 @@ def _checked_blocks(monkeypatch, change):
     before the check sees them."""
     check = walks._deleted_network_gaps
 
-    def changed(spec, e, w_cc, w_cs, w_ss):
+    def changed(spec, e, w_cc, w_cs, w_ss, m_cs):
         named = {"kept-kept": w_cc, "kept-excluded": w_cs, "excluded-excluded": w_ss}
-        return check(spec, e, *(change(name, block.copy()) for name, block in named.items()))
+        changed_blocks = (change(name, block.copy()) for name, block in named.items())
+        return check(spec, e, *changed_blocks, m_cs)
 
     monkeypatch.setattr(walks, "_deleted_network_gaps", changed)
 
@@ -337,6 +338,22 @@ class TestHeldResidual:
         assert weighted._held_residual() == spec._held_residual()
         walk_matrix(certify(spec.network, spec.delta), NodeSet.of([7], n))
         assert len(calls) == 2  # a new game holds its own M
+
+    def test_each_query_reads_the_held_rows_once(self, monkeypatch):
+        n = 200
+        spec = _core_periphery_game(n, seed=6)
+        calls = []
+        rows = graphs.GameSpec.influence_rows
+
+        def counted(self, members):
+            calls.append(list(members))
+            return rows(self, members)
+
+        monkeypatch.setattr(graphs.GameSpec, "influence_rows", counted)
+        for excluded in ([4], [0, 50, 199], [7, 8, 9, 120]):
+            calls.clear()
+            walk_matrix(spec, NodeSet.of(excluded, n))
+            assert calls == [excluded]
 
     def test_the_residual_allocates_about_one_strip(self):
         n = 1000
