@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graphs import GameSpec
+from .graphs import GameSpec, InputError
 
 
 @dataclass(frozen=True, eq=False)
@@ -27,6 +27,13 @@ class CentralityReport:
 
 
 def katz_bonacich(spec: GameSpec) -> CentralityReport:
-    """Equilibrium actions, unweighted centralities, and self-loops m_ii."""
+    """Equilibrium actions, unweighted centralities, and self-loops m_ii.
+
+    An aggregate that overflows is refused as bad input.
+    """
     b = spec.b.copy()
-    return CentralityReport(spec.network.labels, b, spec.b_unit, spec.self_loops, float(b.sum()))
+    with np.errstate(over="ignore"):
+        aggregate = float(b.sum())
+    if not np.isfinite(aggregate):
+        raise InputError("theta is too large: the aggregate overflows")
+    return CentralityReport(spec.network.labels, b, spec.b_unit, spec.self_loops, aggregate)

@@ -46,9 +46,9 @@ ROW_SUM_BOUND = 1e8
 # rule, so automorphic nodes rank identically despite rounding noise.
 NEAR_TIE = 1e-9
 
-# Rows per step when an n x n matrix is worked on a strip at a time (packing
-# or zeroing a triangle of a LAPACK inverse, the residual of the held M or of
-# a walk check); bounds the temporaries to one strip of the matrix.
+# Rows per step when an n x n matrix is worked on a strip at a time (packing,
+# zeroing or reading a triangle of a LAPACK inverse; a residual takes half as
+# many columns); bounds the temporaries to one strip of the matrix.
 STRIP = 256
 _STRICT_LOWER = np.tri(STRIP, k=-1, dtype=bool)
 
@@ -408,14 +408,6 @@ def certify_change(net: Network, weight: float, changes) -> None:
         raise SpectralConditionError(weight, spectral_radius(changed))
 
 
-def _kept_runs(members, n: int) -> tuple[list, list]:
-    """The runs [lo, hi) of indices below n outside the sorted members, and
-    where each run starts once members are dropped."""
-    edges = [-1, *members, n]
-    runs = [(lo + 1, hi) for lo, hi in zip(edges, edges[1:]) if hi > lo + 1]
-    return runs, np.cumsum([0] + [hi - lo for lo, hi in runs]).tolist()
-
-
 def _copy_strict_lower(dst: np.ndarray, src: np.ndarray) -> None:
     """dst's strict lower triangle := src's, strip by strip; the rest of dst is untouched.
 
@@ -443,31 +435,23 @@ def zero_upper(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _inverse_residual(net: Network, delta: float, tri: np.ndarray, diag: np.ndarray) -> tuple:
-    """(max |(I - delta G) M - I| as evaluated, max |M|), NaN-preserving, for
-    the M whose strict lower triangle is tri's and whose diagonal is diag.
-
-    O(nnz(G) n): M a block of columns at a time, gathered from the triangle,
-    then one sparse product; the block and its product are half a strip each.
-    """
-    g, n, width = net.sparse_adjacency, net.n, STRIP // 2
+def _inverse_residual(g, delta: float, columns) -> tuple:
+    """(max |(I - delta G) X - I| as evaluated, max |X|), NaN-preserving, for
+    G the CSR array g and the square X whose columns lo:hi columns(lo, hi)
+    returns in C order: O(nnz(G) n), half a strip of columns at a time, each
+    block and its product freed before the next block is made."""
+    n, width = g.shape[0], STRIP // 2
     residual, size = [0.0], [0.0]
     for lo in range(0, n, width):
-        hi = min(lo + width, n)
-        at = np.arange(hi - lo)
-        cols = np.empty((n, hi - lo))  # M[:, lo:hi]
-        cols[:lo] = tri[lo:hi, :lo].T
-        square = tri[lo:hi, lo:hi]
-        cols[lo:hi] = np.where(_STRICT_LOWER[: hi - lo, : hi - lo], square, square.T)
-        cols[lo + at, at] = diag[lo:hi]
-        cols[hi:] = tri[hi:, lo:hi]
+        cols = columns(lo, min(lo + width, n))
+        at = np.arange(cols.shape[1])
         size.append(np.maximum(cols.max(), -cols.min()))
         r = g @ cols
         r *= -delta
         r += cols
         r[lo + at, at] -= 1.0
         residual.append(np.maximum(r.max(), -r.min()))
-        del cols, r  # freed before the next block is gathered
+        del cols, r
     return float(np.max(residual)), float(np.max(size))
 
 
@@ -527,12 +511,12 @@ class GameSpec:
       influence_less to run on a game inverts the factor by LAPACK dpotri,
       about 2n^3/3 flops, and keeps M in space the factor already owns: M's
       strict upper triangle in the factor array's, which no LAPACK routine
-      reads with L, and its diagonal as a vector. influence() copies all of
-      M out of that, O(n^2), and influence_rows and influence_less read
-      blocks of M from it. Beside it the held M carries, once the first
-      walk query has asked for them, the largest entry of its evaluated
-      residual (I - delta G) M - I and its largest entry, O(nnz(G) n) for
-      both, from which walk queries bound their own residuals.
+      reads with L, and its diagonal as a vector. influence() (all of M,
+      O(n^2)), influence_rows and influence_less read M from there through
+      one reader. Beside it the held M carries, once the first walk query
+      has asked for them, the largest entry of its evaluated residual
+      (I - delta G) M - I and its largest entry, O(nnz(G) n) for both,
+      from which walk queries bound their own residuals.
 
     The three routes round differently, so columns(idx)[idx], block(idx)
     and influence()[idx][:, idx] can differ in the last bit; each route
@@ -651,13 +635,47 @@ class GameSpec:
             self._held.append(diagonal)
         return low.T, self._held[0]
 
+    def _held_less(self, row_runs, col_runs, dst: np.ndarray) -> np.ndarray:
+        """M[rows][:, cols] - dst, written over dst and returned, for rows and
+        columns given as runs [lo, hi), each row run inside one column run or
+        clear of them all. The one reader of the held M: it subtracts straight
+        from the packed triangle, a whole block where a row run and a column
+        run are apart, else a strip of rows at a time across the diagonal."""
+        tri, diag = self._held_inverse()
+        r = 0
+        for r0, r1 in row_runs:
+            c = 0
+            for c0, c1 in col_runs:
+                block = dst[r : r + r1 - r0, c : c + c1 - c0]
+                c += c1 - c0
+                if r0 >= c1 or r1 <= c0:
+                    src = tri[r0:r1, c0:c1] if r0 > c0 else tri[c0:c1, r0:r1].T
+                    np.subtract(src, block, out=block)
+                    continue
+                for lo in range(r0, r1, STRIP):
+                    hi = min(lo + STRIP, r1)
+                    strip = block[lo - r0 : hi - r0]
+                    left, mid = strip[:, : lo - c0], strip[:, lo - c0 : hi - c0]
+                    right = strip[:, hi - c0 :]
+                    np.subtract(tri[lo:hi, c0:lo], left, out=left)
+                    square = tri[lo:hi, lo:hi]
+                    square = np.where(_STRICT_LOWER[: hi - lo, : hi - lo], square, square.T)
+                    square[np.diag_indices(hi - lo)] = diag[lo:hi]
+                    np.subtract(square, mid, out=mid)
+                    np.subtract(tri[hi:c1, lo:hi].T, right, out=right)
+            r += r1 - r0
+        return dst
+
     def _held_residual(self) -> tuple[float, float]:
         """(max |(I - delta G) M - I| as evaluated, max |M|) over the held M,
-        NaN-preserving; computed by the first call (_inverse_residual) and
-        kept in _held."""
-        tri, diag = self._held_inverse()
+        NaN-preserving; computed by the first call and kept in _held."""
+        self._held_inverse()
         if len(self._held) == 1:
-            self._held.append(_inverse_residual(self.network, self.delta, tri, diag))
+            n = self.n  # M[:, lo:hi] is read as M[lo:hi] (held exactly symmetric), transposed
+            self._held.append(_inverse_residual(
+                self.network.sparse_adjacency, self.delta,
+                lambda lo, hi: self._held_less([(lo, hi)], [(0, n)], np.zeros((n, hi - lo)).T).T,
+            ))
         return self._held[1]
 
     def influence(self) -> np.ndarray:
@@ -670,14 +688,9 @@ class GameSpec:
 
     def influence_rows(self, members) -> np.ndarray:
         """The rows of M at the sorted indices members, a new C-order array
-        read from the held M with no LAPACK call."""
-        tri, diag = self._held_inverse()
-        rows = np.empty((len(members), self.n))
-        for row, i in zip(rows, members):
-            row[:i] = tri[i, :i]
-            row[i] = diag[i]
-            row[i + 1 :] = tri[i + 1 :, i]
-        return rows
+        read from the held M, as M - 0, with no LAPACK call."""
+        rows = [(i, i + 1) for i in members]
+        return self._held_less(rows, [(0, self.n)], np.zeros((len(members), self.n)))
 
     def influence_less(self, members, update: np.ndarray) -> np.ndarray:
         """M without the rows and columns at the sorted indices members, less
@@ -685,25 +698,9 @@ class GameSpec:
         gathering that block of the held M and subtracting, block by block
         over the runs of kept nodes, with no second array of update's size.
         """
-        tri, diag = self._held_inverse()
-        runs, at = _kept_runs(members, self.n)
-        for (r0, r1), r in zip(runs, at):
-            for (c0, c1), c in zip(runs, at):
-                if r0 != c0:
-                    dst = update[r : r + r1 - r0, c : c + c1 - c0]
-                    np.subtract(tri[r0:r1, c0:c1] if r0 > c0 else tri[c0:c1, r0:r1].T, dst, out=dst)
-            # The run's own square block straddles the diagonal: a strip of rows at a time.
-            for lo in range(r0, r1, STRIP):
-                hi = min(lo + STRIP, r1)
-                dst = update[r + lo - r0 : r + hi - r0, r : r + r1 - r0]
-                left, mid, right = dst[:, : lo - r0], dst[:, lo - r0 : hi - r0], dst[:, hi - r0 :]
-                np.subtract(tri[lo:hi, r0:lo], left, out=left)
-                square = tri[lo:hi, lo:hi]
-                square = np.where(_STRICT_LOWER[: hi - lo, : hi - lo], square, square.T)
-                square[np.diag_indices(hi - lo)] = diag[lo:hi]
-                np.subtract(square, mid, out=mid)
-                np.subtract(tri[hi:r1, lo:hi].T, right, out=right)
-        return update
+        edges = [-1, *members, self.n]
+        runs = [(lo + 1, hi) for lo, hi in zip(edges, edges[1:]) if hi > lo + 1]
+        return self._held_less(runs, runs, update)
 
     @cached_property
     def self_loops(self) -> np.ndarray:

@@ -133,6 +133,18 @@ class EffectReport:
     post_b: np.ndarray = field(repr=False)
 
 
+def _finite_report(spec: GameSpec, delta_x, delta_aggregate, shift, post_b) -> EffectReport:
+    """The report, refused as bad input if any of its numbers overflowed;
+    the effects run with numpy's overflow warnings off and are checked here."""
+    named = (("change in play", delta_x), ("aggregate change", delta_aggregate),
+             ("equivalent theta shift", shift), ("post-intervention equilibrium", post_b))
+    for what, x in named:
+        if not np.isfinite(x).all():
+            raise InputError(f"the intervention's {what} overflows")
+    return EffectReport(spec.network.labels, delta_x, delta_aggregate, shift, post_b)
+
+
+@np.errstate(over="ignore", invalid="ignore")  # what overflows is refused
 def _report(spec: GameSpec, shift: np.ndarray, s: NodeSet, delta_x: np.ndarray) -> EffectReport:
     """The report of the theta shift with support s and per-node effect delta_x.
 
@@ -141,7 +153,7 @@ def _report(spec: GameSpec, shift: np.ndarray, s: NodeSet, delta_x: np.ndarray) 
     """
     members = list(s.members)
     delta_aggregate = float(spec.b_unit[members] @ shift[members])
-    return EffectReport(spec.network.labels, delta_x, delta_aggregate, shift, spec.b + delta_x)
+    return _finite_report(spec, delta_x, delta_aggregate, shift, spec.b + delta_x)
 
 
 def characteristic_effect(spec: GameSpec, iv: CharacteristicIntervention) -> EffectReport:
@@ -157,6 +169,7 @@ def characteristic_effect(spec: GameSpec, iv: CharacteristicIntervention) -> Eff
     return _report(spec, dtheta.copy(), s, spec.solve(dtheta))
 
 
+@np.errstate(over="ignore", invalid="ignore")  # what overflows is refused
 def _equivalent_on(spec: GameSpec, iv: StructuralIntervention, dv=None):
     """dtheta*_S for iv in the game with characteristics theta + dv, dv None
     for a structural change.
@@ -185,14 +198,19 @@ def _equivalent_on(spec: GameSpec, iv: StructuralIntervention, dv=None):
     m_ss = cols[idx, :]
     b_s = spec.b[idx] if dv is None else spec.b[idx] + solved[idx, k]
     system = np.eye(k) - spec.delta * m_ss @ c_ss
+    post = None
     if np.finfo(float).eps * np.linalg.cond(system) <= LOCAL_ROUNDING_TOL:
-        return spec.delta * (c_ss @ np.linalg.solve(system, b_s)), solved, None
-    # Certified above, so the changed game has a Cholesky factor.
-    theta = spec.theta if dv is None else spec.theta + dv
-    post = GameSpec(iv.applied_to(spec.network), theta, spec.delta).b
-    return spec.delta * (c_ss @ post[idx]), solved, post
+        values = spec.delta * (c_ss @ np.linalg.solve(system, b_s))
+    else:  # certified above, so the changed game has a Cholesky factor
+        theta = spec.theta if dv is None else spec.theta + dv
+        post = GameSpec(iv.applied_to(spec.network), theta, spec.delta).b
+        values = spec.delta * (c_ss @ post[idx])
+    if not np.isfinite(values).all():
+        raise InputError("the intervention's equivalent theta shift overflows")
+    return values, solved, post
 
 
+@np.errstate(over="ignore", invalid="ignore")  # what overflows is refused
 def _effect(spec: GameSpec, iv: StructuralIntervention, dv=None) -> EffectReport:
     """The report of iv after the theta shift dv (None for a structural
     change), read through the columns the local system solved, or from the
@@ -203,7 +221,7 @@ def _effect(spec: GameSpec, iv: StructuralIntervention, dv=None) -> EffectReport
         shift = dv + shift
     if post is not None:
         delta_x = post - spec.b
-        return EffectReport(spec.network.labels, delta_x, float(delta_x.sum()), shift, post)
+        return _finite_report(spec, delta_x, float(delta_x.sum()), shift, post)
     s = NodeSet.of(np.flatnonzero(shift))
     if len(s) == 0:
         return characteristic_effect(spec, CharacteristicIntervention(shift))

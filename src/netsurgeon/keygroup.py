@@ -78,24 +78,25 @@ def intercentrality(spec: GameSpec, s: NodeSet) -> GroupScore:
 
 
 def key_group_exhaustive(
-    spec: GameSpec, k: int, cap: int = ENUMERATION_CAP, workers: int = 1, top: int | None = None
+    spec: GameSpec, k: int, workers: int = 1, top: int | None = None
 ) -> list[GroupScore]:
     """Score and rank every size-k subset; the best `top` of them, best first.
 
     Larger groups always score higher than their subsets, so only subsets of
     size exactly k are candidates for the size-at-most-k optimum. Every
     subset is scored and ranked whatever `top` is; only the returned ones
-    become GroupScore objects, and top=None returns the full ranking.
-    `workers` is accepted and ignored: the search runs in one thread.
+    become GroupScore objects, and top=None returns the full ranking. More
+    than ENUMERATION_CAP subsets are refused. `workers` is accepted and
+    ignored: the search runs in one thread.
     """
     if not 1 <= k <= spec.n:
         raise InputError(f"k must be between 1 and {spec.n}, got {k}")
     if top is not None and top < 1:
         raise InputError(f"top must be positive, got {top}")
     count = math.comb(spec.n, k)
-    if count > cap:
+    if count > ENUMERATION_CAP:
         raise InputError(
-            f"{count} subsets exceed the enumeration cap ({cap}); use the greedy mode"
+            f"{count} subsets exceed the enumeration cap ({ENUMERATION_CAP}); use the greedy mode"
         )
     b_theta, b_unw = spec.b, spec.b_unit
     m_full = spec.influence()

@@ -3,8 +3,9 @@
 Entry (i, j) of the walk matrix totals delta^length over all i-to-j walks
 whose interior nodes avoid the excluded set; endpoints are exempt, so walks
 may start or end inside it. Closed forms fall out of block inversion of the
-influence matrix; the walk matrix gathers its blocks from the M its game
-holds, one inverse per game. Every operation here checks its result and
+influence matrix; the walk matrix reads its blocks straight from the M its
+game holds (GameSpec.influence_rows and influence_less, one reader over runs
+of nodes), one inverse per game. Every operation here checks its result and
 refuses to return if the check fails: the walk matrix against the equations
 of the network with the excluded set deleted, whose residuals times
 max(b_unit) bound each block's distance to the exact answer (walks that
@@ -14,7 +15,8 @@ other end, from the block of the influence matrix on a and b (GameSpec.block:
 one forward triangular solve and its Gram). The kept-kept residual is bounded
 from the residual of the held M itself, O(nnz(G) n) once per game, so a
 walk query costs O(n^2 |S|) for its answer and O(nnz(G) |S| + n_c^2) for
-its check, n_c the number of kept nodes.
+its check, n_c the number of kept nodes. The loop that forms that residual
+also forms the kept-kept one when its bound fails.
 
 The walk matrix also reads the intercentrality of S (keygroup): its direct
 part is the members' own play b[S], and its indirect part is the play of
@@ -28,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from .graphs import STRIP, GameSpec, InputError, InternalCheckError, NodeSet
+from .graphs import GameSpec, InputError, InternalCheckError, NodeSet, _inverse_residual
 
 CROSS_ROUTE_TOL = 1e-9
 
@@ -54,22 +56,13 @@ class WalkMatrix:
 
 
 def _direct_kept_residual(spec: GameSpec, keep: np.ndarray, w_cc, slack, reach) -> float:
-    """max |A W_cc - I| plus the rounding its evaluation can make, formed a
-    strip of rows at a time through the sparse adjacency, O(nnz(G) n_c)."""
-    delta = spec.delta
+    """max |A W_cc - I| plus the rounding its evaluation can make, formed from
+    column blocks of W_cc through the sparse adjacency, O(nnz(G) n_c)."""
     g_cc = spec.network.sparse_adjacency[keep][:, keep]
-    residual, size = [], []
-    for lo in range(0, len(w_cc), STRIP):
-        strip = w_cc[lo : lo + STRIP]
-        r = g_cc[lo : lo + STRIP] @ w_cc
-        r *= -delta
-        r += strip
-        at = np.arange(len(r))
-        r[at, lo + at] -= 1.0
-        residual.append(np.abs(r, out=r).max())
-        del r  # freed before the next strip's product is made
-        size.append(np.maximum(strip.max(), -strip.min()))  # max |strip|, NaN-preserving
-    return float(np.max(residual)) + slack * (reach * float(np.max(size)) + 1.0)
+    residual, size = _inverse_residual(
+        g_cc, spec.delta, lambda lo, hi: np.ascontiguousarray(w_cc[:, lo:hi])
+    )
+    return residual + slack * (reach * size + 1.0)
 
 
 def _deleted_network_gaps(spec: GameSpec, e: list, w_cc, w_cs, w_ss, m_cs) -> tuple:
@@ -157,7 +150,7 @@ def walk_matrix(spec: GameSpec, s: NodeSet) -> WalkMatrix:
     the held M's own residual, computed by the game's first walk query,
     O(nnz(G) n), and from the |s| columns, O(nnz(G) |s| + n_c^2) a query;
     only when that bound fails is it formed through the sparse adjacency,
-    O(nnz(G) n), a strip of rows at a time (_deleted_network_gaps).
+    O(nnz(G) n), half a strip of columns at a time (_deleted_network_gaps).
     """
     if len(s) == 0 or len(s) >= spec.n:
         raise InputError("excluded set must be a nonempty proper subset of the nodes")

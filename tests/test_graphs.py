@@ -20,7 +20,7 @@ from netsurgeon import (
     parse_edge_list,
     spectral_radius,
 )
-from netsurgeon.graphs import embed
+from netsurgeon.graphs import _inverse_residual, embed
 
 from .conftest import dense_inverse, eig_lambda_max, random_graph
 from .oracle import as_matrix, degree, serialize
@@ -322,12 +322,26 @@ class TestHeldInverse:
             m[:] = np.nan
         assert np.array_equal(spec.influence(), want)
 
-    @pytest.mark.parametrize("members", [[0], [299], [0, 1, 2, 150, 299], list(range(5, 285, 7))])
-    def test_blocks_are_gathered_from_the_held_inverse(self, members):
-        spec = _sparse_game(300, seed=6)
+    # Members on the edges of the strips the held M is read in (0, 255, 256,
+    # 511, 512, n - 1), alone and together, and kept runs across strips.
+    @pytest.mark.parametrize(
+        "n, members",
+        [
+            (300, [0]), (300, [299]), (300, [0, 1, 2, 150, 299]), (300, list(range(5, 285, 7))),
+            (257, [0, 255, 256]), (257, [255]), (257, [256]),
+            (613, [0, 255, 256, 511, 512, 612]), (613, [0, 612]), (613, [256, 511]),
+            (613, [255, 512]),
+        ],
+        ids=[
+            "members0", "members1", "members2", "members3", "257-edges", "257-255", "257-last",
+            "613-edges", "613-ends", "613-256-511", "613-255-512",
+        ],
+    )
+    def test_blocks_are_gathered_from_the_held_inverse(self, n, members):
+        spec = _sparse_game(n, seed=6)
         rows = spec.influence_rows(members)  # made without an earlier influence() call
         want = _dpotri_inverse(spec)
-        kept = [i for i in range(300) if i not in members]
+        kept = [i for i in range(n) if i not in members]
         update = np.random.default_rng(len(members)).random((len(kept), len(kept)))
         want_less = want[np.ix_(kept, kept)] - update
         less = spec.influence_less(members, update)
@@ -337,6 +351,9 @@ class TestHeldInverse:
         assert rows.flags.c_contiguous
         zeros = np.zeros((len(kept), len(kept)))
         assert np.array_equal(spec.influence_less(members, zeros), want[np.ix_(kept, kept)])
+        # The residual reads M's columns from the held M with the same bits.
+        g, columns = spec.network.sparse_adjacency, lambda lo, hi: want[:, lo:hi].copy()
+        assert spec._held_residual() == _inverse_residual(g, spec.delta, columns)
         assert not spec._factor[0].flags.writeable
 
 

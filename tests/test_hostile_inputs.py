@@ -26,9 +26,6 @@ from netsurgeon import (
     walk_matrix,
 )
 
-# A warning here marks arithmetic that overflowed on the way to an answer.
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
 GRAPHS = {
     "path": "1 2\n2 3\n3 4\n",
     "other": "x y\ny z\n",
@@ -253,16 +250,18 @@ def run_cli(argv):
 
 class TestOverflowIsRefused:
     """Finite inputs whose arithmetic overflows on the way to an answer: exit
-    1 with one error line and nothing on stdout. The module's warning filter
+    1 with one error line and nothing on stdout. The suite's warning filter
     turns any overflow warning into a failure."""
 
     @pytest.fixture()
     def kite(self, tmp_path):
-        # The 4-cycle a-b-c-d with the chord a-c, and a theta of 1e308 everywhere.
-        graph, huge = tmp_path / "kite.txt", tmp_path / "huge.txt"
+        # The 4-cycle a-b-c-d with the chord a-c, and thetas of 1e308 and
+        # 3e307 everywhere; at delta 0.3 the second has a finite equilibrium.
+        graph, huge, large = (tmp_path / name for name in ("kite.txt", "huge.txt", "large.txt"))
         graph.write_text("a b\nb c\nc d\nd a\na c\n")
         huge.write_text("a 1e308\nb 1e308\nc 1e308\nd 1e308\n")
-        return ["--graph", str(graph)], str(huge)
+        large.write_text("a 3e307\nb 3e307\nc 3e307\nd 3e307\n")
+        return ["--graph", str(graph)], {"HUGE": str(huge), "LARGE": str(large)}
 
     @pytest.mark.parametrize(
         "argv, message",
@@ -284,15 +283,25 @@ class TestOverflowIsRefused:
             (["extension", "--model", "congestion", "--delta", "0.3", "--gamma", "0.01",
               "--theta", "HUGE"],
              "theta is too large: the equilibrium overflows"),
+            # Printed Infinity or NaN, with a warning, from a finite equilibrium.
+            (["intervene", "--delta", "0.3", "--dtheta", "a=1e308"],
+             "the intervention's change in play overflows"),
+            (["intervene", "--delta", "0.3", "--dtheta", "a=1e308", "--add", "b,d"],
+             "the intervention's equivalent theta shift overflows"),
+            (["intervene", "--delta", "0.3", "--theta", "LARGE", "--add", "b,d"],
+             "the intervention's equivalent theta shift overflows"),
+            (["centrality", "--delta", "0.3", "--theta", "LARGE"],
+             "theta is too large: the aggregate overflows"),
         ],
         ids=[
             "congestion-gamma", "multi-theta-sum", "greedy-theta", "centrality-theta",
-            "multi-solve", "congestion-solve",
+            "multi-solve", "congestion-solve", "dtheta-report", "hybrid-local-solve",
+            "structural-local-solve", "centrality-aggregate",
         ],
     )
     def test_one_error_line(self, kite, argv, message):
-        graph, huge = kite
-        argv = [huge if a == "HUGE" else a for a in argv]
+        graph, thetas = kite
+        argv = [thetas.get(a, a) for a in argv]
         assert run_cli(argv + graph) == (1, "", f"error: {message}\n")
 
     def test_global_substitution_words_the_given_delta(self, kite):

@@ -15,7 +15,7 @@ from netsurgeon import (
     key_group_greedy,
     spectral_radius,
 )
-from netsurgeon import graphs
+from netsurgeon import graphs, keygroup
 
 from .conftest import oracle_b, random_connected_graph, random_graph, safe_delta
 
@@ -118,9 +118,10 @@ class TestExhaustive:
                 (g.group, g.intercentrality, g.direct_effect) for g in ranked[1]
             ]
 
-    def test_enumeration_cap(self, reg_spec):
+    def test_enumeration_cap(self, reg_spec, monkeypatch):
+        monkeypatch.setattr(keygroup, "ENUMERATION_CAP", 100)
         with pytest.raises(InputError, match="greedy"):
-            key_group_exhaustive(reg_spec, 5, cap=100)
+            key_group_exhaustive(reg_spec, 5)
 
     def test_bad_k(self, reg_spec):
         with pytest.raises(InputError):
