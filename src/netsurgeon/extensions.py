@@ -22,12 +22,12 @@ from .graphs import (
     InputError,
     InternalCheckError,
     Network,
-    SpectralConditionError,
+    _lambda_enclosure,
     certified_game,
     check_theta,
     finite_equilibrium,
     is_positive_definite,
-    spectral_radius,
+    spectral_refusal,
 )
 
 PD_FLOOR = 1e-9
@@ -73,7 +73,7 @@ def certify_multi_activity(
     scale = 1.0 - abs(beta)
     wide = _plain_game(net, delta / scale)
     if wide is None:
-        raise SpectralConditionError(delta, spectral_radius(net) / scale)
+        raise spectral_refusal(net, delta, scale)
     # The game at the smaller weight is certified by wide's certificate.
     weight = delta / (1.0 + abs(beta))
     narrow = wide if weight == wide.delta else GameSpec(net, wide.theta, weight)
@@ -111,7 +111,8 @@ class CongestionSpec:
     @cached_property
     def system(self) -> np.ndarray:
         """I - delta G + gamma G^2, read-only: built once, shared by the
-        positive-definite test, the solve and smallest_eigenvalue."""
+        positive-definite test (when the quadratic leaves one to make), the
+        solve and smallest_eigenvalue."""
         system = _congestion_system(self.network, self.delta, self.gamma)
         system.flags.writeable = False
         return system
@@ -148,17 +149,57 @@ def certify_congestion(net: Network, delta: float, gamma: float, theta=None) -> 
         theta = np.ones(net.n)
     theta = check_theta(theta, net.n)
     # The largest entry of G^2 is the largest degree.
-    if not np.isfinite(float(gamma) * int(np.diff(net.sparse_adjacency.indptr).max(initial=0))):
+    degree = int(np.diff(net.sparse_adjacency.indptr).max(initial=0))
+    if not np.isfinite(float(gamma) * degree):
         raise InputError(f"gamma {gamma:g} is too large: gamma G^2 overflows")
     spec = CongestionSpec(net, theta, float(delta), float(gamma))
+    # Each row of |I - delta G + gamma G^2| sums to at most this.
+    row_bound = 1.0 + spec.delta * degree + spec.gamma * degree * degree
+    if _clears_floor(spec, row_bound):
+        return spec
     shifted = spec.system.copy()  # the test factors in place
     shifted[np.diag_indices(net.n)] -= PD_FLOOR
     if not is_positive_definite(shifted):
         raise InputError(
-            "game system is not positive definite: "
-            f"smallest eigenvalue {spec.smallest_eigenvalue:.3g}"
+            f"game system is not positive definite: smallest eigenvalue {_floor_text(spec, row_bound)}"
         )
     return spec
+
+
+def _clears_floor(spec: CongestionSpec, row_bound: float) -> bool:
+    """Whether the quadratic alone proves that the shifted system
+    I - delta G + gamma G^2 - PD_FLOOR I, as formed, has a Cholesky factor.
+
+    Its eigenvalues are q(mu) - PD_FLOOR over the eigenvalues mu of G, with
+    q(mu) = 1 - delta mu + gamma mu^2 >= 1 - delta^2 / (4 gamma). Forming it
+    moves them by at most 3u row_bound, and Cholesky succeeds once the
+    smallest exceeds n (n + 1) u times the largest diagonal entry (Demmel;
+    Higham, Accuracy and Stability, Thm 10.7), so a margin above
+    (n + 2)^2 eps row_bound decides as the factorization would: complex roots
+    of z^2 - delta z + gamma with room to spare. The rest is left to the
+    factorization.
+    """
+    allowance = (spec.network.n + 2) ** 2 * float(np.finfo(float).eps) * row_bound
+    return spec.gamma > 0 and 1.0 - PD_FLOOR - spec.delta * spec.delta / (4.0 * spec.gamma) > allowance
+
+
+def _floor_text(spec: CongestionSpec, row_bound: float) -> str:
+    """spec.smallest_eigenvalue as a refusal prints it (%.3g).
+
+    With lo <= lambda_max(G) <= hi and delta >= 2 gamma hi, q falls over the
+    whole spectrum of G, so the smallest eigenvalue is q(lambda_max), inside
+    [q(hi), q(lo)]. Widened by n eps row_bound for forming the system and for
+    the dense eigensolver's rounding, those ends word it when they print
+    alike; otherwise the dense eigenvalue does.
+    """
+    lo, hi, _ = _lambda_enclosure(spec.network)
+    delta, gamma = spec.delta, spec.gamma
+    if delta >= 2.0 * gamma * hi:
+        slack = spec.network.n * float(np.finfo(float).eps) * row_bound
+        text = f"{1.0 - delta * hi + gamma * hi * hi - slack:.3g}"
+        if text == f"{1.0 - delta * lo + gamma * lo * lo + slack:.3g}":
+            return text
+    return f"{spec.smallest_eigenvalue:.3g}"
 
 
 def _sup(v: np.ndarray) -> float:
@@ -179,7 +220,13 @@ def congestion_equilibrium(spec: CongestionSpec) -> np.ndarray:
     that sum is below it, so a disagreement marks a fault, not rounding.
     """
     n = spec.network.n
-    x = finite_equilibrium(cho_solve(cho_factor(spec.system, lower=True), spec.theta))
+    try:
+        factor = cho_factor(spec.system, lower=True)
+    except np.linalg.LinAlgError:
+        raise InputError(
+            "game system is not positive definite in floating point: its factorization failed"
+        ) from None
+    x = finite_equilibrium(cho_solve(factor, spec.theta))
     disc = spec.delta * spec.delta - 4.0 * spec.gamma
     if disc > 0 and np.sqrt(disc) > ROOT_SPLIT_FLOOR:
         root = float(np.sqrt(disc))
@@ -220,7 +267,7 @@ def certify_global_substitution(net: Network, delta: float, phi: float) -> Globa
     scale = 1.0 - phi
     game = _plain_game(net, delta / scale)
     if game is None:
-        raise SpectralConditionError(delta, spectral_radius(net) / scale)
+        raise spectral_refusal(net, delta, scale)
     return GlobalSubstitutionSpec(net, float(delta), float(phi), game)
 
 

@@ -18,8 +18,11 @@ Cholesky factorization of (1 - SPECTRAL_MARGIN) I - w G succeeds exactly
 when w * lambda_max < 1 - SPECTRAL_MARGIN). A change C to the links among
 nodes S is certified the same way from the columns M[:, S] alone
 (certify_local); what those cannot decide goes to certify_change, which
-runs certify's own rule on the changed network. lambda_max itself is
-computed only to word a rejection, or on demand.
+runs certify's own rule on the changed network. A rejection words
+lambda_max from an enclosure built from the links alone, a short Lanczos run
+whose Ritz vector gives Collatz-Wielandt bounds, O(m) a step; only when the
+enclosure's two ends would print differently does it compute the dense
+eigenvalue, as spec.lambda_max does on demand.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, eigh, solve_triangular
+from scipy.linalg import cho_factor, cho_solve, eigh, eigh_tridiagonal, solve_triangular
 from scipy.linalg.lapack import dpotri, dtrtri
 
 # Safety margin on the spectral condition delta * lambda_max < 1. Keeps
@@ -51,6 +54,11 @@ NEAR_TIE = 1e-9
 # many columns); bounds the temporaries to one strip of the matrix.
 STRIP = 256
 _STRICT_LOWER = np.tri(STRIP, k=-1, dtype=bool)
+
+# Lanczos steps the enclosure of lambda_max may take, and the steps between
+# two checks of its residual; past them a refusal computes the dense eigenvalue.
+LANCZOS_STEPS = 48
+LANCZOS_CHECK = 8
 
 
 class NetsurgeonError(Exception):
@@ -102,6 +110,24 @@ def label_key(label: str) -> tuple[int, int, str, str]:
     return (0, len(digits), digits, label)
 
 
+def _natural_order(names) -> list:
+    """The distinct names sorted by label_key.
+
+    When every name is a string of ASCII digits with no leading zero ("0"
+    itself allowed), label_key's order is by length and then as text, which
+    two sorts give with no Python key per name; any other names take
+    label_key.
+    """
+    text = "".join(names)
+    if text.isascii() and text.isdigit():
+        ordered = sorted(names)
+        # A name led by "0" (or the empty name) sorts first, after "0" itself.
+        first = ordered[1:2] if ordered[:1] == ["0"] else ordered[:1]
+        if all(s and s[0] != "0" for s in first):
+            return sorted(ordered, key=len)
+    return sorted(names, key=label_key)
+
+
 def rank_order(values: np.ndarray, keys: tuple) -> np.ndarray:
     """Positions of values, best first.
 
@@ -111,7 +137,8 @@ def rank_order(values: np.ndarray, keys: tuple) -> np.ndarray:
     """
     order = np.lexsort(keys[::-1] + (-values,))
     v = values[order]
-    gap = v[:-1] - v[1:]
+    with np.errstate(over="ignore"):  # a gap past the largest float is no tie
+        gap = v[:-1] - v[1:]
     # Only a gap within the loosest tolerance can join two values into a run,
     # so runs lie inside the chains of consecutive such gaps.
     near = gap <= NEAR_TIE * max(1.0, float(np.abs(v).max(initial=0.0)))
@@ -162,7 +189,7 @@ class Network:
         n = len(self.labels)
         if len(set(self.labels)) != n:
             raise InputError("duplicate node labels")
-        if tuple(sorted(self.labels, key=label_key)) != self.labels:
+        if tuple(_natural_order(self.labels)) != self.labels:
             raise InputError("labels must be given in natural order")
         if a.shape != (n, n):
             raise InputError(f"adjacency shape {a.shape} does not match {n} labels")
@@ -302,7 +329,7 @@ class Network:
 
 def _label_indices(names, ends: list) -> tuple[tuple[str, ...], np.ndarray]:
     """The distinct names in natural order, and the index of each of ends among them."""
-    labels = tuple(sorted(names, key=label_key))
+    labels = tuple(_natural_order(names))
     index = dict(zip(labels, range(len(labels))))
     return labels, np.fromiter(map(index.__getitem__, ends), dtype=np.intp, count=len(ends))
 
@@ -362,6 +389,97 @@ def spectral_radius(net: Network) -> float:
     return float(eigh(net.adjacency, eigvals_only=True, subset_by_index=[n - 1, n - 1])[0])
 
 
+def _lambda_enclosure(net: Network) -> tuple[float, float, float]:
+    """(lo, hi, ritz) with lo <= lambda_max(G) <= hi, from the links alone.
+
+    A Lanczos run from the all-ones vector, fully reorthogonalized, whose
+    products are two np.bincount calls over the links, O(m). Every
+    LANCZOS_CHECK steps its Ritz vector x gives Collatz-Wielandt bounds,
+    which hold for any nonnegative G whether or not Lanczos has converged:
+    with tau = 1e-8 max x, G x_P >= lo x_P for x_P, x with its entries below
+    tau set to 0, and G x~ <= hi x~ for x~ = max(x, tau) > 0. Each bound is
+    widened by (maxdeg + 3) eps for the rounding of its sums and quotients.
+    The run stops once hi - lo <= 1e-12 hi, or once its residual, carried on
+    at its rate over the last LANCZOS_CHECK steps, would not close the
+    bounds by LANCZOS_STEPS (slow-gap graphs such as long paths). ritz is
+    the Ritz value clamped into [lo, hi]; (0, inf, 0) when no bound was formed.
+    """
+    rows, cols = net.links
+    n = net.n
+    if not len(rows):
+        return 0.0, 0.0, 0.0
+
+    def product(x):
+        y = np.bincount(rows, x[cols], n)
+        y += np.bincount(cols, x[rows], n)
+        return y
+
+    degree = np.bincount(rows, minlength=n) + np.bincount(cols, minlength=n)
+    widen = (int(degree.max()) + 3) * float(np.finfo(float).eps)
+    basis = np.empty((LANCZOS_STEPS, n))
+    alpha, beta = np.zeros(LANCZOS_STEPS), np.zeros(LANCZOS_STEPS)
+    basis[0] = 1.0 / np.sqrt(n)
+    lo, hi, ritz, last = 0.0, np.inf, 0.0, np.inf
+    for j in range(LANCZOS_STEPS):
+        k, v = j + 1, basis[j]
+        w = product(v)
+        if j:
+            w -= beta[j - 1] * basis[j - 1]
+        alpha[j] = w @ v
+        w -= alpha[j] * v
+        w -= basis[:k].T @ (basis[:k] @ w)
+        beta[j] = np.sqrt(w @ w)
+        ended = beta[j] <= 1e-14 * np.abs(alpha[:k]).max()  # an invariant subspace
+        if not ended and k < LANCZOS_STEPS:
+            basis[k] = w / beta[j]
+            if k % LANCZOS_CHECK:
+                continue
+        values, vectors = eigh_tridiagonal(
+            alpha[:k], beta[: k - 1], select="i", select_range=(k - 1, k - 1), check_finite=False
+        )
+        value, s = float(values[0]), vectors[:, 0]
+        residual = 0.0 if ended else float(beta[j] * abs(s[-1]))
+        # hi - lo >= max|r_i| / max x_i >= |r| / sqrt(n) for the residual r of
+        # the unit Ritz vector, so no bounds can close before this.
+        if residual <= 1e-12 * value * np.sqrt(n):
+            x = s @ basis[:k]
+            if x[np.argmax(np.abs(x))] < 0:
+                x = -x
+            tau = 1e-8 * x.max()
+            kept = x >= tau
+            lo = float((product(np.where(kept, x, 0.0))[kept] / x[kept]).min()) * (1.0 - widen)
+            x = np.maximum(x, tau)
+            hi = float((product(x) / x).max()) * (1.0 + widen)
+            ritz = min(max(value, lo), hi)
+            if hi - lo <= 1e-12 * hi:
+                break
+        target = 1e-13 * value
+        if ended or residual > target and (
+            residual >= last
+            or residual * (residual / last) ** ((LANCZOS_STEPS - k) / LANCZOS_CHECK) > target
+        ):
+            break
+        last = residual
+    return lo, hi, ritz
+
+
+def spectral_refusal(net: Network, delta: float, scale: float = 1.0) -> SpectralConditionError:
+    """The refusal of delta for a game whose bound is scale / lambda_max(G),
+    worded with lambda_max(G) / scale.
+
+    The enclosure's clamped Ritz value words it when the enclosure is within
+    1e-12 and its two ends print the same text: the text is monotone in
+    lambda_max, so every value between them, the dense eigenvalue too,
+    prints that text. Otherwise spectral_radius words it.
+    """
+    lo, hi, ritz = _lambda_enclosure(net)
+    if hi < np.inf and hi - lo <= 1e-12 * hi and (
+        str(SpectralConditionError(delta, lo / scale)) == str(SpectralConditionError(delta, hi / scale))
+    ):
+        return SpectralConditionError(delta, ritz / scale)
+    return SpectralConditionError(delta, spectral_radius(net) / scale)
+
+
 def is_positive_definite(matrix: np.ndarray) -> bool:
     """Whether a symmetric matrix has a Cholesky factor; overwrites matrix.
 
@@ -405,7 +523,7 @@ def certify_change(net: Network, weight: float, changes) -> None:
     """
     changed = net.with_changes(changes)
     if not np.isfinite(weight) or certified_game(changed, weight) is None:
-        raise SpectralConditionError(weight, spectral_radius(changed))
+        raise spectral_refusal(changed, weight)
 
 
 def _copy_strict_lower(dst: np.ndarray, src: np.ndarray) -> None:
@@ -780,7 +898,7 @@ def certify(net: Network, delta: float, theta=None) -> GameSpec:
         raise InputError(f"delta must be positive and finite, got {delta:g}")
     spec = certified_game(net, delta)
     if spec is None:
-        raise SpectralConditionError(delta, spectral_radius(net))
+        raise spectral_refusal(net, delta)
     return spec if theta is None else spec.with_theta(theta)
 
 

@@ -48,14 +48,23 @@ class GroupScore:
 
 
 def _score(m_ss, b_theta_s, b_unw_s) -> tuple[np.ndarray, np.ndarray]:
-    """Scores of stacked groups: m_ss (c, k, k), centralities (c, k)."""
+    """Scores of stacked groups: m_ss (c, k, k), centralities (c, k).
+
+    Scores that overflow, or whose indirect part would, are refused as bad
+    input: a finite equilibrium can still give them.
+    """
     try:
         v = np.linalg.solve(m_ss, b_theta_s[..., None])
     except np.linalg.LinAlgError as exc:
         # Principal submatrices of the SPD influence matrix stay SPD.
         raise InternalCheckError(f"singular principal influence block: {exc}") from exc
-    # matmul of (1, k) by (k, 1) is the same dot product as one group's b @ v.
-    return (b_unw_s[:, None, :] @ v)[:, 0, 0], b_theta_s.sum(axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        # matmul of (1, k) by (k, 1) is the same dot product as one group's b @ v.
+        d, direct = (b_unw_s[:, None, :] @ v)[:, 0, 0], b_theta_s.sum(axis=1)
+        finite = np.isfinite(d - direct).all()
+    if not finite:
+        raise InputError("theta is too large: the group intercentralities overflow")
+    return d, direct
 
 
 def _group_scores(groups, d, direct) -> list[GroupScore]:
@@ -138,10 +147,14 @@ def key_group_greedy(spec: GameSpec, k: int) -> GroupScore:
             raise InternalCheckError(f"singular principal influence block: {exc}") from exc
         # With M_SS = L L^T and W = L^-1 M_S., M_.S M_SS^-1 x_S = W^T L^-1 x_S.
         w = solve_triangular(low, cols.T, lower=True)
-        res = b - w.T @ solve_triangular(low, b[chosen], lower=True)
         loops = spec.self_loops - np.einsum("ij,ij->j", w, w)
         loops[chosen] = 1.0  # about 0 for the chosen, whose scores are masked below
-        single = res[:, 0] * res[:, 1] / loops
+        with np.errstate(over="ignore", invalid="ignore"):
+            res = b - w.T @ solve_triangular(low, b[chosen], lower=True)
+            single = res[:, 0] * res[:, 1] / loops
+        single[chosen] = 0.0
+        if not np.isfinite(single).all():
+            raise InputError("theta is too large: the greedy single-node scores overflow")
         single[chosen] = -np.inf
         best = float(single.max())
         pick = int(np.flatnonzero(single >= best - NEAR_TIE * max(1.0, abs(best)))[0])

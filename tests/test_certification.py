@@ -168,11 +168,13 @@ class TestAcceptPathComputesNoEigenvalue:
 
     @pytest.fixture()
     def no_eigenvalues(self, monkeypatch):
-        def refuse(net):
-            raise AssertionError("spectral_radius called on an accept path")
+        def refuse(*args, **kwargs):
+            raise AssertionError("an eigenvalue computed on an accept path")
 
+        monkeypatch.setattr(graphs, "spectral_radius", refuse)
         for module in (graphs, extensions):
-            monkeypatch.setattr(module, "spectral_radius", refuse)
+            monkeypatch.setattr(module, "_lambda_enclosure", refuse)
+            monkeypatch.setattr(module, "eigh", refuse)
 
     def test_certifiers(self, long_path, no_eigenvalues):
         ones = np.ones(PATH_N)

@@ -155,6 +155,14 @@ class TestCongestion:
         lhs = np.eye(3) - 0.2 * g + 0.05 * (g @ g)
         np.testing.assert_allclose(lhs @ x, np.ones(3), atol=1e-10)
 
+    def test_a_failed_solve_factor_is_one_input_error(self):
+        # Built past the certificate: on the kite at gamma 5e307 the formed
+        # system has no Cholesky factor although the exact one is definite.
+        net = Network.from_edges([("a", "b"), ("b", "c"), ("c", "d"), ("d", "a"), ("a", "c")])
+        spec = extensions.CongestionSpec(net, np.ones(4), 0.3, 5e307)
+        with pytest.raises(InputError, match="^game system is not positive definite in floating"):
+            congestion_equilibrium(spec)
+
     def test_definiteness_guard(self):
         net = Network.from_edges(
             [(str(i), str(j)) for i in range(1, 6) for j in range(i + 1, 6)]
@@ -247,6 +255,18 @@ class TestPlainGamesOnTheKernel:
         calls = self._count_factorizations(monkeypatch)
         x = congestion_equilibrium(certify_congestion(net, delta, gamma))
         assert len(calls) == 4
+        g = net.adjacency
+        res = x - 1.0 - delta * (g @ x) + gamma * (g @ (g @ x))
+        assert np.max(np.abs(res)) <= 1e-10
+
+    def test_congestion_with_complex_roots_factors_once(self, monkeypatch):
+        # delta^2 < 4 gamma with room to spare: the quadratic certifies the
+        # system, and the solve's factor is the game's only one.
+        net, delta = self._game()
+        gamma = delta * delta
+        calls = self._count_factorizations(monkeypatch)
+        x = congestion_equilibrium(certify_congestion(net, delta, gamma))
+        assert len(calls) == 1
         g = net.adjacency
         res = x - 1.0 - delta * (g @ x) + gamma * (g @ (g @ x))
         assert np.max(np.abs(res)) <= 1e-10

@@ -20,7 +20,8 @@ from netsurgeon import (
     parse_edge_list,
     spectral_radius,
 )
-from netsurgeon.graphs import _inverse_residual, embed
+from netsurgeon import graphs
+from netsurgeon.graphs import _inverse_residual, _natural_order, embed
 
 from .conftest import dense_inverse, eig_lambda_max, random_graph
 from .oracle import as_matrix, degree, serialize
@@ -91,6 +92,23 @@ class TestNaturalOrder:
     def test_unsorted_labels_rejected(self):
         with pytest.raises(InputError):
             Network(("b", "a"), np.zeros((2, 2)))
+
+    # Plain digit strings take the keyless sort; zero-led, non-ASCII-digit,
+    # empty and mixed names must fall back to label_key's order.
+    @settings(max_examples=300, deadline=None)
+    @given(st.sets(st.one_of(
+        st.integers(0, 10**30).map(str),
+        st.text(alphabet="0123456789", max_size=4),
+        st.text(alphabet="0123456789\u0660\u0663\uff17\u00b3ab ", min_size=1, max_size=3),
+    ), max_size=40))
+    def test_natural_order_is_label_key_order(self, names):
+        assert _natural_order(names) == sorted(names, key=label_key)
+
+    def test_natural_order_keeps_plain_digits_off_label_key(self, monkeypatch):
+        names = {str(i) for i in range(600)}
+        want = sorted(names, key=label_key)
+        monkeypatch.setattr(graphs, "label_key", None)  # the keyless sort never reads it
+        assert _natural_order(names) == want
 
 
 class TestNetworkValidation:

@@ -292,16 +292,41 @@ class TestOverflowIsRefused:
              "the intervention's equivalent theta shift overflows"),
             (["centrality", "--delta", "0.3", "--theta", "LARGE"],
              "theta is too large: the aggregate overflows"),
+            # An IndexError traceback, and Infinity and NaN with exit 0, from
+            # scores that overflow although the equilibrium is finite.
+            (["key-group", "--mode", "greedy", "--k", "2", "--delta", "0.3", "--theta", "LARGE"],
+             "theta is too large: the greedy single-node scores overflow"),
+            (["key-group", "--k", "2", "--delta", "0.3", "--theta", "LARGE"],
+             "theta is too large: the group intercentralities overflow"),
         ],
         ids=[
             "congestion-gamma", "multi-theta-sum", "greedy-theta", "centrality-theta",
             "multi-solve", "congestion-solve", "dtheta-report", "hybrid-local-solve",
-            "structural-local-solve", "centrality-aggregate",
+            "structural-local-solve", "centrality-aggregate", "greedy-scores", "exhaustive-scores",
         ],
     )
     def test_one_error_line(self, kite, argv, message):
         graph, thetas = kite
         argv = [thetas.get(a, a) for a in argv]
+        assert run_cli(argv + graph) == (1, "", f"error: {message}\n")
+
+    def test_scores_of_both_signs_rank_without_overflow(self, kite, tmp_path):
+        # Finite scores near +-1e308: the gap between neighbours in the
+        # ranking overflows, and an overflowing gap is simply no tie.
+        graph, _ = kite
+        mixed = tmp_path / "mixed.txt"
+        mixed.write_text("a 1e308\nb -1e308\nc 1e308\nd -1e308\n")
+        argv = ["key-group", "--k", "1", "--top", "4", "--delta", "0.01", "--theta", str(mixed)]
+        code, out, err = run_cli(argv + graph)
+        assert (code, err) == (0, "") and out.count('"group"') == 4
+
+    def test_congestion_past_rounding_keeps_its_refusal(self, kite):
+        # The exact system is positive definite, but gamma G^2 buries the
+        # diagonal's 1 in rounding: the quadratic's certificate must leave it
+        # to the factorization, which refuses it as before.
+        graph, _ = kite
+        argv = ["extension", "--model", "congestion", "--delta", "0.3", "--gamma", "5e307"]
+        message = "game system is not positive definite: smallest eigenvalue -1.15e+292"
         assert run_cli(argv + graph) == (1, "", f"error: {message}\n")
 
     def test_global_substitution_words_the_given_delta(self, kite):
