@@ -317,8 +317,10 @@ def link_values(spec: GameSpec, kind: str) -> tuple[LinkRanking, list[tuple[str,
 
     if kind == "existing":
         rows, cols = net.links
-    else:  # every absent pair: O(n^2) whatever holds the links
-        rows, cols = np.nonzero(np.triu(net.adjacency == 0.0, 1))
+    else:  # every absent pair, from an n x n mask of the links: O(n^2) whatever holds them
+        absent = ~np.tri(net.n, dtype=bool)
+        absent[net.links] = False
+        rows, cols = np.nonzero(absent)
     if not len(rows):
         return ranked(rows, cols, np.zeros(0)), []
     m = spec.influence()

@@ -264,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--k", required=True, type=int, help="group size")
     p.add_argument("--mode", choices=("exhaustive", "greedy"), default="exhaustive")
-    p.add_argument("--top", type=int, default=1, help="how many groups to report")
+    p.add_argument("--top", type=int, help="how many groups to report (exhaustive; default 1)")
     p.add_argument("--format", choices=("json", "csv"), default="json")
 
     p = sub.add_parser("key-bridge", help="best link between two separate networks")
@@ -359,12 +359,15 @@ def _cmd_intervene(args, out) -> int:
 
 def _cmd_key_group(args, out) -> int:
     spec = _spec_from(args)
-    if args.top < 1:
-        raise InputError(f"--top must be positive, got {args.top}")
+    top = 1 if args.top is None else args.top
+    if top < 1:
+        raise InputError(f"--top must be positive, got {top}")
     if args.mode == "greedy":
+        if args.top is not None:
+            raise InputError("--top is not read by the greedy search, which reports one group")
         results = [key_group_greedy(spec, args.k)]
     else:
-        results = key_group_exhaustive(spec, args.k, top=args.top)
+        results = key_group_exhaustive(spec, args.k, top=top)
     fields = {
         "group": [list(gs.group.labels(spec.network)) for gs in results],
         "intercentrality": [gs.intercentrality for gs in results],
@@ -475,45 +478,42 @@ def _cmd_walks(args, out) -> int:
     return 0
 
 
+# Each extension model's name and the weight flag it requires.
+_MODELS = {
+    "multi": ("the multi-activity model", "beta"),
+    "congestion": ("the congestion model", "gamma"),
+    "global": ("the global-substitution model", "phi"),
+}
+
+
 def _cmd_extension(args, out) -> int:
+    model, weight = _MODELS[args.model]
+    reads = (weight, "theta_b") if args.model == "multi" else (weight,)
+    for flag in ("beta", "gamma", "phi", "theta_b"):
+        if flag not in reads and getattr(args, flag) is not None:
+            raise InputError(f"--{flag.replace('_', '-')} is not read by {model}")
+    if args.model == "global" and args.theta != "ones":
+        raise InputError(f"--theta: {model} is defined for theta = 1")
     net = load_network(args.graph)
     theta = _load_theta(args.theta, net)
     if theta is None:
         theta = np.ones(net.n)
+    if getattr(args, weight) is None:
+        raise InputError(f"--{weight} is required for {model}")
+    payload = {"model": args.model, "labels": list(net.labels)}
     if args.model == "multi":
-        if args.beta is None:
-            raise InputError("--beta is required for the multi-activity model")
         theta_b = _load_theta(args.theta_b, net)
         if theta_b is None:
             theta_b = np.ones(net.n)
         spec = extensions.certify_multi_activity(net, args.delta, args.beta, theta, theta_b)
         eq = extensions.multi_activity_equilibrium(spec)
-        payload = {
-            "model": "multi",
-            "labels": list(net.labels),
-            "activity_a": eq["activity_a"].tolist(),
-            "activity_b": eq["activity_b"].tolist(),
-        }
+        payload.update(activity_a=eq["activity_a"].tolist(), activity_b=eq["activity_b"].tolist())
     elif args.model == "congestion":
-        if args.gamma is None:
-            raise InputError("--gamma is required for the congestion model")
         spec = extensions.certify_congestion(net, args.delta, args.gamma, theta)
-        x = extensions.congestion_equilibrium(spec)
-        payload = {
-            "model": "congestion",
-            "labels": list(net.labels),
-            "x": x.tolist(),
-        }
+        payload["x"] = extensions.congestion_equilibrium(spec).tolist()
     else:
-        if args.phi is None:
-            raise InputError("--phi is required for the global-substitution model")
         spec = extensions.certify_global_substitution(net, args.delta, args.phi)
-        x = extensions.global_substitution_equilibrium(spec)
-        payload = {
-            "model": "global",
-            "labels": list(net.labels),
-            "x": x.tolist(),
-        }
+        payload["x"] = extensions.global_substitution_equilibrium(spec).tolist()
     _emit_json(payload, out)
     return 0
 

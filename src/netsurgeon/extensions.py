@@ -31,23 +31,19 @@ from .graphs import (
 )
 
 PD_FLOOR = 1e-9
-# The split divides by the root gap, so rounding error in the two plain
-# solves is amplified by 1/gap; below this separation the 1e-9 agreement
-# check would only measure that amplification.
-ROOT_SPLIT_FLOOR = 1e-5
-# Largest gap allowed between the congestion split and the direct solve.
+# Largest gap allowed between the congestion chain and the direct solve.
 SPLIT_TOL = 1e-9
 
 
-def _plain_game(net: Network, weight: float) -> GameSpec | None:
-    """The unit-theta game I - weight G for weight >= 0, certified; None past the bound.
-
-    Weight 0 is the identity game, which needs no certificate (and which
-    certify, for delta > 0 only, would refuse).
-    """
-    if weight == 0:
-        return GameSpec(net, check_theta(np.ones(net.n), net.n), 0.0)
-    return certified_game(net, weight) if np.isfinite(weight) else None
+def _stretched_game(net: Network, delta: float, scale: float) -> GameSpec:
+    """The unit-theta plain game at weight delta / scale, certified, for
+    delta >= 0; refused with the model's own bound scale / lambda_max."""
+    if not 0 <= delta < np.inf:
+        raise InputError(f"delta must be nonnegative and finite, got {delta:g}")
+    game = certified_game(net, delta / scale)
+    if game is None:
+        raise spectral_refusal(net, delta, scale)
+    return game
 
 
 @dataclass(frozen=True, eq=False)
@@ -68,12 +64,7 @@ def certify_multi_activity(
 ) -> MultiActivitySpec:
     if not -1.0 < beta < 1.0:
         raise InputError(f"cross-activity cost must lie in (-1, 1), got {beta:g}")
-    if not 0 <= delta < np.inf:
-        raise InputError(f"delta must be nonnegative and finite, got {delta:g}")
-    scale = 1.0 - abs(beta)
-    wide = _plain_game(net, delta / scale)
-    if wide is None:
-        raise spectral_refusal(net, delta, scale)
+    wide = _stretched_game(net, delta, 1.0 - abs(beta))
     # The game at the smaller weight is certified by wide's certificate.
     weight = delta / (1.0 + abs(beta))
     narrow = wide if weight == wide.delta else GameSpec(net, wide.theta, weight)
@@ -207,19 +198,19 @@ def _sup(v: np.ndarray) -> float:
 
 
 def congestion_equilibrium(spec: CongestionSpec) -> np.ndarray:
-    """Solve the congestion game directly; cross-check the two-game split.
+    """Solve the congestion game directly; cross-check it through two plain games.
 
-    With distinct real roots beta1 > beta2 of z^2 - delta z + gamma, the
-    solution is (beta1 y1 - beta2 y2) / (beta1 - beta2), y_k solving the
-    plain game at weight beta_k. The split is skipped when roots are complex
-    or nearly repeated. Near the bound both routes lose accuracy like
-    u / (1 - beta1 lambda_max): with h_k = max row sum of (I - beta_k G)^-1,
-    at least 1 / (1 - beta_k lambda_max), the split carries about
-    sqrt(n) u h1 (beta1 |y1| + beta2 |y2|) / (beta1 - beta2) and the direct
-    solve sqrt(n) u h1 h2 |x|. The two are compared at SPLIT_TOL only where
-    that sum is below it, so a disagreement marks a fault, not rounding.
+    With real roots beta1 >= beta2 >= 0 of z^2 - delta z + gamma, the system
+    is (I - beta1 G)(I - beta2 G), so x_c = game2.solve(game1.solve(theta))
+    solves it too, game_k the plain game at weight beta_k; when
+    certified_game accepts game1, its certificate covers game2. Near the
+    bound both routes lose accuracy like u / (1 - beta1 lambda_max): with
+    h_k = max row sum of (I - beta_k G)^-1, at least 1 / (1 - beta_k lambda_max),
+    and y = game1.solve(theta), the chain carries about
+    sqrt(n) u h2 (h1 |y| + |x_c|) and the direct solve sqrt(n) u h1 h2 |x|.
+    The two are compared at SPLIT_TOL only where that sum is below it, so a
+    disagreement marks a fault, not rounding. Complex roots skip the check.
     """
-    n = spec.network.n
     try:
         factor = cho_factor(spec.system, lower=True)
     except np.linalg.LinAlgError:
@@ -228,23 +219,20 @@ def congestion_equilibrium(spec: CongestionSpec) -> np.ndarray:
         ) from None
     x = finite_equilibrium(cho_solve(factor, spec.theta))
     disc = spec.delta * spec.delta - 4.0 * spec.gamma
-    if disc > 0 and np.sqrt(disc) > ROOT_SPLIT_FLOOR:
-        root = float(np.sqrt(disc))
-        beta1 = 0.5 * (spec.delta + root)
-        beta2 = 0.5 * (spec.delta - root)
-        game1 = _plain_game(spec.network, beta1)
+    if disc >= 0 and spec.delta > 0:
+        # beta2 = gamma / beta1, so the small root suffers no cancellation.
+        beta1 = 0.5 * (spec.delta + float(np.sqrt(disc)))
+        game1 = certified_game(spec.network, beta1)
         if game1 is not None:
-            # 0 <= beta2 < beta1, so game1's certificate covers the second game.
-            game2 = GameSpec(spec.network, game1.theta, beta2)
-            y1, y2 = game1.solve(spec.theta), game2.solve(spec.theta)
-            h1, h2 = _sup(game1.b_unit), _sup(game2.b_unit)
-            split = (beta1 * y1 - beta2 * y2) / (beta1 - beta2)
-            rounding = np.sqrt(n) * np.finfo(float).eps * h1 * (
-                (beta1 * _sup(y1) + beta2 * _sup(y2)) / (beta1 - beta2) + h2 * _sup(x)
-            )
-            gap = _sup(split - x)
-            if rounding <= SPLIT_TOL and gap > SPLIT_TOL:
-                raise InternalCheckError(f"congestion split disagrees by {gap:.3g}")
+            game2 = GameSpec(spec.network, game1.theta, spec.gamma / beta1)
+            y = game1.solve(spec.theta)
+            unit = np.sqrt(spec.network.n) * np.finfo(float).eps * _sup(game2.b_unit)
+            rounding = unit * _sup(game1.b_unit) * (_sup(y) + _sup(x))  # inf if y overflowed
+            if rounding <= SPLIT_TOL:
+                chain = game2.solve(y)
+                gap = _sup(chain - x)
+                if rounding + unit * _sup(chain) <= SPLIT_TOL and gap > SPLIT_TOL:
+                    raise InternalCheckError(f"congestion split disagrees by {gap:.3g}")
     return x
 
 
@@ -262,12 +250,7 @@ class GlobalSubstitutionSpec:
 def certify_global_substitution(net: Network, delta: float, phi: float) -> GlobalSubstitutionSpec:
     if not 0 <= phi < 1:
         raise InputError(f"global substitution weight must lie in [0, 1), got {phi:g}")
-    if not 0 <= delta < np.inf:
-        raise InputError(f"delta must be nonnegative and finite, got {delta:g}")
-    scale = 1.0 - phi
-    game = _plain_game(net, delta / scale)
-    if game is None:
-        raise spectral_refusal(net, delta, scale)
+    game = _stretched_game(net, delta, 1.0 - phi)
     return GlobalSubstitutionSpec(net, float(delta), float(phi), game)
 
 

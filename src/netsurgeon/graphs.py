@@ -294,7 +294,8 @@ class Network:
         """The n x n float64 0/1 adjacency matrix, read-only.
 
         Built from the links on every read: each read costs O(n^2) time and
-        memory. Queries read links, has_link and sparse_adjacency instead.
+        memory. The library itself never reads it; it reads links, has_link
+        and sparse_adjacency.
         """
         a = _link_system(self, 1.0, 0.0)
         a.flags.writeable = False
@@ -386,7 +387,8 @@ def spectral_radius(net: Network) -> float:
     n = net.n
     if not len(net.links[0]):
         return 0.0
-    return float(eigh(net.adjacency, eigvals_only=True, subset_by_index=[n - 1, n - 1])[0])
+    adjacency = _link_system(net, 1.0, 0.0)
+    return float(eigh(adjacency, eigvals_only=True, subset_by_index=[n - 1, n - 1])[0])
 
 
 def _lambda_enclosure(net: Network) -> tuple[float, float, float]:
@@ -496,10 +498,8 @@ def is_positive_definite(matrix: np.ndarray) -> bool:
 def within_bound(net: Network, weight: float) -> bool:
     """The spectral certificate: weight * lambda_max(G) < 1 - margin.
 
-    Exact for weight >= 0; an infinite weight fails.
+    Exact for a finite weight >= 0.
     """
-    if not np.isfinite(weight):
-        return False
     return is_positive_definite(_link_system(net, -weight, 1.0 - SPECTRAL_MARGIN))
 
 
@@ -522,7 +522,7 @@ def certify_change(net: Network, weight: float, changes) -> None:
     within_bound decides the sliver. A non-finite weight is refused.
     """
     changed = net.with_changes(changes)
-    if not np.isfinite(weight) or certified_game(changed, weight) is None:
+    if certified_game(changed, weight) is None:
         raise spectral_refusal(changed, weight)
 
 
@@ -874,11 +874,14 @@ def _row_sums_clear(b_unit: np.ndarray) -> bool:
 
 
 def certified_game(net: Network, delta: float) -> GameSpec | None:
-    """certify's decision for a positive finite delta, without the refusal.
+    """certify's decision for any weight delta >= 0, without the refusal.
 
     The unit-theta spec when delta * lambda_max < 1 - margin, certified from
-    its own factor; None otherwise, with no eigenvalue computed.
+    its own factor (weight 0 too: the identity game); None otherwise, and for
+    a non-finite delta, with no eigenvalue computed.
     """
+    if not np.isfinite(delta):
+        return None
     spec = GameSpec(net, check_theta(np.ones(net.n), net.n), float(delta))
     try:
         spec._factor  # the solver's factor, made here once and kept

@@ -169,14 +169,14 @@ def walk_matrix(spec: GameSpec, s: NodeSet) -> WalkMatrix:
             f"excluded-block of the influence matrix is not positive definite: {exc}"
         ) from exc
     w_cs = m_cs @ inv_ss
-    w_sc = inv_ss @ m_cs.T
     w_cc = spec.influence_less(e, w_cs @ m_cs.T)
     w_ss = 2.0 * np.eye(len(e)) - inv_ss
     gaps = _deleted_network_gaps(spec, e, w_cc, w_cs, w_ss, m_cs)
     for name, gap in zip(("kept-kept", "kept-excluded", "excluded-excluded"), gaps):
         what = f"walk counts miss the deleted network's equations on the {name} block"
         _require_agreement(gap, what)
-    return WalkMatrix(s, kept, w_cc, w_cs, w_sc, w_ss)
+    # Walks are symmetric, so the excluded-kept block is the checked one's transpose.
+    return WalkMatrix(s, kept, w_cc, w_cs, w_cs.T, w_ss)
 
 
 def avoidance_block(spec: GameSpec, a: NodeSet, b: NodeSet) -> np.ndarray:

@@ -27,6 +27,7 @@ from netsurgeon import (
     structural_effect,
 )
 from netsurgeon import cli, extensions, graphs
+from netsurgeon.graphs import certified_game
 
 from .conftest import dense_inverse, eig_lambda_max
 from .oracle import serialize
@@ -227,3 +228,20 @@ class TestCongestionNearTheBound:
         x = congestion_equilibrium(certify_congestion(er100, delta, self.GAMMA, theta))
         want = np.linalg.solve(np.eye(100) - delta * g + self.GAMMA * (g @ g), theta)
         np.testing.assert_allclose(x, want, rtol=1e-6)
+
+
+class TestCertifiedGameDecidesEveryPlainGame:
+    """certified_game is the one code that decides a plain game at weight >= 0."""
+
+    def test_weight_zero_is_the_identity_game(self):
+        net = path_network(1, 6)
+        game = certified_game(net, 0.0)
+        assert game is not None and game.delta == 0.0
+        assert np.array_equal(game.b_unit, np.ones(net.n))
+        assert np.array_equal(game.solve(np.arange(6.0)), np.arange(6.0))
+
+    @pytest.mark.parametrize("weight", [np.inf, np.nan])
+    def test_a_non_finite_weight_is_none(self, weight):
+        assert certified_game(path_network(1, 6), weight) is None
+        assert certified_game(Network.from_edges([("a", "b")]).with_changes([(0, 1, -1)]),
+                              weight) is None

@@ -22,6 +22,7 @@ from netsurgeon import (
 from netsurgeon import extensions, graphs
 
 from .conftest import random_connected_graph, safe_delta
+from .test_refusal_enclosure import build, eig_lambda_max
 
 
 def foc_residual_multi(spec, xa, xb):
@@ -144,6 +145,27 @@ class TestCongestion:
             extensions, "_congestion_system", lambda *args: right(*args) + 1e-6 * np.eye(4)
         )
         spec = certify_congestion(net, 0.3, 0.02)
+        with pytest.raises(InternalCheckError, match="congestion split disagrees"):
+            congestion_equilibrium(spec)
+
+    @pytest.mark.parametrize("family, n", [("er", 60), ("er", 300), ("path", 40), ("path", 120)])
+    def test_the_chain_compares_at_a_near_repeated_root(self, monkeypatch, family, n):
+        # delta = 2 sqrt(gamma) (1 + 1e-9): real roots 1e-9 apart, which the
+        # chain of two plain solves checks; (1 - 1e-9): complex, nothing to check.
+        net = build(family, n, 7)
+        g = net.adjacency
+        gamma = (0.45 / eig_lambda_max(net)) ** 2
+        for side in (1.0, -1.0):
+            delta = 2.0 * np.sqrt(gamma) * (1.0 + side * 1e-9)
+            x = congestion_equilibrium(certify_congestion(net, delta, gamma))
+            dense = np.linalg.solve(np.eye(n) - delta * g + gamma * (g @ g), np.ones(n))
+            np.testing.assert_allclose(x, dense, rtol=0, atol=1e-10)
+        # The comparison is live there: a system off by 1e-6 trips it.
+        right = extensions._congestion_system
+        monkeypatch.setattr(
+            extensions, "_congestion_system", lambda *args: right(*args) + 1e-6 * np.eye(n)
+        )
+        spec = certify_congestion(net, 2.0 * np.sqrt(gamma) * (1.0 + 1e-9), gamma)
         with pytest.raises(InternalCheckError, match="congestion split disagrees"):
             congestion_equilibrium(spec)
 

@@ -353,3 +353,60 @@ def test_cli_input_errors_name_themselves(files):
     }
     for message, argv in cases.items():
         assert run_cli(argv) == (1, "", f"error: {message}\n"), argv
+
+
+class TestUnreadFlagsAreRefused:
+    """A flag the chosen model or mode does not read ends in one error line
+    naming it, never in an answer that silently ignores it."""
+
+    @pytest.fixture()
+    def kite(self, tmp_path):
+        graph, weights = tmp_path / "kite.txt", tmp_path / "w.txt"
+        graph.write_text("a b\nb c\nc d\nd a\na c\n")
+        weights.write_text("a 2\nb 1\nc 1\nd 1\n")
+        return ["--graph", str(graph)], str(weights)
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            # Printed the unit-theta answer with exit 0, whatever the file held.
+            (["extension", "--model", "global", "--delta", "0.1", "--phi", "0.2", "--theta", "W"],
+             "--theta: the global-substitution model is defined for theta = 1"),
+            (["extension", "--model", "global", "--delta", "0.1", "--phi", "0.2", "--beta", "0.3"],
+             "--beta is not read by the global-substitution model"),
+            (["extension", "--model", "global", "--delta", "0.1", "--phi", "0.2",
+              "--theta-b", "W"],
+             "--theta-b is not read by the global-substitution model"),
+            # Exited 0, although the --theta-b file does not exist.
+            (["extension", "--model", "congestion", "--delta", "0.1", "--gamma", "0.01",
+              "--beta", "0.5", "--phi", "0.3", "--theta-b", "nonexistent"],
+             "--beta is not read by the congestion model"),
+            (["extension", "--model", "congestion", "--delta", "0.1", "--gamma", "0.01",
+              "--phi", "0.3"],
+             "--phi is not read by the congestion model"),
+            (["extension", "--model", "congestion", "--delta", "0.1", "--gamma", "0.01",
+              "--theta-b", "W"],
+             "--theta-b is not read by the congestion model"),
+            (["extension", "--model", "multi", "--delta", "0.1", "--beta", "0.3",
+              "--gamma", "0.01"],
+             "--gamma is not read by the multi-activity model"),
+            (["extension", "--model", "multi", "--delta", "0.1", "--beta", "0.3", "--phi", "0.2"],
+             "--phi is not read by the multi-activity model"),
+            # Printed one group.
+            (["key-group", "--mode", "greedy", "--k", "2", "--delta", "0.1", "--top", "3"],
+             "--top is not read by the greedy search, which reports one group"),
+            (["key-group", "--mode", "greedy", "--k", "2", "--delta", "0.1", "--top", "1"],
+             "--top is not read by the greedy search, which reports one group"),
+        ],
+    )
+    def test_one_error_line_names_the_flag(self, kite, argv, message):
+        graph, weights = kite
+        argv = [weights if a == "W" else a for a in argv]
+        assert run_cli(argv + graph) == (1, "", f"error: {message}\n")
+
+    def test_exhaustive_search_reports_one_group_by_default(self, kite):
+        graph, _ = kite
+        argv = ["key-group", "--k", "2", "--delta", "0.1"] + graph
+        code, out, err = run_cli(argv)
+        assert (code, err) == (0, "") and out.count('"group"') == 1
+        assert run_cli(argv + ["--top", "1"]) == (code, out, err)

@@ -126,7 +126,7 @@ def _walk_matrix_whole_arrays(spec, s):
     m_cc, m_cs, m_ss = m[np.ix_(c, c)], m[np.ix_(c, e)], m[np.ix_(e, e)]
     inv_ss = cho_solve(cho_factor(m_ss, lower=True), np.eye(len(e)))
     w_cs = m_cs @ inv_ss
-    w_sc = inv_ss @ m_cs.T
+    w_sc = w_cs.T
     w_cc = m_cc - w_cs @ m_cs.T
     w_ss = 2.0 * np.eye(len(e)) - inv_ss
     return w_cc, w_cs, w_sc, w_ss
@@ -445,6 +445,21 @@ class TestKeptBound:
             system = np.eye(len(kept)) - spec.delta * net.adjacency[np.ix_(kept, kept)]
             error = np.abs(wm.kept_kept - _longdouble_inverse(system)).max()
             assert gaps[0] >= error, (tol, gaps[0], error)
+
+
+class TestTransposedBlock:
+    @settings(max_examples=40, deadline=None)
+    @given(_family_networks(), st.floats(0.3, 0.99), st.data())
+    def test_excluded_kept_is_the_checked_block_transposed(self, net, fraction, data):
+        # Walks are symmetric: the printed excluded-kept block is exactly the
+        # kept-excluded block that the deleted network's equations check.
+        lam = spectral_radius(net)
+        assume(lam > 0)
+        spec = certify(net, fraction / lam)
+        nodes = data.draw(st.permutations(range(net.n)))
+        s = NodeSet.of(nodes[: data.draw(st.integers(1, min(3, net.n - 1)))])
+        wm = walk_matrix(spec, s)
+        assert np.array_equal(wm.excluded_kept, wm.kept_excluded.T)
 
 
 def _exact_walk_blocks(net, delta, s):

@@ -59,7 +59,7 @@ def reference_walk_matrix(spec, s):
     m_cc, m_cs, m_ss = m[np.ix_(c, c)], m[np.ix_(c, e)], m[np.ix_(e, e)]
     inv_ss = cho_solve(cho_factor(m_ss, lower=True), np.eye(len(e)))
     w_cs = m_cs @ inv_ss
-    w_sc = inv_ss @ m_cs.T
+    w_sc = w_cs.T
     w_cc = m_cc - w_cs @ m_cs.T
     w_ss = 2.0 * np.eye(len(e)) - inv_ss
     a = spec.network.adjacency
