@@ -35,6 +35,7 @@ from functools import cached_property
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, eigh, eigh_tridiagonal, solve_triangular
+from scipy.linalg.blas import dsyr2k
 from scipy.linalg.lapack import dpotri, dtrtri
 
 # Safety margin on the spectral condition delta * lambda_max < 1. Keeps
@@ -530,7 +531,9 @@ def _copy_strict_lower(dst: np.ndarray, src: np.ndarray) -> None:
     """dst's strict lower triangle := src's, strip by strip; the rest of dst is untouched.
 
     Row-major copies of the blocks left of each diagonal block, and a masked
-    copy of the diagonal block, so no index arrays are built.
+    copy of the diagonal block, so no index arrays are built. With dst = a.T
+    and src = a it mirrors a's strict lower triangle into its upper one, a
+    strip of columns at a time, leaving a exactly symmetric.
     """
     n = len(dst)
     for lo in range(0, n, STRIP):
@@ -629,12 +632,15 @@ class GameSpec:
       influence_less to run on a game inverts the factor by LAPACK dpotri,
       about 2n^3/3 flops, and keeps M in space the factor already owns: M's
       strict upper triangle in the factor array's, which no LAPACK routine
-      reads with L, and its diagonal as a vector. influence() (all of M,
-      O(n^2)), influence_rows and influence_less read M from there through
-      one reader. Beside it the held M carries, once the first walk query
-      has asked for them, the largest entry of its evaluated residual
-      (I - delta G) M - I and its largest entry, O(nnz(G) n) for both,
-      from which walk queries bound their own residuals.
+      reads with L, and its diagonal as a vector. One reader (_held_read)
+      copies M from there in row strips: whole rows for influence_rows,
+      and for influence() (all of M, O(n^2)) and influence_less (M without
+      some nodes, less a symmetric update) only the lower half, which is
+      then mirrored, so those two are exactly symmetric. Beside it the
+      held M carries, once the first walk query has asked for them, the
+      largest entry of its evaluated residual (I - delta G) M - I and its
+      largest entry, O(nnz(G) n) for both, from which walk queries bound
+      their own residuals.
 
     The three routes round differently, so columns(idx)[idx], block(idx)
     and influence()[idx][:, idx] can differ in the last bit; each route
@@ -753,34 +759,34 @@ class GameSpec:
             self._held.append(diagonal)
         return low.T, self._held[0]
 
-    def _held_less(self, row_runs, col_runs, dst: np.ndarray) -> np.ndarray:
-        """M[rows][:, cols] - dst, written over dst and returned, for rows and
-        columns given as runs [lo, hi), each row run inside one column run or
-        clear of them all. The one reader of the held M: it subtracts straight
-        from the packed triangle, a whole block where a row run and a column
-        run are apart, else a strip of rows at a time across the diagonal."""
+    def _held_read(self, runs, dst: np.ndarray, lower: bool = False) -> np.ndarray:
+        """The rows of M at the runs [lo, hi) of sorted node indices, copied
+        into dst (C order) and returned: across all n columns, or with lower
+        only the lower triangle and diagonal of M at the runs' nodes, the
+        rest of dst left as it was. The one reader of the held M: it copies
+        row strips of the packed triangle, a strip of rows at a time across
+        the diagonal, and reads M's upper half only for whole rows."""
         tri, diag = self._held_inverse()
         r = 0
-        for r0, r1 in row_runs:
+        for r0, r1 in runs:
             c = 0
-            for c0, c1 in col_runs:
+            for c0, c1 in runs if lower else [(0, self.n)]:
                 block = dst[r : r + r1 - r0, c : c + c1 - c0]
                 c += c1 - c0
-                if r0 >= c1 or r1 <= c0:
-                    src = tri[r0:r1, c0:c1] if r0 > c0 else tri[c0:c1, r0:r1].T
-                    np.subtract(src, block, out=block)
+                if c1 <= r0:  # a run of columns wholly left of these rows
+                    block[...] = tri[r0:r1, c0:c1]
                     continue
                 for lo in range(r0, r1, STRIP):
                     hi = min(lo + STRIP, r1)
-                    strip = block[lo - r0 : hi - r0]
-                    left, mid = strip[:, : lo - c0], strip[:, lo - c0 : hi - c0]
-                    right = strip[:, hi - c0 :]
-                    np.subtract(tri[lo:hi, c0:lo], left, out=left)
-                    square = tri[lo:hi, lo:hi]
-                    square = np.where(_STRICT_LOWER[: hi - lo, : hi - lo], square, square.T)
-                    square[np.diag_indices(hi - lo)] = diag[lo:hi]
-                    np.subtract(square, mid, out=mid)
-                    np.subtract(tri[hi:c1, lo:hi].T, right, out=right)
+                    strip, below = block[lo - r0 : hi - r0], _STRICT_LOWER[: hi - lo, : hi - lo]
+                    strip[:, : lo - c0] = tri[lo:hi, c0:lo]
+                    square = strip[:, lo - c0 : hi - c0]
+                    np.copyto(square, tri[lo:hi, lo:hi], where=below)
+                    if not lower:
+                        np.copyto(square, tri[lo:hi, lo:hi].T, where=below.T)
+                        strip[:, hi - c0 :] = tri[hi:c1, lo:hi].T
+                    np.fill_diagonal(square, diag[lo:hi])
+                break  # the run holding these rows is the last one read
             r += r1 - r0
         return dst
 
@@ -792,33 +798,44 @@ class GameSpec:
             n = self.n  # M[:, lo:hi] is read as M[lo:hi] (held exactly symmetric), transposed
             self._held.append(_inverse_residual(
                 self.network.sparse_adjacency, self.delta,
-                lambda lo, hi: self._held_less([(lo, hi)], [(0, n)], np.zeros((n, hi - lo)).T).T,
+                lambda lo, hi: self._held_read([(lo, hi)], np.empty((n, hi - lo)).T).T,
             ))
         return self._held[1]
 
     def influence(self) -> np.ndarray:
         """M = (I - delta G)^-1, exactly symmetric, in Fortran order; a fresh array each call.
 
-        Read from the held M as M - 0, which is M bit for bit.
+        The lower half read from the held M and mirrored: M bit for bit.
         """
         self._held_inverse()  # frees dpotri's array before the result is made
-        return self.influence_less([], np.zeros((self.n, self.n))).T
+        n = self.n
+        m = self._held_read([(0, n)], np.empty((n, n)), lower=True)
+        _copy_strict_lower(m.T, m)
+        return m.T
 
     def influence_rows(self, members) -> np.ndarray:
         """The rows of M at the sorted indices members, a new C-order array
-        read from the held M, as M - 0, with no LAPACK call."""
+        read from the held M, with no LAPACK call."""
         rows = [(i, i + 1) for i in members]
-        return self._held_less(rows, [(0, self.n)], np.zeros((len(members), self.n)))
+        return self._held_read(rows, np.empty((len(members), self.n)))
 
-    def influence_less(self, members, update: np.ndarray) -> np.ndarray:
+    def influence_less(self, members, left: np.ndarray, right: np.ndarray) -> np.ndarray:
         """M without the rows and columns at the sorted indices members, less
-        update, written over update (C order) and returned: the bits of
-        gathering that block of the held M and subtracting, block by block
-        over the runs of kept nodes, with no second array of update's size.
+        the symmetric part of left @ right.T, (left right^T + right left^T) / 2,
+        in a new C-order array, exactly symmetric: the lower half of that block
+        of the held M read over the runs of kept nodes, one dsyr2k on it in
+        place, and the strict lower triangle mirrored, with no second array of
+        its size. left and right have one row per kept node.
         """
         edges = [-1, *members, self.n]
         runs = [(lo + 1, hi) for lo, hi in zip(edges, edges[1:]) if hi > lo + 1]
-        return self._held_less(runs, runs, update)
+        kept = self.n - len(members)
+        less = self._held_read(runs, np.empty((kept, kept)), lower=True)
+        # less.T is Fortran order, so dsyr2k updates its upper triangle, less's lower, in place.
+        if kept:
+            dsyr2k(-0.5, left, right, beta=1.0, c=less.T, lower=0, overwrite_c=1)
+        _copy_strict_lower(less.T, less)
+        return less
 
     @cached_property
     def self_loops(self) -> np.ndarray:

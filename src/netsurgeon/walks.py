@@ -5,18 +5,21 @@ whose interior nodes avoid the excluded set; endpoints are exempt, so walks
 may start or end inside it. Closed forms fall out of block inversion of the
 influence matrix; the walk matrix reads its blocks straight from the M its
 game holds (GameSpec.influence_rows and influence_less, one reader over runs
-of nodes), one inverse per game. Every operation here checks its result and
-refuses to return if the check fails: the walk matrix against the equations
-of the network with the excluded set deleted, whose residuals times
-max(b_unit) bound each block's distance to the exact answer (walks that
-avoid a set are some of all walks, so that network's inverse has row sums
-at most max(b_unit)); the avoidance block by peeling the constraint off the
-other end, from the block of the influence matrix on a and b (GameSpec.block:
-one forward triangular solve and its Gram). The kept-kept residual is bounded
-from the residual of the held M itself, O(nnz(G) n) once per game, so a
-walk query costs O(n^2 |S|) for its answer and O(nnz(G) |S| + n_c^2) for
-its check, n_c the number of kept nodes. The loop that forms that residual
-also forms the kept-kept one when its bound fails.
+of nodes), one inverse per game. Its kept-kept block is built as one lower
+triangle: M_cc's lower half, less the symmetric part of the rank-|S| update
+by one dsyr2k in place, then mirrored, so walks i -> j and j -> i carry the
+same bits. Every operation here checks its result and refuses to return if
+the check fails: the walk matrix against the equations of the network with
+the excluded set deleted, whose residuals times max(b_unit) bound each
+block's distance to the exact answer (walks that avoid a set are some of
+all walks, so that network's inverse has row sums at most max(b_unit)); the
+avoidance block by peeling the constraint off the other end, from the
+block of the influence matrix on a and b (GameSpec.block: one forward
+triangular solve and its Gram). The kept-kept residual is bounded from the
+residual of the held M itself, O(nnz(G) n) once per game, so a walk query
+costs O(n^2 |S|) for its answer and O(nnz(G) |S| + n_c^2) for its check,
+n_c the number of kept nodes. The loop that forms that residual also forms
+the kept-kept one when its bound fails.
 
 The walk matrix also reads the intercentrality of S (keygroup): its direct
 part is the members' own play b[S], and its indirect part is the play of
@@ -35,6 +38,11 @@ from .graphs import GameSpec, InputError, InternalCheckError, NodeSet, _inverse_
 CROSS_ROUTE_TOL = 1e-9
 
 _UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2
+
+
+def _gamma(m: int) -> float:
+    """m u / (1 - m u): the relative error bound of m rounded operations."""
+    return m * _UNIT_ROUNDOFF / (1.0 - m * _UNIT_ROUNDOFF)
 
 
 def _require_agreement(gap: float, what: str) -> None:
@@ -78,14 +86,20 @@ def _deleted_network_gaps(spec: GameSpec, e: list, w_cc, w_cs, w_ss, m_cs) -> tu
     those can make is added to it.
 
     The kept-kept residual is not formed. With M the held inverse,
-    R = (I - delta G) M - I and R_cs = A W_cs - delta G_cs, the block
-    W_cc = fl(M_cc - fl(W_cs M_cs^T)) satisfies
-    A W_cc - I = R_cc - R_cs M_cs^T - A E_gemm + A E_sub, so its max is
-    bounded from the game's max |R| (GameSpec._held_residual, once per
-    game) and column maxima of W_cs and M_cs, O(nnz(G) |e|). A probe
-    A (W_cc P) - P on the two columns P = [1, (j + 1) / n_c], O(n_c^2),
-    checks the block itself against the deleted network's equations; the
-    larger of the two counts. Only when that bound fails is the residual
+    R = (I - delta G) M - I, R_cs = A W_cs - delta G_cs and U = W_cs M_cs^T,
+    the block W_cc = fl(M_cc - fl((U + U^T) / 2)) (one dsyr2k) satisfies
+    A W_cc - I = R_cc - R_cs M_cs^T + A (U - U^T) / 2 + A E_syr2k. Each
+    entry of W_cc is a sum of 2|e| + 1 terms, so |E_syr2k| is at most
+    gamma_(2|e|+1) (max|M| + sum_s max|W_cs[:, s]| max|M_cs[:, s]|). The
+    antisymmetric part is U - U^T = M_cs (X - X^T) M_cs^T + E_w M_cs^T
+    - M_cs E_w^T, X the computed M_ss^-1 (W_ss = 2I - X) and E_w the
+    rounding of W_cs = fl(M_cs X), |E_w| <= gamma_|e| |M_cs| |X|; it is
+    bounded from |X - X^T|, gamma_|e| |X| (both read off W_ss) and the
+    column maxima of M_cs, O(|e|^2). So max |A W_cc - I| is bounded from
+    the game's max |R| (GameSpec._held_residual, once per game) and column
+    maxima of W_cs and M_cs, O(nnz(G) |e|). A probe A (W_cc P) - P on the
+    two columns P = [1, (j + 1) / n_c], O(n_c^2), checks the block itself
+    against the deleted network's equations; the larger of the two counts. Only when that bound fails is the residual
     formed, O(nnz(G) n_c), and the decision made by it.
     """
     delta, g = spec.delta, spec.network.sparse_adjacency
@@ -93,7 +107,7 @@ def _deleted_network_gaps(spec: GameSpec, e: list, w_cc, w_cs, w_ss, m_cs) -> tu
     keep = np.ones(n, dtype=bool)
     keep[e] = False
     deg = int(np.diff(g.indptr).max(initial=0))
-    slack = (deg + 4) * _UNIT_ROUNDOFF / (1.0 - (deg + 4) * _UNIT_ROUNDOFF)
+    slack = _gamma(deg + 4)
     reach = 1.0 + delta * deg  # |A| |W| <= reach max|W| entrywise
 
     # One product by G of W_cs, W_cc P and the unit columns at e, embedded in n rows.
@@ -119,12 +133,13 @@ def _deleted_network_gaps(spec: GameSpec, e: list, w_cc, w_cs, w_ss, m_cs) -> tu
     rho, m_size = spec._held_residual()
     rho += slack * (reach * m_size + 1.0)
     m_cs_size = np.abs(m_cs).max(axis=0)
-    update = float(cs_size @ m_cs_size)  # bounds |W_cs M_cs^T| entrywise
-    gamma = k * _UNIT_ROUNDOFF / (1.0 - k * _UNIT_ROUNDOFF)
-    cc_size = (1.0 + _UNIT_ROUNDOFF) * (m_size + (1.0 + gamma) * update)  # bounds |W_cc|
+    update = float(cs_size @ m_cs_size)  # bounds |W_cs| |M_cs|^T and |M_cs| |W_cs|^T entrywise
+    # X's off-diagonal is -W_ss's exactly, its diagonal 2 - W_ss's within one rounding.
+    x_size = np.abs(2.0 * np.eye(k) - w_ss) + 2.0 * _UNIT_ROUNDOFF * np.abs(w_ss)
+    skew = m_cs_size @ (np.abs(w_ss - w_ss.T) + 2.0 * _gamma(k) * x_size) @ m_cs_size
     cs_miss += slack * (reach * cs_size + delta * g_cs.max(axis=0))
     identity = rho + float(cs_miss @ m_cs_size)
-    identity += reach * (gamma * update + _UNIT_ROUNDOFF * cc_size)
+    identity += reach * (_gamma(2 * k + 1) * (m_size + update) + 0.5 * float(skew))
     tested = float(np.abs(walked - delta * kept[:, k : k + 2] - probe).max())
     r_cc = float(np.maximum(identity, tested))  # NaN-preserving
 
@@ -139,10 +154,14 @@ def walk_matrix(spec: GameSpec, s: NodeSet) -> WalkMatrix:
     """All four avoiding-walk blocks for excluded set s.
 
     Schur-complement algebra on the M the game holds (one dpotri per game,
-    made by its first call), O(n^2 |s|) a query; the kept-kept block is M_cc
-    less the rank-|s| update, written over the update. The check makes no
-    second inverse. With A = I - delta G_cc the deleted network's system
-    (delta > 0, G 0/1), walks that avoid s are some of all walks, so
+    made by its first call), O(n^2 |s|) a query. The kept-kept block is
+    M_cc less (W_cs M_cs^T + M_cs W_cs^T) / 2, the symmetric part of the
+    rank-|s| update W_cs M_cs^T: M_cc's lower half is read into the
+    answer's array, one dsyr2k updates it in place and its strict lower
+    triangle is mirrored, so the block is exactly symmetric and no second
+    n_c x n_c array is made. The check makes no second inverse. With
+    A = I - delta G_cc the deleted network's system (delta > 0, G 0/1),
+    walks that avoid s are some of all walks, so
     0 <= A^-1 <= M_cc entrywise and ||A^-1||_inf <= max(b_unit). Bounds on
     the residuals A W_cc - I and A W_cs - delta G_cs, times max(b_unit),
     then bound each block's distance to the exact answer, and each bound
@@ -169,7 +188,7 @@ def walk_matrix(spec: GameSpec, s: NodeSet) -> WalkMatrix:
             f"excluded-block of the influence matrix is not positive definite: {exc}"
         ) from exc
     w_cs = m_cs @ inv_ss
-    w_cc = spec.influence_less(e, w_cs @ m_cs.T)
+    w_cc = spec.influence_less(e, w_cs, m_cs)
     w_ss = 2.0 * np.eye(len(e)) - inv_ss
     gaps = _deleted_network_gaps(spec, e, w_cc, w_cs, w_ss, m_cs)
     for name, gap in zip(("kept-kept", "kept-excluded", "excluded-excluded"), gaps):

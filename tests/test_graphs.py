@@ -3,6 +3,7 @@ import weakref
 
 import numpy as np
 import pytest
+from scipy.linalg.blas import dsyr2k
 from scipy.linalg.lapack import dpotri
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -360,15 +361,19 @@ class TestHeldInverse:
         rows = spec.influence_rows(members)  # made without an earlier influence() call
         want = _dpotri_inverse(spec)
         kept = [i for i in range(n) if i not in members]
-        update = np.random.default_rng(len(members)).random((len(kept), len(kept)))
-        want_less = want[np.ix_(kept, kept)] - update
-        less = spec.influence_less(members, update)
-        assert less is update
+        left, right = np.random.default_rng(len(members)).random((2, len(kept), 3))
+        # The whole-array route: dsyr2k on a copy of M's kept block, then mirrored.
+        want_less = want[np.ix_(kept, kept)].copy(order="C")
+        dsyr2k(-0.5, left, right, beta=1.0, c=want_less.T, lower=0, overwrite_c=1)
+        want_less = np.where(np.tri(len(kept), dtype=bool), want_less, want_less.T)
+        less = spec.influence_less(members, left, right)
         assert np.array_equal(less, want_less)
+        assert np.array_equal(less, less.T)
+        assert less.flags.c_contiguous
         assert np.array_equal(rows, want[members, :])
         assert rows.flags.c_contiguous
-        zeros = np.zeros((len(kept), len(kept)))
-        assert np.array_equal(spec.influence_less(members, zeros), want[np.ix_(kept, kept)])
+        zeros = np.zeros((len(kept), 1))
+        assert np.array_equal(spec.influence_less(members, zeros, zeros), want[np.ix_(kept, kept)])
         # The residual reads M's columns from the held M with the same bits.
         g, columns = spec.network.sparse_adjacency, lambda lo, hi: want[:, lo:hi].copy()
         assert spec._held_residual() == _inverse_residual(g, spec.delta, columns)
@@ -385,7 +390,8 @@ class TestDropNodes:
     def test_equals_the_fancy_indexed_gather(self, members):
         spec = _sparse_game(10, seed=7, frac=0.9)
         kept = [i for i in range(10) if i not in members]
-        out = spec.influence_less(members, np.zeros((len(kept), len(kept))))
+        zeros = np.zeros((len(kept), 1))
+        out = spec.influence_less(members, zeros, zeros)
         assert np.array_equal(out, _dpotri_inverse(spec)[np.ix_(kept, kept)])
 
 

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg.blas import dsyr2k
 
 from netsurgeon import (
     InputError,
@@ -120,14 +121,17 @@ def _core_periphery_game(n, seed):
 
 
 def _walk_matrix_whole_arrays(spec, s):
-    """walk_matrix's four blocks as first written, with whole-matrix temporaries."""
+    """walk_matrix's four blocks from whole arrays: the kept-kept block as
+    dsyr2k on a copy of M_cc, then its lower triangle mirrored."""
     c, e = list(s.complement(spec.n).members), list(s.members)
     m = spec.influence()
     m_cc, m_cs, m_ss = m[np.ix_(c, c)], m[np.ix_(c, e)], m[np.ix_(e, e)]
     inv_ss = cho_solve(cho_factor(m_ss, lower=True), np.eye(len(e)))
     w_cs = m_cs @ inv_ss
     w_sc = w_cs.T
-    w_cc = m_cc - w_cs @ m_cs.T
+    w_cc = m_cc.copy(order="C")
+    dsyr2k(-0.5, w_cs, m_cs, beta=1.0, c=w_cc.T, lower=0, overwrite_c=1)
+    w_cc = np.where(np.tri(len(c), dtype=bool), w_cc, w_cc.T)
     w_ss = 2.0 * np.eye(len(e)) - inv_ss
     return w_cc, w_cs, w_sc, w_ss
 
@@ -221,6 +225,23 @@ class TestWalkMatrixFootprint:
             tracemalloc.stop()
         assert extra[0] <= 1.25 * graphs.STRIP * n * 8
 
+    def test_a_query_peaks_at_one_kept_block_and_a_strip(self):
+        # The kept-kept block is read, updated and mirrored in one array; a
+        # copy of it (dsyr2k's wrapper copies a c it cannot update in place)
+        # would add another n_c x n_c array.
+        n = 1000
+        spec = _core_periphery_game(n, seed=1)
+        s = NodeSet.of([3, 100, 300], n)
+        walk_matrix(spec, s)  # untraced first call: lazy imports, caches, the held residual
+        n_c = n - len(s)
+        tracemalloc.start()
+        try:
+            walk_matrix(spec, s)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= n_c * n_c * 8 + 1.25 * graphs.STRIP * n * 8
+
     # walk_matrix reads M's blocks from the inverse its game holds.
     @pytest.mark.parametrize("repeated", [False, True])
     @pytest.mark.parametrize(
@@ -286,6 +307,30 @@ class TestWalkMatrixFootprint:
         spec.with_theta(np.full(n, 2.0)).influence()
         assert inverses == []
         assert factors == [(3, 3), (1, 1)]
+
+
+def _dense_core_network(rng, n):
+    """A dense core of n/10 nodes (at least 2), a sparse periphery hung off
+    it, and two adjacent hubs (nodes 0 and 1) reaching 40% and 20% of the
+    periphery."""
+    core = max(n // 10, 2)
+    a = np.zeros((n, n), dtype=bool)
+    a[:core, :core] = np.triu(rng.random((core, core)) < 0.3, 1)
+    periphery = np.arange(core, n)
+    a[rng.integers(0, core, size=periphery.size), periphery] = True
+    u = rng.choice(periphery, size=n // 2)
+    v = rng.choice(periphery, size=n // 2)
+    a[u[u != v], v[u != v]] = True
+    a[0, 1] = True
+    for hub, reach in ((0, 0.4), (1, 0.2)):
+        a[hub, periphery[rng.random(periphery.size) < reach]] = True
+    a = a | a.T
+    np.fill_diagonal(a, False)
+    return Network(tuple(str(i + 1) for i in range(n)), a.astype(float))
+
+
+def _at_fraction(net, fraction):
+    return certify(net, fraction / spectral_radius(net))
 
 
 def _er_game(n, seed, fraction=0.5):
@@ -460,6 +505,101 @@ class TestTransposedBlock:
         s = NodeSet.of(nodes[: data.draw(st.integers(1, min(3, net.n - 1)))])
         wm = walk_matrix(spec, s)
         assert np.array_equal(wm.excluded_kept, wm.kept_excluded.T)
+
+
+@st.composite
+def _symmetry_cases(draw):
+    """A network of one family (Erdos-Renyi, path, core-periphery, circulant
+    or two Erdos-Renyi components), small or past one strip of rows, and an
+    excluded set holding some of node 0, node n - 1 and nodes 255 and 256."""
+    family = draw(st.sampled_from(["er", "path", "core", "circulant", "two-components"]))
+    n = draw(st.one_of(st.integers(4, 24), st.integers(258, 300)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if family == "core":
+        net = _dense_core_network(rng, n)
+    else:
+        a = np.zeros((n, n), dtype=bool)
+        if family == "er":
+            a = np.triu(rng.random((n, n)) < min(6.0 / n, 0.5), 1)
+        elif family == "two-components":
+            for lo, hi in ((0, n // 2), (n // 2, n)):
+                a[lo:hi, lo:hi] = np.triu(rng.random((hi - lo, hi - lo)) < min(6.0 / n, 0.5), 1)
+        else:
+            for step in (1,) if family == "path" else (1, 2):
+                a[np.arange(n - step), np.arange(step, n)] = True
+                if family == "circulant":
+                    a[np.arange(step), np.arange(n - step, n)] = True
+        net = Network(tuple(str(i + 1) for i in range(n)), (a | a.T).astype(float))
+    edges = [0, n - 1] + ([255, 256] if n > 257 else [])
+    picks = draw(st.lists(st.sampled_from(edges), min_size=1, unique=True))
+    picks += draw(st.lists(st.integers(0, n - 1), max_size=2))
+    s = NodeSet.of(picks)
+    assume(len(s) < n)
+    return net, s
+
+
+class TestExactSymmetry:
+    @settings(max_examples=40, deadline=None)
+    @given(_symmetry_cases(), st.floats(0.3, 0.99))
+    def test_kept_kept_is_its_own_transpose(self, case, fraction):
+        # One triangle is computed and mirrored, so walks i -> j and j -> i
+        # print the same bits, answered or not.
+        net, s = case
+        lam = spectral_radius(net)
+        assume(lam > 0)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(walks, "_require_agreement", lambda gap, what: None)
+            wm = walk_matrix(certify(net, fraction / lam), s)
+        assert np.array_equal(wm.kept_kept, wm.kept_kept.T)
+
+
+class TestNearTheBound:
+    """Where the check stops answering: the answered side, on the ER, path and
+    core-periphery games whose walk queries it refuses a step closer to the
+    bound (ER and path from 0.9999 of it, core-periphery from 0.999)."""
+
+    @pytest.mark.parametrize(
+        "game, excluded",
+        [
+            (lambda: _er_game(200, seed=1, fraction=0.999), [6, 51]),
+            (lambda: _at_fraction(path(100).network, 0.999), [6, 51]),
+            (lambda: _at_fraction(_dense_core_network(np.random.default_rng(3), 300), 0.99),
+             [1, 50, 100]),
+            (lambda: _at_fraction(_dense_core_network(np.random.default_rng(3), 300), 0.99),
+             [7, 8, 9]),
+        ],
+        ids=["er200-0.999", "path100-0.999", "core300-0.99-a", "core300-0.99-b"],
+    )
+    def test_is_answered(self, game, excluded):
+        spec = game()
+        walk_matrix(spec, NodeSet.of(excluded, spec.n))
+
+    # The reported gap, through the gate and from the bound alone, covers the
+    # error against an extended-precision inverse of the deleted network's system.
+    @pytest.mark.parametrize("fraction", [0.5, 0.999])
+    @pytest.mark.parametrize(
+        "game, excluded",
+        [
+            (lambda f: _er_game(200, seed=1, fraction=f), [6, 51]),
+            (lambda f: _at_fraction(path(100).network, f), [6, 51]),
+            (lambda f: _at_fraction(_dense_core_network(np.random.default_rng(3), 300), f),
+             [7, 8, 9]),
+        ],
+        ids=["er200", "path100", "core300"],
+    )
+    def test_kept_gap_covers_the_extended_precision_error(self, game, excluded, fraction):
+        spec = game(fraction)
+        s = NodeSet.of(excluded, spec.n)
+        kept = list(s.complement(spec.n).members)
+        g = spec.network.adjacency[np.ix_(kept, kept)]
+        want = _longdouble_inverse(np.eye(len(kept)) - spec.delta * g)
+        for tol in (walks.CROSS_ROUTE_TOL, np.inf):
+            gaps = []
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(walks, "CROSS_ROUTE_TOL", tol)
+                mp.setattr(walks, "_require_agreement", lambda gap, what: gaps.append(gap))
+                wm = walk_matrix(spec, s)
+            assert gaps[0] >= np.abs(wm.kept_kept - want).max(), (tol, gaps[0])
 
 
 def _exact_walk_blocks(net, delta, s):

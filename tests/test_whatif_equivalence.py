@@ -19,6 +19,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import cho_factor, cho_solve, solve_triangular
+from scipy.linalg.blas import dsyr2k
 
 from netsurgeon import (
     CharacteristicIntervention,
@@ -60,7 +61,9 @@ def reference_walk_matrix(spec, s):
     inv_ss = cho_solve(cho_factor(m_ss, lower=True), np.eye(len(e)))
     w_cs = m_cs @ inv_ss
     w_sc = w_cs.T
-    w_cc = m_cc - w_cs @ m_cs.T
+    w_cc = m_cc.copy(order="C")  # less the update's symmetric part, then mirrored
+    dsyr2k(-0.5, w_cs, m_cs, beta=1.0, c=w_cc.T, lower=0, overwrite_c=1)
+    w_cc = np.where(np.tri(len(c), dtype=bool), w_cc, w_cc.T)
     w_ss = 2.0 * np.eye(len(e)) - inv_ss
     a = spec.network.adjacency
     g_cc, g_cs, g_ss = a[np.ix_(c, c)], a[np.ix_(c, e)], a[np.ix_(e, e)]
@@ -527,13 +530,14 @@ def test_walk_check_route_still_refuses_a_perturbed_inverse(seeded, monkeypatch)
                 walk_matrix(spec, s)
     monkeypatch.setattr(walks, "_deleted_network_gaps", check)
 
-    held = GameSpec.influence_less
+    held = GameSpec._held_read
 
-    def shifted(self, members, update):
-        less = held(self, members, update)
-        less[len(less) // 2, 0] += 1e-8
-        return less
+    def shifted(self, runs, dst, lower=False):
+        read = held(self, runs, dst, lower)
+        if lower:  # M_cc's lower half, before the update
+            read[len(read) // 2, 0] += 1e-8
+        return read
 
-    monkeypatch.setattr(GameSpec, "influence_less", shifted)
+    monkeypatch.setattr(GameSpec, "_held_read", shifted)
     with pytest.raises(InternalCheckError, match="on the kept-kept block"):
         walk_matrix(spec, s)
