@@ -22,7 +22,7 @@ runs certify's own rule on the changed network. A rejection words
 lambda_max from an enclosure built from the links alone, a short Lanczos run
 whose Ritz vector gives Collatz-Wielandt bounds, O(m) a step; only when the
 enclosure's two ends would print differently does it compute the dense
-eigenvalue, as spec.lambda_max does on demand.
+eigenvalue (spectral_radius).
 """
 
 from __future__ import annotations
@@ -46,8 +46,9 @@ SPECTRAL_MARGIN = 1e-9
 # the margin tenfold: 1 - delta * lambda_max >= 1 / max row sum > 1e-8.
 ROW_SUM_BOUND = 1e8
 
-# Two scores this close count as tied and fall through to the lexicographic
-# rule, so automorphic nodes rank identically despite rounding noise.
+# A score within NEAR_TIE * max(1, |best|) of the best one not yet placed
+# counts as tied with it, and tied scores order by label (rank_order), so
+# automorphic nodes rank identically despite rounding noise.
 NEAR_TIE = 1e-9
 
 # Rows per step when an n x n matrix is worked on a strip at a time (packing,
@@ -132,40 +133,23 @@ def _natural_order(names) -> list:
 def rank_order(values: np.ndarray, keys: tuple) -> np.ndarray:
     """Positions of values, best first.
 
-    A run of values whose consecutive gaps stay within NEAR_TIE * max(1, |v|),
-    v the run's first value, counts as tied and is ordered by the key arrays,
-    compared lexicographically.
+    A run is the best value v not yet placed and every later value at or
+    above v - NEAR_TIE * max(1, |v|); it counts as tied and is ordered by
+    the key arrays, compared lexicographically.
     """
     order = np.lexsort(keys[::-1] + (-values,))
     v = values[order]
-    with np.errstate(over="ignore"):  # a gap past the largest float is no tie
-        gap = v[:-1] - v[1:]
-    # Only a gap within the loosest tolerance can join two values into a run,
-    # so runs lie inside the chains of consecutive such gaps.
-    near = gap <= NEAR_TIE * max(1.0, float(np.abs(v).max(initial=0.0)))
-    bounds = np.flatnonzero(np.diff(near, prepend=False, append=False)).tolist()
-    # Chain from start to stop: gaps start to stop - 1, values start to stop.
-    # Each run starts where the last one ended and takes the gaps within its
-    # first value's tolerance. Its first gap past that is searched for in
-    # windows that double from the run's start, so a chain that breaks into
-    # many short runs costs time linear in its length.
-    for start, stop in zip(bounds[0::2], bounds[1::2]):
-        while start < stop:
-            limit = NEAR_TIE * max(1.0, abs(v[start]))
-            if gap[start] > limit:  # a run of one value
-                start += 1
-                continue
-            end, width = start, 256
-            while True:
-                window = gap[end : min(stop, end + width)]
-                wide = np.flatnonzero(window > limit)
-                if wide.size or end + width >= stop:
-                    end += 1 + (int(wide[0]) if wide.size else len(window))
-                    break
-                end, width = end + width, 2 * width
-            run = order[start:end]
-            order[start:end] = run[np.lexsort(tuple(k[run] for k in keys[::-1]))]
-            start = end
+    floor = v - NEAR_TIE * np.maximum(1.0, np.abs(v))
+    # Where a run would hold more than one value; only those runs are visited.
+    starts = np.flatnonzero(v[1:] >= floor[:-1])
+    rising = -v  # negation is exact, so searching -floor here is the test v >= floor
+    at = 0
+    while at < len(starts):
+        start = starts[at]
+        end = np.searchsorted(rising, -floor[start], side="right")
+        run = order[start:end]
+        order[start:end] = run[np.lexsort(tuple(k[run] for k in keys[::-1]))]
+        at = np.searchsorted(starts, end)  # every value before the next start stands alone
     return order
 
 
@@ -648,18 +632,13 @@ class GameSpec:
     lower triangle, never the held M, so their bits do not depend on what
     was asked before. self_loops, the diagonal of M, comes from L^-1
     (dtrtri, about n^3/3 flops). It and the centralities b_unit (theta = 1)
-    and b (this theta) are cached and read-only. lambda_max is computed on
-    first read. with_theta shares the factor, the held M (with its
-    residual) and b_unit.
+    and b (this theta) are cached and read-only. with_theta shares the
+    factor, the held M (with its residual) and b_unit.
     """
 
     network: Network
     theta: np.ndarray = field(repr=False)
     delta: float
-
-    @cached_property
-    def lambda_max(self) -> float:
-        return spectral_radius(self.network)
 
     @cached_property
     def _factor(self):

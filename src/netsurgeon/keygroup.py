@@ -23,7 +23,6 @@ import numpy as np
 from scipy.linalg import solve_triangular
 
 from .graphs import (
-    NEAR_TIE,
     GameSpec,
     InputError,
     InternalCheckError,
@@ -124,13 +123,15 @@ def key_group_exhaustive(
 def key_group_greedy(spec: GameSpec, k: int) -> GroupScore:
     """Pick the best single node k times, each step in the residual network.
 
-    The returned score is measured in the original network, so it compares
-    directly with exhaustive output. Can be strictly suboptimal: the best
-    pair need not contain the best singleton. Deleting the chosen set S
-    leaves the game on the rest C with centralities b_C - M_CS M_SS^-1 b_S
-    and self-loops m_ii - M_iS M_SS^-1 M_Si, so each step reads only the
-    columns M[:, S], one solve per pick, and a Cholesky factor of M_SS.
-    Deleting nodes never breaks the spectral certificate.
+    Each pick is the first node of rank_order on the residual single-node
+    scores: of the scores within NEAR_TIE * max(1, |best|) of the best, the
+    lowest index. The returned score is measured in the original network,
+    so it compares directly with exhaustive output. Can be strictly
+    suboptimal: the best pair need not contain the best singleton. Deleting
+    the chosen set S leaves the game on the rest C with centralities
+    b_C - M_CS M_SS^-1 b_S and self-loops m_ii - M_iS M_SS^-1 M_Si, so each
+    step reads only the columns M[:, S], one solve per pick, and a Cholesky
+    factor of M_SS. Deleting nodes never breaks the spectral certificate.
     """
     if not 1 <= k <= spec.n:
         raise InputError(f"k must be between 1 and {spec.n}, got {k}")
@@ -156,8 +157,7 @@ def key_group_greedy(spec: GameSpec, k: int) -> GroupScore:
         if not np.isfinite(single).all():
             raise InputError("theta is too large: the greedy single-node scores overflow")
         single[chosen] = -np.inf
-        best = float(single.max())
-        pick = int(np.flatnonzero(single >= best - NEAR_TIE * max(1.0, abs(best)))[0])
+        pick = int(rank_order(single, (np.arange(spec.n),))[0])
         chosen.append(pick)
         if step + 1 < k:
             m_cs[:, step] = spec.columns([pick])[:, 0]

@@ -303,7 +303,7 @@ def test_criterion_07_walk_identities():
         tgt_i, tgt_j = int(rng.integers(0, n)), int(rng.integers(0, n))
         if len(s) < n and tgt_i not in s.members and tgt_j not in s.members:
             enum = enumerate_avoiding_walks(net, delta, tgt_i, tgt_j, s, max_len=cap)
-            tail = truncation_tail_bound(delta, spec.lambda_max, cap)
+            tail = truncation_tail_bound(delta, spectral_radius(net), cap)
             if abs(enum - walk_entry(wm, tgt_i, tgt_j)) > tail + 1e-12:
                 failures.append(f"trial {trial}: enumeration outside tail bound")
     _finish(7, "40 instances of block, walk-reading, rank-one, exchange, tail identities", failures)

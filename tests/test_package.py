@@ -24,7 +24,7 @@ PUBLIC_MEMBERS = {
     "CongestionSpec": "delta gamma network smallest_eigenvalue system theta",
     "EffectReport": "delta_aggregate delta_x equivalent_delta_theta labels post_b",
     "GameSpec": "b b_unit block columns delta influence influence_less influence_rows"
-    " lambda_max n network self_loops solve theta theta_is_ones with_theta",
+    " n network self_loops solve theta theta_is_ones with_theta",
     "GlobalSubstitutionSpec": "delta game network phi",
     "GraphFormatError": "",
     "GroupScore": "direct_effect group indirect_effect intercentrality",

@@ -36,17 +36,36 @@ from .test_graphs import small_networks
 
 
 def loop_ranked(items, value, key):
-    """Best first; runs of gaps within NEAR_TIE * max(1, |first|) order by key."""
+    """Best first: the best value v not yet placed and every later value at or
+    above v - NEAR_TIE * max(1, |v|) tie, and order by key."""
     items = sorted(items, key=lambda x: (-value(x), key(x)))
     out, i = [], 0
     while i < len(items):
+        best = value(items[i])
+        floor = best - NEAR_TIE * max(1.0, abs(best))
         j = i + 1
-        limit = NEAR_TIE * max(1.0, abs(value(items[i])))
-        while j < len(items) and value(items[j - 1]) - value(items[j]) <= limit:
+        while j < len(items) and value(items[j]) >= floor:
             j += 1
         out.extend(sorted(items[i:j], key=key))
         i = j
     return out
+
+
+def ranked_by_loop(values, keys):
+    return loop_ranked(
+        range(len(values)), lambda t: values[t], lambda t: tuple(k[t] for k in keys)
+    )
+
+
+def largest_late_lead(values):
+    """The most any entry of a ranking beats an earlier one by, in units of
+    NEAR_TIE * max(1, largest |value|): at most 1 under the near-tie rule, up
+    to rounding (the values are scaled to at most 1 first, so no gap overflows)."""
+    values = np.asarray(values, dtype=float)
+    if values.size < 2:
+        return 0.0
+    scaled = values / max(1.0, float(np.abs(values).max()))
+    return float((scaled[1:] - np.minimum.accumulate(scaled)[:-1]).max()) / NEAR_TIE
 
 
 def game(net, data, weighted):
@@ -71,25 +90,6 @@ def test_rank_order_matches_the_run_loop(coarse, noise):
     assert rank_order(values, (key,)).tolist() == want
 
 
-def rank_order_by_loop(values, keys):
-    """rank_order as it was: one run at a time from each near gap of the sorted values."""
-    order = np.lexsort(keys[::-1] + (-values,))
-    v = values[order]
-    gap = v[:-1] - v[1:]
-    near = np.flatnonzero(gap <= NEAR_TIE * max(1.0, float(np.abs(v).max(initial=0.0))))
-    end = 0
-    for start in near:
-        if start < end:
-            continue
-        limit = NEAR_TIE * max(1.0, abs(v[start]))
-        end = start + 1
-        while end < len(v) and gap[end - 1] <= limit:
-            end += 1
-        run = order[start:end]
-        order[start:end] = run[np.lexsort(tuple(k[run] for k in keys[::-1]))]
-    return order
-
-
 def test_rank_order_matches_the_loop_on_circulant_bridge_grids():
     # Every endpoint of a circulant graph is alike: the whole grid is one tie run.
     for n in (5, 12, 30):
@@ -104,9 +104,7 @@ def test_rank_order_matches_the_loop_on_circulant_bridge_grids():
         values = ranked.values[np.argsort(ranked.rows * n + ranked.cols)]
         rows, cols = np.repeat(np.arange(n), n), np.tile(np.arange(n), n)
         assert len(set(values.tolist())) > 1  # rounding noise, not exact ties
-        assert rank_order(values, (rows, cols)).tolist() == rank_order_by_loop(
-            values, (rows, cols)
-        ).tolist()
+        assert rank_order(values, (rows, cols)).tolist() == ranked_by_loop(values, (rows, cols))
 
 
 @settings(max_examples=200, deadline=None)
@@ -115,18 +113,48 @@ def test_rank_order_matches_the_loop_on_circulant_bridge_grids():
     st.sampled_from([1e-6, 1.0, 1e3, 1e7]),
     st.sampled_from([0.0, 0.4, 1.0, 3.0, 1e3]),
     st.lists(st.floats(0.05, 0.95), max_size=25),
+    st.lists(st.sampled_from([-np.inf, 1e308, 1e308 * (1 - 5e-10), -1e308]), max_size=6),
     st.integers(0, 2**32 - 1),
 )
-def test_rank_order_matches_the_loop(coarse, scale, spread, steps, seed):
+def test_rank_order_matches_the_loop(coarse, scale, spread, steps, extremes, seed):
     rng = np.random.default_rng(seed)
     tol = NEAR_TIE * max(1.0, scale * 3)
     values = np.array(coarse, dtype=float) * scale + rng.uniform(-1, 1, len(coarse)) * spread * tol
-    # A chain of steps each within tolerance but summing past it breaks mid-way.
+    # A chain of steps each within tolerance but summing past it splits where
+    # it falls below its first value's tolerance, and again from there.
     start = 4.0 * max(1.0, scale * 3)
     chain = start - NEAR_TIE * max(1.0, start) * np.cumsum(steps)
-    values = np.concatenate([values, chain, chain[::2]])
+    # Scores of chosen nodes (-inf) and values whose gaps pass the largest float.
+    values = np.concatenate([values, chain, chain[::2], extremes])
     keys = (rng.integers(0, 3, len(values)), rng.permutation(len(values)))
-    assert rank_order(values, keys).tolist() == rank_order_by_loop(values, keys).tolist()
+    order = rank_order(values, keys)
+    assert order.tolist() == ranked_by_loop(values, keys)
+    ranked = values[order]
+    assert largest_late_lead(ranked[np.isfinite(ranked)]) <= 1.0 + 1e-6
+
+
+def circulant(n):
+    """Each node a0 ... a{n-1} linked to the 3 nearest on either side: long
+    chains of near-tied scores, every one within NEAR_TIE of the next."""
+    return Network.from_edges([(f"a{i}", f"a{(i + o) % n}") for i in range(n) for o in (1, 2, 3)])
+
+
+def test_top_pair_on_a_circulant_is_within_near_tie_of_the_best():
+    spec = certify(circulant(90), 0.0833)
+    best = max(gs.intercentrality for gs in key_group_exhaustive(spec, 2, top=None))
+    (top,) = key_group_exhaustive(spec, 2, top=1)
+    assert best - top.intercentrality <= NEAR_TIE * max(1.0, abs(best))
+
+
+@pytest.mark.parametrize("n", [60, 90])
+@pytest.mark.parametrize("frac", [0.3, 0.4, 0.5])
+def test_no_ranked_entry_leads_an_earlier_one_past_near_tie(n, frac):
+    spec = certify(circulant(n), frac / 6.0)  # 6-regular: lambda_max = 6
+    values, skipped = link_values(spec, "potential")
+    assert not skipped
+    assert largest_late_lead([lv.value for lv in values]) <= 1.0 + 1e-6
+    pairs = key_group_exhaustive(spec, 2)
+    assert largest_late_lead([gs.intercentrality for gs in pairs]) <= 1.0 + 1e-6
 
 
 @settings(max_examples=40, deadline=None)

@@ -736,7 +736,7 @@ class TestAvoidance:
         block = avoidance_block(spec, a, b)
         censored = NodeSet.of([0, 3])
         total = enumerate_avoiding_walks(spec.network, spec.delta, 0, 3, censored, max_len=60)
-        tail = truncation_tail_bound(spec.delta, spec.lambda_max, 60)
+        tail = truncation_tail_bound(spec.delta, spectral_radius(spec.network), 60)
         assert abs(block[0, 0] - total) <= tail + 1e-12
 
 
@@ -796,7 +796,7 @@ class TestEnumeration:
                 assert cur >= prev - 1e-15
                 prev = cur
             wm = walk_matrix(spec, s)
-            tail = truncation_tail_bound(spec.delta, spec.lambda_max, 40)
+            tail = truncation_tail_bound(spec.delta, spectral_radius(spec.network), 40)
             assert abs(walk_entry(wm, i, j) - prev) <= tail + 1e-12
 
     def test_bounds_checked(self):
