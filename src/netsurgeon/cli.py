@@ -6,8 +6,8 @@ violated internal identity. JSON output prints floats at 6 significant
 digits with fixed key order, so identical inputs give identical bytes.
 
 Only this module knows the output schema: it writes every JSON key and CSV
-header, and each command builds its CSV rows and its JSON payload from one
-tolist() of its result arrays. The library's result classes are plain data.
+header, and each command builds its CSV columns and its JSON payload from
+one tolist() of its result arrays. The library's result classes are plain data.
 """
 
 from __future__ import annotations
@@ -15,8 +15,10 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import itertools
 import json
 import math
+import operator
 import re
 import sys
 from dataclasses import dataclass
@@ -57,13 +59,15 @@ class _Parser(argparse.ArgumentParser):
 
 # The JSON writer: the bytes of json.dump(payload, indent=2) with every float
 # rounded to 6 significant digits first, built as one string; keys must be
-# strings. Lists of scalars are formatted a column at a time and lists of
-# same-shaped records, or _Columns, through one %-template, so the cost per
-# printed number is a few C calls.
+# strings. Lists of scalars are formatted a column at a time, each distinct
+# float and string once, and a list of same-shaped records, or _Columns, is
+# laid out as one list of key and value texts and joined once, so the cost
+# per printed number is a few C calls, and less where values repeat. The CSV
+# writer takes the same columns and formats each distinct float once too.
 
 _SCALARS = {str, float, int, bool, type(None)}
 _NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-_INTEGRAL = re.compile(r"^-?\d+$", re.MULTILINE)
+_INTEGRAL = re.compile(r"\n-?\d+(?![^\n])")  # a text of digits alone, after its newline
 
 
 class _Escaped(dict):
@@ -77,29 +81,66 @@ class _Escaped(dict):
 @dataclass(frozen=True)
 class _Columns:
     """A list of records with the same keys, given column by column: fields
-    maps each key, in order, to the records' values at that key."""
+    maps each key, in order, to the records' values at that key. Every
+    field holds one value per record; a shorter one is refused."""
 
     fields: dict
 
+    def __post_init__(self):
+        sizes = {key: len(column) for key, column in self.fields.items()}
+        records = max(sizes.values(), default=0)
+        for key, size in sizes.items():
+            if size < records:
+                raise ValueError(f"field {key!r} holds {size} values, not {records}")
 
-def _floats(values) -> list[str]:
+
+def _once_each(fmt, values) -> list[str]:
+    """fmt(values), with fmt called on each distinct value once.
+
+    Rankings of symmetric networks repeat a few values thousands of times.
+    A set finds the distinct values, but it holds 0.0 and -0.0 as one, so
+    when values repeat the zeros are given their texts by sign afterwards.
+    NaNs never compare equal, so each keeps its own text.
+    """
+    distinct = set(values)
+    if len(distinct) == len(values):
+        return fmt(values)
+    keys = list(distinct)
+    text = dict(zip(keys, fmt(keys)))
+    texts = list(map(text.__getitem__, values))
+    if 0.0 in text:
+        plus, minus = fmt((0.0, -0.0))
+        for i in itertools.compress(range(len(values)), map(operator.not_, values)):
+            texts[i] = minus if math.copysign(1.0, values[i]) < 0 else plus
+    return texts
+
+
+def _json_floats(values) -> list[str]:
     """The repr of float("%.6g" % v) for each v, from one %-format of them all.
 
     %g and repr agree on the digits of a 6-digit decimal; they differ in
     form only for integral texts, where repr adds ".0", for decimal
     exponents 6 to 15, where repr is positional, and for subnormals, where
-    repr is shorter. Texts holding "e+" or "e-3", which covers both of the
-    last two cases, are redone through repr one by one.
+    repr is shorter. An integral text has no ".", so the texts are searched
+    for them only when some text lacks one. Texts holding "e+" or "e-3",
+    which covers both of the last two cases, are redone through repr one by
+    one.
     """
-    values = tuple(values)
-    text = _INTEGRAL.sub(r"\g<0>.0", ("%.6g\n" * len(values)) % values)
+    text = ("\n%.6g" * len(values)) % tuple(values)
+    if text.count(".") < len(values):
+        text = _INTEGRAL.sub(r"\g<0>.0", text)
     texts = text.split("\n")
-    texts.pop()
+    del texts[0]
     if "e+" in text or "e-3" in text:
         texts = [float.__repr__(float(t)) if "e+" in t or "e-3" in t else t for t in texts]
     if "n" in text:  # nan, inf
         texts = [_NONFINITE.get(t, t) for t in texts]
     return texts
+
+
+def _floats(values) -> list[str]:
+    """The JSON text of each float in values, each distinct value formatted once."""
+    return _once_each(_json_floats, values)
 
 
 def _scalar(v, esc: _Escaped) -> str:
@@ -132,17 +173,32 @@ def _bracketed(texts: list, indent: str) -> str:
 
 
 def _columns(fields: dict, indent: str, esc: _Escaped) -> str:
-    """The list of records whose values at key k are fields[k], at indent;
-    through one template when every field holds scalars."""
+    """The list of records whose values at key k are fields[k], at indent.
+
+    Each field's texts are made a column at a time, scalars through
+    _scalars and other values through _value at the records' inner indent,
+    and laid into one list between the key texts, which is joined once.
+    """
+    records = len(next(iter(fields.values()), ()))
+    if not records:
+        return "[]"
     inner = indent + "  "
-    kinds = [set(map(type, col)) for col in fields.values()]
-    if all(kind <= _SCALARS for kind in kinds):
-        columns = [_scalars(col, kind, esc) for col, kind in zip(fields.values(), kinds)]
-        lines = ",\n".join(f"{inner}  {esc[k].replace('%', '%%')}: %s" for k in fields)
-        texts = list(map(("{\n" + lines + "\n" + inner + "}").__mod__, zip(*columns)))
-    else:
-        texts = [_dict(dict(zip(fields, row)), inner, esc) for row in zip(*fields.values())]
-    return _bracketed(texts, indent) if texts else "[]"
+    keys = [f"{inner}  {esc[k]}: " for k in fields]
+    # A record is its key and value texts in turn; its first key text also
+    # closes the record before it, and the others follow a comma.
+    heads = [f"\n{inner}}},\n{inner}{{\n{keys[0]}", *[",\n" + key for key in keys[1:]]]
+    parts = [text for head in heads for text in (head, None)] * records
+    stride = 2 * len(heads)
+    for at, column in enumerate(fields.values()):
+        kinds = set(map(type, column))
+        if kinds <= _SCALARS:
+            texts = _scalars(column, kinds, esc)
+        else:
+            texts = [_value(v, inner + "  ", esc) for v in column]
+        parts[2 * at + 1 :: stride] = texts
+    parts[0] = f"[\n{inner}{{\n{keys[0]}"
+    parts.append(f"\n{inner}}}\n{indent}]")
+    return "".join(parts)
 
 
 def _list(items, indent: str, esc: _Escaped) -> str:
@@ -162,8 +218,12 @@ def _dict(obj: dict, indent: str, esc: _Escaped) -> str:
     if not obj:
         return "{}"
     inner = indent + "  "
-    texts = [f"{esc[k]}: {_value(v, inner, esc)}" for k, v in obj.items()]
-    return "{\n" + inner + (",\n" + inner).join(texts) + "\n" + indent + "}"
+    parts = []
+    for k, v in obj.items():
+        parts += (",\n" + inner, esc[k], ": ", _value(v, inner, esc))
+    parts[0] = "{\n" + inner
+    parts.append("\n" + indent + "}")
+    return "".join(parts)
 
 
 def _value(obj, indent: str, esc: _Escaped) -> str:
@@ -177,14 +237,34 @@ def _value(obj, indent: str, esc: _Escaped) -> str:
 
 
 def _emit_json(payload, stream) -> None:
-    stream.write(_value(payload, "", _Escaped()) + "\n")
+    stream.write(_value(payload, "", _Escaped()))
+    stream.write("\n")
 
 
-def _emit_csv(header, rows, stream) -> None:
+def _csv_floats(values) -> list[str]:
+    texts = (("%.6g\n" * len(values)) % tuple(values)).split("\n")
+    texts.pop()
+    return texts
+
+
+def _emit_csv(table: _Columns, stream) -> None:
+    """The header, then one row per record, each float as "%.6g" text.
+
+    A column of floats is formatted once per distinct value, a column that
+    mixes floats with other values cell by cell, and any other column is
+    written as it is. All rows go out in one writerows call.
+    """
+    columns = []
+    for column in table.fields.values():
+        kinds = set(map(type, column))
+        if kinds == {float}:
+            column = _once_each(_csv_floats, column)
+        elif any(issubclass(kind, float) for kind in kinds):
+            column = ["%.6g" % v if isinstance(v, float) else v for v in column]
+        columns.append(column)
     writer = csv.writer(stream)
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([f"{v:.6g}" if isinstance(v, float) else v for v in row])
+    writer.writerow(table.fields)
+    writer.writerows(zip(*columns))
 
 
 def _load_theta(arg: str | None, net: Network):
@@ -307,8 +387,9 @@ def _cmd_centrality(args, out) -> int:
     report = katz_bonacich(_spec_from(args))
     labels, b, loops = list(report.labels), report.b.tolist(), report.self_loops.tolist()
     if args.format == "csv":
-        rows = [*zip(labels, b, loops), ("aggregate", report.aggregate, "")]
-        _emit_csv(("label", "b", "self_loop"), rows, out)
+        columns = {"label": [*labels, "aggregate"], "b": [*b, report.aggregate],
+                   "self_loop": [*loops, ""]}
+        _emit_csv(_Columns(columns), out)
     else:
         payload = {"labels": labels, "b": b, "self_loops": loops, "aggregate": report.aggregate}
         _emit_json(payload, out)
@@ -343,8 +424,9 @@ def _cmd_intervene(args, out) -> int:
     dtheta, post_b = effect.equivalent_delta_theta.tolist(), effect.post_b.tolist()
     aggregate = effect.delta_aggregate
     if args.format == "csv":
-        rows = [*zip(labels, delta_x, dtheta, post_b), ("aggregate_change", aggregate, "", "")]
-        _emit_csv(("label", "delta_x", "equivalent_delta_theta", "post_b"), rows, out)
+        columns = {"label": [*labels, "aggregate_change"], "delta_x": [*delta_x, aggregate],
+                   "equivalent_delta_theta": [*dtheta, ""], "post_b": [*post_b, ""]}
+        _emit_csv(_Columns(columns), out)
     else:
         payload = {
             "labels": labels,
@@ -375,9 +457,9 @@ def _cmd_key_group(args, out) -> int:
         "indirect_effect": [gs.indirect_effect for gs in results],
     }
     if args.format == "csv":
-        records = enumerate(zip(*fields.values()), start=1)
-        rows = [(rank, " ".join(group), *scores) for rank, (group, *scores) in records]
-        _emit_csv(("rank", *fields), rows, out)
+        table = {"rank": list(range(1, len(results) + 1)), **fields}
+        table["group"] = [" ".join(group) for group in fields["group"]]
+        _emit_csv(_Columns(table), out)
     else:
         _emit_json({"mode": args.mode, "k": args.k, "results": _Columns(fields)}, out)
     return 0
@@ -401,12 +483,12 @@ def _ranked_columns(ranked: bridge.RankedPairs) -> dict[str, list]:
 def _cmd_key_bridge(args, out) -> int:
     spec1 = certify(load_network(args.graph1), args.delta)
     spec2 = certify(load_network(args.graph2), args.delta)
-    candidates = _ranked_columns(rank_bridges(spec1, spec2))
+    candidates = _Columns(_ranked_columns(rank_bridges(spec1, spec2)))
     if args.format == "csv":
-        _emit_csv(tuple(candidates), zip(*candidates.values()), out)
+        _emit_csv(candidates, out)
     else:
-        winner = {key: column[0] for key, column in candidates.items()}
-        _emit_json({"winner": winner, "candidates": _Columns(candidates)}, out)
+        winner = {key: column[0] for key, column in candidates.fields.items()}
+        _emit_json({"winner": winner, "candidates": candidates}, out)
     return 0
 
 
@@ -422,10 +504,11 @@ def _cmd_link_value(args, out) -> int:
     else:
         ranked, skipped = link_values(spec, "potential" if args.all_potential else "existing")
         values = _ranked_columns(ranked)
+    table = _Columns(values)
     if args.format == "csv":
-        _emit_csv(tuple(values), zip(*values.values()), out)
+        _emit_csv(table, out)
     else:
-        payload = {"values": _Columns(values)}
+        payload = {"values": table}
         if skipped:
             payload["skipped"] = [{"i": u, "j": v, "reason": why} for u, v, why in skipped]
         _emit_json(payload, out)

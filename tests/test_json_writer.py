@@ -1,15 +1,21 @@
-"""The CLI's JSON writer against json.dump, the writer it replaced.
+"""The CLI's JSON and CSV writers against the writers they replaced.
 
-The reference rounds every float to 6 significant digits and hands the
+The JSON reference rounds every float to 6 significant digits and hands the
 payload to json.dump(indent=2), as the CLI once did; the writer must produce
 the same string for every payload, including the shapes its fast paths take
 (lists of one scalar type, lists of same-shaped records) and the ones that
 fall back (mixed lists, records whose keys or key orders differ). The float
 texts, made in one %-format of a whole list, are also checked against the
 one-value-at-a-time route they replaced, and records given column by column
-(_Columns) against the same list of dicts.
+(_Columns) against the same list of dicts. The CSV reference writes one row
+at a time and formats each float cell on its own.
+
+The writers format each distinct value once, so payloads are also drawn
+from a small pool where values repeat: 0.0 beside -0.0, NaN, values with
+the same 6-digit text but different bits, and labels holding % and NUL.
 """
 
+import csv
 import io
 import json
 import math
@@ -19,7 +25,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from netsurgeon.cli import _Columns, _emit_json, _floats
+from netsurgeon.cli import _Columns, _emit_csv, _emit_json, _floats
 
 
 def _sig6(obj):
@@ -59,6 +65,26 @@ labels = st.one_of(
 )
 scalars = st.one_of(floats, st.integers(), st.booleans(), st.none(), labels)
 
+# Values that repeat: 0.1 and its neighbour print alike but differ in bits,
+# and a set holds 0.0 and -0.0 as one.
+POOL_FLOATS = [
+    0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, 1e16, 0.1,
+    float(np.nextafter(0.1, 1.0)), 1.0 / 3.0, 999999.5,
+]
+POOL_LABELS = ["a0", "b1", "100%", "%s", "\x00", "say\"hi"]
+pooled = st.sampled_from(POOL_FLOATS)
+pooled_labels = st.sampled_from(POOL_LABELS)
+groups = st.lists(pooled_labels, min_size=1, max_size=3)
+
+
+@st.composite
+def pooled_records(draw):
+    """Same-shaped records whose values repeat, some fields list-valued."""
+    keys = draw(st.lists(pooled_labels, min_size=1, max_size=4, unique=True))
+    kinds = [draw(st.sampled_from([pooled, pooled_labels, groups, st.integers(0, 3)])) for _ in keys]
+    size = draw(st.integers(1, 30))
+    return [{k: draw(kind) for k, kind in zip(keys, kinds)} for _ in range(size)]
+
 
 @st.composite
 def records(draw):
@@ -86,6 +112,9 @@ payloads = st.recursive(
         st.lists(labels, max_size=6),
         st.lists(st.lists(floats, max_size=5), max_size=5),
         records(),
+        st.lists(pooled, max_size=40),
+        st.lists(pooled_labels, max_size=20),
+        pooled_records(),
     ),
     lambda inner: st.one_of(
         st.lists(inner, max_size=5),
@@ -162,9 +191,11 @@ text_floats = st.one_of(
 
 
 @settings(max_examples=400, deadline=None)
-@given(st.lists(text_floats, max_size=30))
+@given(st.one_of(st.lists(text_floats, max_size=30), st.lists(pooled, max_size=60)))
 @example(SWITCHES)
 @example([1e16, 1e15, 999999.5, 123456.5, 1234565.0, 9.999995e15, -0.0, 5e-324])
+@example([0.1, float(np.nextafter(0.1, 1.0)), 0.1, -0.0, 0.0])
+@example([math.nan, math.nan, float("nan")])
 def test_float_texts_match_the_one_at_a_time_route(values):
     assert _floats(values) == floats_one_by_one(values)
 
@@ -183,3 +214,85 @@ def test_columns_write_as_the_list_of_records(rows):
     assert written({"rows": _Columns(fields)}) == reference({"rows": rows})
     empty = {k: [] for k in keys}
     assert written({"rows": _Columns(empty)}) == reference({"rows": []})
+
+
+def test_zeros_keep_their_sign_among_repeats():
+    assert _floats([0.0, -0.0, 0.0, -0.0]) == ["0.0", "-0.0", "0.0", "-0.0"]
+    assert _floats([-0.0, 1.5, 0.0, 1.5]) == ["-0.0", "1.5", "0.0", "1.5"]
+
+
+def pooled_table(size: int, seed: int) -> dict:
+    """A key-bridge-shaped table of `size` records drawn from the pools, plus
+    a key-group-shaped list-valued field."""
+    rng = np.random.default_rng(seed)
+
+    def pick(pool, count=size):
+        return [pool[k] for k in rng.integers(len(pool), size=count)]
+
+    return {
+        "i": pick(POOL_LABELS),
+        "j": pick(POOL_LABELS),
+        "value": pick(POOL_FLOATS),
+        "group": [pick(POOL_LABELS, 1 + k % 3) for k in range(size)],
+        "rank": list(range(1, size + 1)),
+        "100%": pick(POOL_FLOATS),
+    }
+
+
+@pytest.mark.parametrize("size", [0, 1, 2000])
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_pooled_columns_write_as_the_list_of_records(size, seed):
+    fields = pooled_table(size, seed)
+    rows = [dict(zip(fields, row)) for row in zip(*fields.values())]
+    assert written({"rows": _Columns(fields), "n": size}) == reference({"rows": rows, "n": size})
+
+
+def test_ragged_columns_are_refused_naming_the_short_field():
+    with pytest.raises(ValueError, match="'value' holds 1 values, not 2"):
+        _Columns({"i": ["a", "b"], "value": [1.0], "j": ["c", "d"]})
+
+
+def csv_cell_by_cell(header, rows) -> str:
+    """The CSV the CLI once wrote: one row at a time, each float cell through
+    its own 6-digit format."""
+    out = io.StringIO()
+    writer = csv.writer(out)
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([f"{v:.6g}" if isinstance(v, float) else v for v in row])
+    return out.getvalue()
+
+
+def csv_written(fields: dict) -> str:
+    out = io.StringIO()
+    _emit_csv(_Columns(fields), out)
+    return out.getvalue()
+
+
+@st.composite
+def csv_tables(draw):
+    keys = draw(st.lists(labels, min_size=1, max_size=5, unique=True))
+    size = draw(st.integers(0, 12))
+    kinds = [pooled, floats, text_floats, labels, pooled_labels, st.integers(), scalars]
+    fields = {}
+    for key in keys:
+        kind = draw(st.sampled_from(kinds))
+        fields[key] = draw(st.lists(kind, min_size=size, max_size=size))
+    return fields
+
+
+@settings(max_examples=200, deadline=None)
+@given(csv_tables())
+@example({"label": ["a", "aggregate"], "b": [1.5, 2.0], "self_loop": [1.25, ""]})
+@example({"v": [0.0, -0.0, 0.0, math.nan, math.nan, 1e16, 1e-5]})
+@example({"v": []})
+def test_csv_matches_the_cell_by_cell_writer(fields):
+    assert csv_written(fields) == csv_cell_by_cell(list(fields), zip(*fields.values()))
+
+
+@pytest.mark.parametrize("size", [1, 2000])
+def test_pooled_csv_matches_the_cell_by_cell_writer(size):
+    fields = pooled_table(size, seed=size)
+    fields["group"] = [" ".join(group) for group in fields["group"]]
+    assert csv_written(fields) == csv_cell_by_cell(list(fields), zip(*fields.values()))
