@@ -191,12 +191,18 @@ text_floats = st.one_of(
 
 
 @settings(max_examples=400, deadline=None)
-@given(st.one_of(st.lists(text_floats, max_size=30), st.lists(pooled, max_size=60)))
+@given(st.lists(text_floats, max_size=30))
 @example(SWITCHES)
 @example([1e16, 1e15, 999999.5, 123456.5, 1234565.0, 9.999995e15, -0.0, 5e-324])
 @example([0.1, float(np.nextafter(0.1, 1.0)), 0.1, -0.0, 0.0])
 @example([math.nan, math.nan, float("nan")])
 def test_float_texts_match_the_one_at_a_time_route(values):
+    assert _floats(values) == floats_one_by_one(values)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.one_of(pooled, text_floats), max_size=60))
+def test_pooled_float_texts_match_the_one_at_a_time_route(values):
     assert _floats(values) == floats_one_by_one(values)
 
 
