@@ -186,6 +186,47 @@ class TestTop:
             key_group_exhaustive(reg_spec, 2, top=t)
 
 
+class TestExhaustiveWork:
+    """The search solves only the pool that can place, and holds no array of
+    every subset: M's lower half is its one n x n array."""
+
+    @staticmethod
+    def _er(n, seed, frac):
+        rng = np.random.default_rng(seed)
+        a = np.triu(rng.random((n, n)) < 6.0 / (n - 1), 1)
+        net = Network(tuple(str(i + 1) for i in range(n)), (a | a.T).astype(float))
+        return certify(net, frac / spectral_radius(net))
+
+    def test_solves_only_the_pool(self, monkeypatch):
+        spec = self._er(160, 3, 0.5)
+        solved, score = [], keygroup._score
+
+        def counted(m_ss, *args):
+            solved.append(len(m_ss))
+            return score(m_ss, *args)
+
+        monkeypatch.setattr(keygroup, "_score", counted)
+        ranked = key_group_exhaustive(spec, 2, top=3)
+        monkeypatch.undo()
+        assert ranked == key_group_exhaustive(spec, 2)[:3]
+        # Of 12,720 pairs only the few that can still place are solved.
+        assert 3 <= sum(solved) <= 30
+
+    def test_holds_one_n_by_n_array(self):
+        n = 600
+        spec = self._er(n, 4, 0.5)
+        tracemalloc.start()
+        try:
+            key_group_exhaustive(spec, 2, top=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # M's lower half (dpotri's array is freed first), and per chunk a
+        # few dozen arrays of CHUNK pairs; every pair's groups and scores
+        # would add about 2 n^2 x 8 bytes.
+        assert peak < n * n * 8 + 64 * keygroup.CHUNK * 8
+
+
 class TestGreedy:
     def test_first_pick_is_key_player(self, reg_spec):
         gs = key_group_greedy(reg_spec, 1)

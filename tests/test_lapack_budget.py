@@ -83,6 +83,7 @@ def absent_pair_past_bound(net) -> tuple[int, int, float]:
     ["centrality"],
     ["extension", "--model", "multi", "--beta", "0.3"],
     ["extension", "--model", "global", "--phi", "0.2"],
+    ["key-group", "--k", "2"],
 ])
 def test_a_refused_game_makes_no_eigensolve(er300, lapack, model):
     net, path = er300
@@ -145,6 +146,9 @@ ANSWERED = [
     ("pair", ["link-value", "--pair", "ABSENT"], {"cho_factor": 1}),
     ("from-to", ["walks", "--from", "0", "--to", "1"], {"cho_factor": 1}),
     ("exhaustive", ["key-group", "--k", "2"], {"cho_factor": 1, "dpotri": 1}),
+    # In the sliver below the bound, certify factors the margin system too.
+    ("exhaustive-sliver", ["key-group", "--k", "2", "--delta", "SLIVER"],
+     {"cho_factor": 2, "dpotri": 1}),
     ("exclude", ["walks", "--exclude", "0,1"], {"cho_factor": 1, "dpotri": 1}),
     ("all-existing", ["link-value", "--all-existing"], {"cho_factor": 1, "dpotri": 1}),
     ("global", ["extension", "--model", "global", "--phi", "0.2"], {"cho_factor": 1}),
@@ -176,6 +180,7 @@ def test_an_answered_query_keeps_its_budget(er300, lapack, argv, want):
     absent = next((0, j) for j in range(1, net.n) if not net.has_link(0, j))
     pairs = {"EDGE": edge, "ABSENT": absent}
     argv = [",".join(net.labels[i] for i in pairs[a]) if a in pairs else a for a in argv]
+    argv = [repr((1 - 2e-9) / eig_lambda_max(net)) if a == "SLIVER" else a for a in argv]
     if "--delta" not in argv:
         argv += ["--delta", repr(0.5 / eig_lambda_max(net))]
     code, err = run(argv + ["--graph", path])

@@ -4,18 +4,23 @@ Each reference below is written out in the test, one item at a time: the
 near-tie ranking one run at a time, one intercentrality per subset, a
 re-certified and re-inverted residual game per greedy step (on random and
 circulant graphs), the pairwise frontier definition, one link value per
-pair, and one certificate per grown network.
+pair, and one certificate per grown network. The streamed exhaustive search
+is held to the search it replaced: the stacked solve over every subset and
+one rank_order over all of them.
 """
 
+import io
 import itertools
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.linalg import block_diag
 
 from netsurgeon import (
     InputError,
+    cli,
     Network,
     NodeSet,
     bridge_index,
@@ -29,9 +34,11 @@ from netsurgeon import (
     pareto_frontier,
     rank_bridges,
 )
+from netsurgeon import keygroup
 from netsurgeon.graphs import NEAR_TIE, links_certified, rank_order, within_bound
 
 from .conftest import eig_lambda_max, random_graph
+from .oracle import serialize
 from .test_graphs import small_networks
 
 
@@ -171,6 +178,185 @@ def test_exhaustive_matches_one_intercentrality_per_subset(net, weighted, data):
             for field in ("intercentrality", "direct_effect", "indirect_effect"):
                 want_value = pytest.approx(getattr(ref, field), rel=1e-12, abs=1e-12)
                 assert getattr(got, field) == want_value
+
+
+def solved_and_ranked(spec, k):
+    """Every size-k group scored by keygroup._score on blocks of influence(),
+    all ranked by one rank_order: (group, score, direct, indirect), best first."""
+    m = spec.influence()
+    groups = np.array(list(itertools.combinations(range(spec.n), k)), dtype=np.intp)
+    d, direct = keygroup._score(
+        m[groups[:, :, None], groups[:, None, :]], spec.b[groups], spec.b_unit[groups]
+    )
+    order = rank_order(d, tuple(groups.T))
+    return [(tuple(groups[t].tolist()), d[t], direct[t], d[t] - direct[t]) for t in order]
+
+
+def as_bits(ranked):
+    return [
+        (gs.group.members, *(float(x).hex() for x in (gs.intercentrality, gs.direct_effect,
+                                                       gs.indirect_effect)))
+        for gs in ranked
+    ]
+
+
+def reference_bits(ranked):
+    return [(g, *(float(x).hex() for x in values)) for g, *values in ranked]
+
+
+@st.composite
+def search_networks(draw):
+    """Random, circulant, two-component and isolated-node networks."""
+    family = draw(st.sampled_from(["random", "circulant", "two", "isolated"]))
+    if family == "random":
+        return draw(small_networks(max_nodes=14))
+    if family == "circulant":
+        return draw(circulant_networks(max_nodes=16))
+    one = draw(small_networks(max_nodes=8)).adjacency
+    if family == "two":
+        other = draw(small_networks(max_nodes=8)).adjacency
+    else:
+        other = np.zeros((draw(st.integers(1, 3)),) * 2)
+    a = block_diag(one, other)
+    return Network(tuple(str(i + 1) for i in range(len(a))), a)
+
+
+def game_near(net, frac, weights, data):
+    """The game at frac of net's bound, with unit theta or theta drawn from
+    [0.5, 2] ("positive") or [-2, 2] ("mixed")."""
+    theta = None
+    if weights != "unit":
+        low = 0.5 if weights == "positive" else -2.0
+        draws = st.lists(st.floats(low, 2.0), min_size=net.n, max_size=net.n)
+        theta = np.array(data.draw(draws))
+    lam = eig_lambda_max(net)
+    return certify(net, frac / lam if lam > 0 else frac, theta)
+
+
+FRACTIONS = [0.3, 0.5, 0.9, 0.99, 0.999999]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    search_networks(),
+    st.sampled_from(FRACTIONS),
+    st.sampled_from(["unit", "positive", "mixed"]),
+    st.integers(1, 3),
+    st.sampled_from([1, 3, 15, "count - 1", None]),
+    st.sampled_from([1, 7, 4096]),
+    st.data(),
+)
+def test_streamed_search_equals_one_ranking_of_every_solve(net, frac, weights, k, top, chunk,
+                                                           data):
+    assume(k <= net.n)
+    spec = game_near(net, frac, weights, data)
+    want = reference_bits(solved_and_ranked(spec, k))
+    count = len(want)
+    t = max(count - 1, 1) if top == "count - 1" else top
+    # Small chunks stream many of them through the pool, with many cuts.
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(keygroup, "CHUNK", chunk)
+        got = as_bits(key_group_exhaustive(spec, k, top=t))
+    assert got == want[:t]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    search_networks(),
+    st.sampled_from(FRACTIONS),
+    st.sampled_from(["unit", "positive", "mixed"]),
+    st.data(),
+)
+def test_closed_form_pair_scores_stay_within_their_bound(net, frac, weights, data):
+    assert_pair_bound_holds(game_near(net, frac, weights, data))
+
+
+def assert_pair_bound_holds(spec):
+    groups = np.array(list(itertools.combinations(range(spec.n), 2)), dtype=np.intp)
+    m = spec.influence()
+    value, slack, direct = keygroup._pair_scores(spec, m, groups)
+    d, want_direct = keygroup._score(
+        m[groups[:, :, None], groups[:, None, :]], spec.b[groups], spec.b_unit[groups]
+    )
+    assert np.all(np.abs(value - d) <= slack)
+    assert direct.tolist() == want_direct.tolist()
+    return np.abs(value - d), slack, d
+
+
+@pytest.mark.parametrize("theta", ["unit", "weighted"])
+@pytest.mark.parametrize("frac", [0.5, 0.999, 0.999999])
+def test_closed_form_gap_grows_with_conditioning_and_stays_bounded(frac, theta):
+    # ER n = 160: near the bound the closed form and the solve part by
+    # about 1e-12 of the score, far past a fixed relative slack of 1e-12.
+    net = random_graph(np.random.default_rng(160), 160, p=6.0 / 159)
+    weights = np.random.default_rng(3).uniform(0.5, 2.0, net.n) if theta == "weighted" else None
+    spec = certify(net, frac / eig_lambda_max(net), weights)
+    gap, slack, d = assert_pair_bound_holds(spec)
+    relative = float((gap / np.abs(d)).max())
+    assert relative < (1e-14 if frac == 0.5 else 1e-9)
+    if frac == 0.999999:
+        assert relative > 1e-12
+    # The bound stays a small part of the score, so the pool stays small.
+    assert float((slack / np.abs(d)).max()) < 1e-6
+
+
+def refusal_or_ranking(spec, k, top):
+    try:
+        return True, reference_bits(solved_and_ranked(spec, k))[:top]
+    except InputError as exc:
+        return False, str(exc)
+
+
+def searched(spec, k, top):
+    try:
+        return True, as_bits(key_group_exhaustive(spec, k, top=top))
+    except InputError as exc:
+        return False, str(exc)
+
+
+# Two components: a huge theta on one node overflows the scores of the
+# pairs near it and leaves the far component's finite.
+OVERFLOW_SCALES = [1e150, 1e300, 1e304, 1e305, 3e305, 1e306, 3e306, 1e307, 3e307, 1e308, 1.7e308]
+
+
+@pytest.mark.parametrize("frac", [0.5, 0.99])
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_overflow_refusals_match_the_solve_over_every_group(frac, sign, tmp_path):
+    rng = np.random.default_rng(29)
+    a = np.zeros((24, 24))
+    for lo in (0, 12):
+        block = np.triu(rng.random((12, 12)) < 0.35, 1)
+        a[lo : lo + 12, lo : lo + 12] = block | block.T
+    net = Network(tuple(str(i + 1) for i in range(24)), a)
+    lam = eig_lambda_max(net)
+    graph = tmp_path / "g.txt"
+    graph.write_text(serialize(net))
+    hub = int(np.argmax(a[:12].sum(axis=1)))
+    outcomes = set()
+    for scale in OVERFLOW_SCALES:
+        theta = np.ones(net.n)
+        theta[hub], theta[hub + 1] = sign * scale, -sign * scale / 3
+        try:
+            spec = certify(net, frac / lam, theta)
+            spec.b
+        except InputError:
+            continue  # the equilibrium itself overflows
+        for k, top in ((2, 1), (2, 3), (2, None), (1, 2), (3, 2)):
+            want = refusal_or_ranking(spec, k, top)
+            assert searched(spec, k, top) == want
+            outcomes.add(want[0])
+        weights = tmp_path / "theta.txt"
+        weights.write_text("".join(f"{i + 1} {v!r}\n" for i, v in enumerate(theta.tolist())))
+        out, err = io.StringIO(), io.StringIO()
+        argv = ["key-group", "--graph", str(graph), "--delta", repr(frac / lam), "--k", "2",
+                "--top", "3", "--theta", str(weights)]
+        code = cli.run(argv, out=out, err=err)
+        ok, message = refusal_or_ranking(spec, 2, 3)
+        if ok:
+            assert (code, err.getvalue()) == (0, "")
+        else:
+            assert (code, out.getvalue(), err.getvalue()) == (1, "", f"error: {message}\n")
+    assert outcomes == {True, False}  # the sweep crosses the overflow
 
 
 def greedy_by_reinversion(spec, k):

@@ -25,6 +25,7 @@ import pytest
 
 from netsurgeon import Network, cli
 
+from .conftest import eig_lambda_max
 from .oracle import serialize
 
 GOLDEN = Path(__file__).parent / "data" / "search_golden.json"
@@ -72,6 +73,11 @@ def cases(root) -> dict:
         return ["key-group", "--graph", path[graph], "--delta", delta, "--k", str(k),
                 "--mode", mode, *extra]
 
+    def near_bound(graph):
+        # 0.999999 of 1 / lambda_max, to 12 digits so that the text does not
+        # hang on the eigensolver's last bits.
+        return f"{0.999999 / eig_lambda_max(nets[graph]):.12g}"
+
     base = {
         "exhaustive_er20_k1": key_group("er20", "0.1", 1, "exhaustive", "--top", "5"),
         "exhaustive_er20_k2": key_group("er20", "0.1", 2, "exhaustive", "--top", "5"),
@@ -79,6 +85,17 @@ def cases(root) -> dict:
         "exhaustive_er20_k2_theta": key_group("er20", "0.1", 2, "exhaustive", "--top", "5",
                                               "--theta", theta),
         "exhaustive_circ16_k2": key_group("circ16", "0.2", 2, "exhaustive", "--top", "6"),
+        # Near the bound: long near-tie runs, and the widest rounding gap
+        # between a pair's closed-form score and its solve.
+        "exhaustive_er40_k2_near_bound": key_group("er40", near_bound("er40"), 2, "exhaustive",
+                                                   "--top", "15"),
+        "exhaustive_er20_k2_theta_near_bound": key_group("er20", near_bound("er20"), 2,
+                                                         "exhaustive", "--top", "15",
+                                                         "--theta", theta),
+        "exhaustive_circ16_k2_near_bound": key_group("circ16", near_bound("circ16"), 2,
+                                                     "exhaustive", "--top", "15"),
+        "exhaustive_circ16_k3_near_bound": key_group("circ16", near_bound("circ16"), 3,
+                                                     "exhaustive", "--top", "5"),
         "greedy_er20_k4_theta": key_group("er20", "0.1", 4, "greedy", "--theta", theta),
         "greedy_er40_k5": key_group("er40", "0.08", 5, "greedy"),
         "greedy_circ16_k3": key_group("circ16", "0.2", 3, "greedy"),
