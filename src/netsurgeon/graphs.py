@@ -20,9 +20,11 @@ nodes S is certified the same way from the columns M[:, S] alone
 (certify_local); what those cannot decide goes to certify_change, which
 runs certify's own rule on the changed network. A rejection words
 lambda_max from an enclosure built from the links alone, a short Lanczos run
-whose Ritz vector gives Collatz-Wielandt bounds, O(m) a step; only when the
-enclosure's two ends would print differently does it compute the dense
-eigenvalue (spectral_radius).
+whose Ritz vector gives Collatz-Wielandt bounds, O(m) a step; where that run
+cannot close (slow-gap graphs such as long paths), shift-invert iteration on
+one Cholesky factor of sigma I - G closes it. Only when the enclosure's two
+ends would print differently does it compute the dense eigenvalue
+(spectral_radius).
 """
 
 from __future__ import annotations
@@ -58,7 +60,8 @@ STRIP = 256
 _STRICT_LOWER = np.tri(STRIP, k=-1, dtype=bool)
 
 # Lanczos steps the enclosure of lambda_max may take, and the steps between
-# two checks of its residual; past them a refusal computes the dense eigenvalue.
+# two checks of its residual; the shift-invert steps that may follow them are
+# capped at LANCZOS_STEPS too. Past both a refusal computes the dense eigenvalue.
 LANCZOS_STEPS = 48
 LANCZOS_CHECK = 8
 
@@ -207,7 +210,11 @@ class Network:
         rows[t] to cols[t] != rows[t], in either order, repeats allowed."""
         n = len(labels)
         keys = np.minimum(rows, cols).astype(np.int64) * n + np.maximum(rows, cols)
-        return cls._of_keys(labels, np.unique(keys))
+        keys.sort()  # a fresh array; sorted, each repeat sits after its first
+        first = np.empty(len(keys), dtype=bool)
+        first[:1] = True
+        np.not_equal(keys[1:], keys[:-1], out=first[1:])
+        return cls._of_keys(labels, keys[first])
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Network):
@@ -367,7 +374,8 @@ def spectral_radius(net: Network) -> float:
     """Largest eigenvalue of the adjacency matrix.
 
     One LAPACK eigenvalue, exact to rounding. Certification never needs it;
-    it words rejections and answers direct queries.
+    it words the rejections the enclosure cannot settle and answers direct
+    queries.
     """
     n = net.n
     if not len(net.links[0]):
@@ -388,8 +396,14 @@ def _lambda_enclosure(net: Network) -> tuple[float, float, float]:
     widened by (maxdeg + 3) eps for the rounding of its sums and quotients.
     The run stops once hi - lo <= 1e-12 hi, or once its residual, carried on
     at its rate over the last LANCZOS_CHECK steps, would not close the
-    bounds by LANCZOS_STEPS (slow-gap graphs such as long paths). ritz is
-    the Ritz value clamped into [lo, hi]; (0, inf, 0) when no bound was formed.
+    bounds by LANCZOS_STEPS. A run that stops open (slow-gap graphs such as
+    long paths) goes on by shift-invert iteration from its last Ritz vector
+    (_shift_invert, at sigma = min(hi, maxdeg, Ritz value + residual)) when
+    no node is isolated and that vector clears tau everywhere; graphs whose
+    Perron vector is tiny somewhere (isolated nodes, tree-like tails,
+    components of different lambda_max) skip it at the cost of that test.
+    ritz is the Ritz value clamped into [lo, hi]; (0, inf, 0) when no bound
+    was formed.
     """
     rows, cols = net.links
     n = net.n
@@ -426,20 +440,20 @@ def _lambda_enclosure(net: Network) -> tuple[float, float, float]:
         )
         value, s = float(values[0]), vectors[:, 0]
         residual = 0.0 if ended else float(beta[j] * abs(s[-1]))
+        x = s @ basis[:k]
+        if x[np.argmax(np.abs(x))] < 0:
+            x = -x
+        tau = 1e-8 * x.max()
         # hi - lo >= max|r_i| / max x_i >= |r| / sqrt(n) for the residual r of
         # the unit Ritz vector, so no bounds can close before this.
         if residual <= 1e-12 * value * np.sqrt(n):
-            x = s @ basis[:k]
-            if x[np.argmax(np.abs(x))] < 0:
-                x = -x
-            tau = 1e-8 * x.max()
             kept = x >= tau
             lo = float((product(np.where(kept, x, 0.0))[kept] / x[kept]).min()) * (1.0 - widen)
-            x = np.maximum(x, tau)
-            hi = float((product(x) / x).max()) * (1.0 + widen)
+            floored = np.maximum(x, tau)
+            hi = float((product(floored) / floored).max()) * (1.0 + widen)
             ritz = min(max(value, lo), hi)
             if hi - lo <= 1e-12 * hi:
-                break
+                return lo, hi, ritz
         target = 1e-13 * value
         if ended or residual > target and (
             residual >= last
@@ -447,7 +461,51 @@ def _lambda_enclosure(net: Network) -> tuple[float, float, float]:
         ):
             break
         last = residual
+    if degree.min() > 0 and x.min() >= tau:
+        # [value - residual, value + residual] holds an eigenvalue, not always
+        # the largest: the factorization decides whether sigma lies above lambda_max.
+        sigma = min(hi, float(degree.max()), value + residual)
+        closed = _shift_invert(net, product, x, sigma, widen)
+        if closed is not None:
+            return closed
     return lo, hi, ritz
+
+
+def _shift_invert(net: Network, product, x: np.ndarray, sigma: float, widen: float):
+    """(lo, hi, ritz) closed to hi - lo <= 1e-12 hi by iterating
+    x <- (sigma I - G)^-1 x from x > 0, or None.
+
+    A Cholesky factor of sigma I - G proves sigma > lambda_max, so sigma I - G
+    is a nonsingular M-matrix whose inverse is entrywise nonnegative, and x
+    stays positive: its Collatz-Wielandt quotients bound lambda_max with
+    _lambda_enclosure's widening and need no floor. Each step is two
+    triangular solves, O(n^2). None when the factorization fails, when an
+    iterate is not positive, and when the gap, carried on at its rate over
+    the last step, would not close by LANCZOS_STEPS steps. ritz is x's
+    Rayleigh quotient clamped into [lo, hi].
+    """
+    try:
+        low, _ = cho_factor(_link_system(net, -1.0, sigma).T, lower=True, overwrite_a=True)
+    except np.linalg.LinAlgError:
+        return None
+    last = np.inf
+    for k in range(1, LANCZOS_STEPS + 1):
+        x = solve_triangular(low, x, lower=True, check_finite=False)
+        x = solve_triangular(low, x, lower=True, trans="T", overwrite_b=True, check_finite=False)
+        if not x.min() > 0.0:
+            return None
+        x /= x.max()
+        y = product(x)
+        quotient = y / x
+        lo = float(quotient.min()) * (1.0 - widen)
+        hi = float(quotient.max()) * (1.0 + widen)
+        gap, target = hi - lo, 1e-12 * hi
+        if gap <= target:
+            return lo, hi, min(max(float(x @ y) / float(x @ x), lo), hi)
+        if gap >= last or gap * (gap / last) ** (LANCZOS_STEPS - k) > target:
+            return None
+        last = gap
+    return None
 
 
 def spectral_refusal(net: Network, delta: float, scale: float = 1.0) -> SpectralConditionError:
@@ -457,7 +515,10 @@ def spectral_refusal(net: Network, delta: float, scale: float = 1.0) -> Spectral
     The enclosure's clamped Ritz value words it when the enclosure is within
     1e-12 and its two ends print the same text: the text is monotone in
     lambda_max, so every value between them, the dense eigenvalue too,
-    prints that text. Otherwise spectral_radius words it.
+    prints that text. On slow-gap graphs the enclosure is closed by its
+    shift-invert factorization, so the refusal makes no eigensolve there
+    either. Otherwise (isolated nodes, components of different lambda_max,
+    a stalled iteration) spectral_radius words it.
     """
     lo, hi, ritz = _lambda_enclosure(net)
     if hi < np.inf and hi - lo <= 1e-12 * hi and (

@@ -523,6 +523,29 @@ def test_from_edges_equals_the_validated_network():
         assert parse_edge_list(serialize(net)) == Network(labels, a)
 
 
+@st.composite
+def repeated_links(draw):
+    """(n, rows, cols): index pairs of distinct nodes, in either order, many repeated."""
+    n = draw(st.integers(2, 40))
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda p: p[0] != p[1])
+    pool = draw(st.lists(pair, min_size=1, max_size=8))
+    picks = draw(st.lists(st.sampled_from(pool) | pair, max_size=40))
+    at = np.array(picks, dtype=np.intp).reshape(-1, 2)
+    return n, at[:, 0], at[:, 1]
+
+
+@settings(max_examples=200, deadline=None)
+@given(repeated_links())
+def test_of_links_drops_repeats_as_np_unique_does(case):
+    n, rows, cols = case
+    labels = tuple(str(k) for k in range(n))
+    keys = np.minimum(rows, cols).astype(np.int64) * n + np.maximum(rows, cols)
+    want = np.divmod(np.unique(keys), n)
+    got = Network._of_links(labels, rows, cols).links
+    for ours, theirs in zip(got, want):
+        assert ours.dtype == theirs.dtype and np.array_equal(ours, theirs)
+
+
 def parse_edge_list_by_line(text):
     """parse_edge_list as one Python step per line: (labels, adjacency)."""
     edges = []

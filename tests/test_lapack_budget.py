@@ -4,10 +4,10 @@ scipy's eigh and cho_factor, and LAPACK's dpotri and dtrtri, are wrapped
 where netsurgeon calls them, on a 300-node ER game (mean degree 6) and the
 420-node path. Answered queries keep to one factorization per game and at
 most one triangular inverse, apart from the marked cells. A refusal words
-lambda_max from the links' enclosure, so it makes no dense eigensolve
-unless the enclosure cannot settle the text (the slow-gap path); congestion
-with complex roots is certified by its quadratic, so its solve's factor is
-its only one.
+lambda_max from the links' enclosure, so it makes no dense eigensolve: on
+the slow-gap path, where Lanczos cannot close the enclosure, one
+shift-invert factorization closes it instead. Congestion with complex roots
+is certified by its quadratic, so its solve's factor is its only one.
 """
 
 import io
@@ -22,7 +22,7 @@ import netsurgeon
 from netsurgeon import cli, extensions, graphs
 
 from .oracle import serialize
-from .test_refusal_enclosure import build, eig_lambda_max
+from .test_refusal_enclosure import build, congestion_bound, eig_lambda_max
 
 
 @pytest.fixture(scope="module")
@@ -112,11 +112,27 @@ def test_congestion_with_complex_roots_factors_once(er300, lapack):
     assert lapack == {"eigh": 0, "cho_factor": 1}
 
 
-def test_the_slow_gap_path_falls_back_to_one_eigensolve(path420, lapack):
+# Each model on the slow-gap path just past its own bound: (argv, bound
+# over 1 / lambda_max(G) or, for congestion, the bound's gamma).
+SLOW_GAP = {
+    "centrality": (["centrality"], 1.0),
+    "multi": (["extension", "--model", "multi", "--beta", "0.3"], 0.7),
+    "global": (["extension", "--model", "global", "--phi", "0.2"], 0.8),
+    "congestion": (["extension", "--model", "congestion", "--gamma", "0.01"], 0.01),
+}
+
+
+@pytest.mark.parametrize("model", list(SLOW_GAP))
+def test_a_slow_gap_refusal_makes_no_eigensolve(path420, lapack, model):
+    # Lanczos cannot close on the path; one shift-invert factorization does.
     net, path = path420
-    code, err = run(["centrality", "--graph", path, "--delta", repr(1.000001 / eig_lambda_max(net))])
-    assert code == 1 and err.startswith("error: spectral condition violated")
-    assert lapack == {"eigh": 1, "cho_factor": 1}
+    argv, scale = SLOW_GAP[model]
+    bound = congestion_bound(net, scale) if model == "congestion" else scale / eig_lambda_max(net)
+    code, err = run(argv + ["--graph", path, "--delta", repr(1.000001 * bound)])
+    want = "error: game system" if model == "congestion" else "error: spectral condition violated"
+    assert code == 1 and err.startswith(want)
+    # The game's factor (congestion: its shifted positive-definite test) and the shift-invert's.
+    assert lapack == {"eigh": 0, "cho_factor": 2}
 
 
 def test_a_refusal_leaves_scipy_sparse_unloaded(er300):

@@ -3,16 +3,19 @@
 A refusal prints lambda_max (or, for congestion, the system's smallest
 eigenvalue) to six (three) significant digits. The enclosure [lo, hi] comes
 from Collatz-Wielandt bounds on a short Lanczos run's Ritz vector and holds
-whether or not Lanczos converged; the text is taken from it only when both
-ends print alike, and from the dense eigensolver otherwise. These tests
-hold the enclosure to numpy's eigvalsh, every message to the dense route's,
-and congestion's closed-form acceptance to the factorization it skips.
+whether or not Lanczos converged; where Lanczos stops open on a graph whose
+Perron vector is nowhere tiny (slow-gap paths), shift-invert iteration on one
+factorization closes it. The text is taken from the enclosure only when both
+ends print alike, and from the dense eigensolver otherwise. These tests hold
+the enclosure to numpy's eigvalsh, every message to the dense route's, and
+congestion's closed-form acceptance to the factorization it skips.
 """
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.linalg import cho_factor
 
 from netsurgeon import (
     InputError,
@@ -20,6 +23,8 @@ from netsurgeon import (
     SpectralConditionError,
     certify,
     certify_congestion,
+    certify_global_substitution,
+    certify_multi_activity,
     graphs,
     spectral_radius,
 )
@@ -131,3 +136,98 @@ def test_the_quadratic_accepts_only_what_the_factorization_accepts(net, ratio, g
         shifted = spec.system.copy()
         shifted[np.diag_indices(net.n)] -= PD_FLOOR
         assert is_positive_definite(shifted)
+
+
+def closed(lo: float, hi: float) -> bool:
+    """Whether an enclosure settles lambda_max to 1e-12; (0, inf) settles nothing."""
+    return hi < np.inf and hi - lo <= 1e-12 * hi
+
+
+def path_in_order(n: int) -> Network:
+    return Network.from_edges([(str(i), str(i + 1)) for i in range(n - 1)])
+
+
+SLOW_GAP_PATHS = [(kind, n) for n in (150, 300, 420, 600) for kind in ("relabelled", "in-order")]
+
+
+@pytest.fixture(scope="module", params=SLOW_GAP_PATHS, ids=[f"{k}-{n}" for k, n in SLOW_GAP_PATHS])
+def slow_gap_path(request):
+    kind, n = request.param
+    net = build("path", n, n) if kind == "relabelled" else path_in_order(n)
+    return net, np.linalg.eigvalsh(net.adjacency)
+
+
+def test_shift_invert_closes_the_enclosure_on_a_path(slow_gap_path):
+    net, mu = slow_gap_path
+    lo, hi, ritz = _lambda_enclosure(net)
+    assert lo <= mu[-1] <= hi
+    assert lo <= ritz <= hi
+    assert closed(lo, hi)
+
+
+@pytest.mark.parametrize("fraction", [1.000001, 1.001, 1.5, 3.0])
+def test_a_slow_gap_refusal_reads_as_the_dense_route(slow_gap_path, fraction):
+    net, mu = slow_gap_path
+    for scale in (1.0, 0.7, 0.8):
+        delta = fraction * scale / mu[-1]
+        dense = SpectralConditionError(delta, spectral_radius(net) / scale)
+        assert str(spectral_refusal(net, delta, scale)) == str(dense)
+    for gamma in (0.0, 1e-4, 0.01, 0.1):
+        positive = mu[mu > 1e-9]
+        delta = fraction * float(np.min(1.0 / positive + gamma * positive))
+        dense = CongestionSpec(net, np.ones(net.n), delta, gamma).smallest_eigenvalue
+        with pytest.raises(InputError) as exc:
+            certify_congestion(net, delta, gamma)
+        assert str(exc.value) == f"game system is not positive definite: smallest eigenvalue {dense:.3g}"
+
+
+def test_slow_gap_refusals_need_no_eigensolver(monkeypatch):
+    # Every model just past its bound on the 420-node path, with the text the
+    # dense eigensolvers word.
+    net = build("path", 420, 0)
+    lam, ones = spectral_radius(net), np.ones(net.n)
+    plain, congested = 1.000001 / lam, 1.000001 * congestion_bound(net, 0.01)
+    floor = CongestionSpec(net, ones, congested, 0.01).smallest_eigenvalue
+    cases = [
+        (lambda: certify(net, plain), SpectralConditionError(plain, lam)),
+        (lambda: certify_multi_activity(net, 0.7 * plain, 0.3, ones, ones),
+         SpectralConditionError(0.7 * plain, lam / 0.7)),
+        (lambda: certify_global_substitution(net, 0.8 * plain, 0.2),
+         SpectralConditionError(0.8 * plain, lam / 0.8)),
+        (lambda: certify_congestion(net, congested, 0.01),
+         f"game system is not positive definite: smallest eigenvalue {floor:.3g}"),
+    ]
+
+    def no_eigensolver(*args):
+        raise AssertionError("the dense eigensolver ran")
+
+    monkeypatch.setattr(graphs, "spectral_radius", no_eigensolver)
+    monkeypatch.setattr(CongestionSpec, "smallest_eigenvalue", property(no_eigensolver))
+    for refuse, dense in cases:
+        with pytest.raises(InputError) as exc:
+            refuse()
+        assert str(exc.value) == str(dense)
+
+
+def test_graphs_with_a_tiny_perron_entry_skip_the_shift_invert(monkeypatch):
+    # Isolated nodes and components of different lambda_max put zeros in the
+    # Perron vector, where shift-invert's bounds cannot close.
+    factored = []
+
+    def counted(*args, **kwargs):
+        factored.append(args[0].shape)
+        return cho_factor(*args, **kwargs)
+
+    monkeypatch.setattr(graphs, "cho_factor", counted)
+    open_runs = 0
+    for family in ("sparse-er", "two"):
+        for n in (89, 150, 250, 436):
+            for seed in range(4):
+                net = build(family, n, seed)
+                lo, hi, _ = _lambda_enclosure(net)
+                open_runs += not closed(lo, hi)
+                delta = 1.000001 / eig_lambda_max(net)
+                dense = SpectralConditionError(delta, spectral_radius(net))
+                assert str(spectral_refusal(net, delta)) == str(dense)
+                assert factored == []
+    assert open_runs  # the guard was consulted
