@@ -3,8 +3,10 @@
 b(G, theta, delta) = (I - delta G)^-1 theta is the unique equilibrium of the
 baseline game; entry m_ij of M(G) = (I - delta G)^-1 is the discounted count
 of walks from i to j. Everything here reads the game's cached
-factorization: the centralities through solves, and the self-loops m_ii from
-the inverse of the Cholesky factor. Blocks of M come from GameSpec itself:
+factorization: the centralities through solves, and the self-loops m_ii as
+the column sums of squares of the Cholesky factor's inverse, from its
+recursive blocked inverse (dtrmm; dtrtri on small blocks) without
+assembling it. Blocks of M come from GameSpec itself:
 columns(idx) for a few columns, influence() for all of M.
 """
 
@@ -29,7 +31,11 @@ class CentralityReport:
 def katz_bonacich(spec: GameSpec) -> CentralityReport:
     """Equilibrium actions, unweighted centralities, and self-loops m_ii.
 
-    An aggregate that overflows is refused as bad input.
+    All three are cached on spec: b and b_unit are one single-column solve
+    each (b_unit alone when theta is all ones), and the self-loops one
+    blocked inverse of the factor, about n^3 / 3 flops, the command's one
+    O(n^3) step beyond the factorization. An aggregate that overflows is
+    refused as bad input.
     """
     b = spec.b.copy()
     with np.errstate(over="ignore"):

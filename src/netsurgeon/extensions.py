@@ -212,7 +212,8 @@ def congestion_equilibrium(spec: CongestionSpec) -> np.ndarray:
     disagreement marks a fault, not rounding. Complex roots skip the check.
     """
     try:
-        factor = cho_factor(spec.system, lower=True)
+        # Finite: certify_congestion checked delta, gamma and gamma G^2.
+        factor = cho_factor(spec.system, lower=True, check_finite=False)
     except np.linalg.LinAlgError:
         raise InputError(
             "game system is not positive definite in floating point: its factorization failed"

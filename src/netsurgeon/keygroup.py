@@ -285,8 +285,9 @@ def key_group_greedy(spec: GameSpec, k: int) -> GroupScore:
     suboptimal: the best pair need not contain the best singleton. Deleting
     the chosen set S leaves the game on the rest C with centralities
     b_C - M_CS M_SS^-1 b_S and self-loops m_ii - M_iS M_SS^-1 M_Si, so each
-    step reads only the columns M[:, S], one solve per pick, and a Cholesky
-    factor of M_SS. Deleting nodes never breaks the spectral certificate.
+    step reads only the columns M[:, S], one single-column solve per pick,
+    and a Cholesky factor of M_SS. Deleting nodes never breaks the spectral
+    certificate.
     """
     if not 1 <= k <= spec.n:
         raise InputError(f"k must be between 1 and {spec.n}, got {k}")
@@ -315,5 +316,7 @@ def key_group_greedy(spec: GameSpec, k: int) -> GroupScore:
         pick = int(rank_order(single, (np.arange(spec.n),))[0])
         chosen.append(pick)
         if step + 1 < k:
-            m_cs[:, step] = spec.columns([pick])[:, 0]
+            unit = np.zeros(spec.n)
+            unit[pick] = 1.0
+            m_cs[:, step] = spec.solve(unit)
     return intercentrality(spec, NodeSet.of(chosen, spec.n))

@@ -1,10 +1,11 @@
 import gc
+import tracemalloc
 import weakref
 
 import numpy as np
 import pytest
 from scipy.linalg.blas import dsyr2k
-from scipy.linalg.lapack import dpotri
+from scipy.linalg.lapack import dpotri, dtrtri
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -378,6 +379,86 @@ class TestHeldInverse:
         g, columns = spec.network.sparse_adjacency, lambda lo, hi: want[:, lo:hi].copy()
         assert spec._held_residual() == _inverse_residual(g, spec.delta, columns)
         assert not spec._factor[0].flags.writeable
+
+
+def _dtrtri_loops(spec):
+    """The self-loops by the whole-array route: dtrtri on the factor, its
+    strict upper triangle zeroed, and the column sums of squares."""
+    inv = np.tril(dtrtri(spec._factor[0], lower=True)[0])
+    return np.einsum("ki,ki->i", inv, inv)
+
+
+def _isolated_game(n, seed, frac):
+    """An ER game (mean degree 6) on n nodes with every fifth node isolated."""
+    rng = np.random.default_rng(seed)
+    a = np.triu(rng.random((n, n)) < 6.0 / n, 1)
+    a = a | a.T
+    a[::5] = a[:, ::5] = False
+    net = Network(tuple(str(i) for i in range(n)), a.astype(float))
+    return certify(net, frac / spectral_radius(net))
+
+
+class TestSelfLoops:
+    """self_loops by the blocked inverse of L against the dtrtri route."""
+
+    # About the dtrtri leaves (128 rows), the strip (256) and one size not a multiple of 8.
+    @pytest.mark.parametrize("n", [1, 2, 127, 128, 129, 255, 256, 257, 613])
+    @pytest.mark.parametrize("frac", [0.5, 0.999999])
+    def test_match_the_dtrtri_route(self, n, frac):
+        spec = _sparse_game(n, seed=n, frac=frac)
+        want = _dtrtri_loops(spec)
+        tol = 8 * n * np.finfo(float).eps
+        np.testing.assert_allclose(spec.self_loops, want, rtol=tol, atol=0)
+        assert spec.self_loops.shape == (n,) and not spec.self_loops.flags.writeable
+        # Packing M into the factor's free triangle changes nothing read here.
+        spec.influence()
+        assert np.array_equal(GameSpec.self_loops.func(spec), spec.self_loops)
+
+    @pytest.mark.parametrize("n", [40, 300])
+    def test_match_the_dtrtri_route_with_isolated_nodes(self, n):
+        spec = _isolated_game(n, seed=n, frac=0.9)
+        loops = spec.self_loops
+        tol = 8 * n * np.finfo(float).eps
+        np.testing.assert_allclose(loops, _dtrtri_loops(spec), rtol=tol, atol=0)
+        assert np.array_equal(loops[::5], np.ones(len(loops[::5])))
+
+    def test_an_empty_game_has_no_self_loops(self):
+        spec = certify(Network((), np.zeros((0, 0))), 0.5)
+        assert spec.self_loops.shape == (0,)
+
+    def test_scratch_stays_below_a_whole_inverse(self):
+        n = 600
+        spec = _sparse_game(n, seed=8)
+        spec.b_unit  # the factor and the centralities are made before the count
+        tracemalloc.start()
+        try:
+            GameSpec.self_loops.func(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.8 * n * n * 8
+
+
+class TestSolve:
+    """A vector right-hand side takes two triangular solves, a matrix cho_solve."""
+
+    @pytest.mark.parametrize("n", [1, 2, 300, 613])
+    def test_a_vector_matches_the_matrix_route(self, n):
+        spec = _sparse_game(n, seed=n)
+        rhs = np.random.default_rng(n).random(n)
+        got = spec.solve(rhs)
+        np.testing.assert_allclose(got, spec.solve(rhs[:, None])[:, 0], rtol=1e-14, atol=0)
+        assert got.shape == (n,) and not np.shares_memory(got, rhs)
+        assert np.array_equal(spec.b_unit, spec.solve(np.ones(n)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("shape", [(300,), (300, 2)])
+    def test_a_non_finite_right_hand_side_is_refused(self, bad, shape):
+        spec = _sparse_game(300, seed=9)
+        rhs = np.ones(shape)
+        rhs[7] = bad
+        with pytest.raises(ValueError, match="must not contain infs or NaNs"):
+            spec.solve(rhs)
 
 
 class TestDropNodes:

@@ -1,13 +1,14 @@
 """The n x n LAPACK calls a whole CLI run makes, counted through cli.run.
 
-scipy's eigh and cho_factor, and LAPACK's dpotri and dtrtri, are wrapped
-where netsurgeon calls them, on a 300-node ER game (mean degree 6) and the
-420-node path. Answered queries keep to one factorization per game and at
-most one triangular inverse, apart from the marked cells. A refusal words
-lambda_max from the links' enclosure, so it makes no dense eigensolve: on
-the slow-gap path, where Lanczos cannot close the enclosure, one
-shift-invert factorization closes it instead. Congestion with complex roots
-is certified by its quadratic, so its solve's factor is its only one.
+scipy's eigh and cho_factor, LAPACK's dpotri and the blocked triangular
+inverse behind self-loops are wrapped where netsurgeon calls them, on a
+300-node ER game (mean degree 6) and the 420-node path. Answered queries keep
+to one factorization per game and at most one triangular inverse, apart from
+the marked cells. A refusal words lambda_max from the links' enclosure, so it
+makes no dense eigensolve: on the slow-gap path, where Lanczos cannot close
+the enclosure, one shift-invert factorization closes it instead. Congestion
+with complex roots is certified by its quadratic, so its solve's factor is
+its only one.
 """
 
 import io
@@ -44,7 +45,9 @@ def path420(tmp_path_factory):
 @pytest.fixture
 def lapack(monkeypatch):
     """Counts of eigh and cho_factor calls, by name, and of graphs' dpotri
-    and dtrtri once either has run."""
+    and self-loops inverse ("trtri") once either has run. The inverse is
+    counted at its entry point, once per game: its dtrtri leaves number
+    about n / 128."""
     counts = {"eigh": 0, "cho_factor": 0}
 
     def counted(name, fn):
@@ -56,8 +59,8 @@ def lapack(monkeypatch):
     for name in list(counts):
         for module in (graphs, extensions):
             monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
-    for name in ("dpotri", "dtrtri"):
-        monkeypatch.setattr(graphs, name, counted(name, getattr(graphs, name)))
+    monkeypatch.setattr(graphs, "dpotri", counted("dpotri", graphs.dpotri))
+    monkeypatch.setattr(graphs, "_inverse_diagonal", counted("trtri", graphs._inverse_diagonal))
     return counts
 
 
@@ -152,17 +155,21 @@ def test_a_refusal_leaves_scipy_sparse_unloaded(er300):
 # The answered column of the budget table: ER n = 300 at delta =
 # 0.5 / lambda_max(G) unless the row gives its own delta. A query may use one
 # factorization of its game and at most one triangular inverse (dpotri for the
-# held M, dtrtri for self-loops); multi-activity one factorization per game.
-# Cells past that budget carry the ROADMAP item that will lower them.
+# held M, the blocked inverse of L for self-loops); multi-activity one
+# factorization per game. Cells past that budget carry the ROADMAP item that
+# will lower them.
 ANSWERED = [
-    ("centrality", ["centrality"], {"cho_factor": 1, "dtrtri": 1}),
-    ("greedy", ["key-group", "--k", "2", "--mode", "greedy"], {"cho_factor": 1, "dtrtri": 1}),
+    ("centrality", ["centrality"], {"cho_factor": 1, "trtri": 1}),
+    ("greedy", ["key-group", "--k", "2", "--mode", "greedy"], {"cho_factor": 1, "trtri": 1}),
+    # In the sliver below the bound, certify factors the margin system too.
+    ("centrality-sliver", ["centrality", "--delta", "SLIVER"], {"cho_factor": 2, "trtri": 1}),
+    ("greedy-sliver", ["key-group", "--k", "2", "--mode", "greedy", "--delta", "SLIVER"],
+     {"cho_factor": 2, "trtri": 1}),
     ("remove", ["intervene", "--remove", "EDGE"], {"cho_factor": 1}),
     ("add", ["intervene", "--add", "ABSENT"], {"cho_factor": 1}),
     ("pair", ["link-value", "--pair", "ABSENT"], {"cho_factor": 1}),
     ("from-to", ["walks", "--from", "0", "--to", "1"], {"cho_factor": 1}),
     ("exhaustive", ["key-group", "--k", "2"], {"cho_factor": 1, "dpotri": 1}),
-    # In the sliver below the bound, certify factors the margin system too.
     ("exhaustive-sliver", ["key-group", "--k", "2", "--delta", "SLIVER"],
      {"cho_factor": 2, "dpotri": 1}),
     ("exclude", ["walks", "--exclude", "0,1"], {"cho_factor": 1, "dpotri": 1}),
