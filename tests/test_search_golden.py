@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from netsurgeon import Network, cli
+from netsurgeon import Network, cli, joined_network
 
 from .conftest import eig_lambda_max
 from .oracle import serialize
@@ -78,6 +78,13 @@ def cases(root) -> dict:
         # hang on the eigensolver's last bits.
         return f"{0.999999 / eig_lambda_max(nets[graph]):.12g}"
 
+    def near_bridge_bound(one, two):
+        # The same, of the joined game with the bridge that raises lambda_max most.
+        net1, net2 = nets[one], nets[two]
+        lam = max(eig_lambda_max(joined_network(net1, net2, (u, v)))
+                  for u in net1.labels for v in net2.labels)
+        return f"{0.999999 / lam:.12g}"
+
     base = {
         "exhaustive_er20_k1": key_group("er20", "0.1", 1, "exhaustive", "--top", "5"),
         "exhaustive_er20_k2": key_group("er20", "0.1", 2, "exhaustive", "--top", "5"),
@@ -104,6 +111,11 @@ def cases(root) -> dict:
                             ("er25a", "circ12b", "0.08")):
         base[f"bridge_{one}_{two}"] = ["key-bridge", "--graph1", path[one], "--graph2", path[two],
                                        "--delta", delta]
+    # Near the bound the one-link solve's denominator cancels the most.
+    for one, two in (("er25a", "er18b"), ("circ10a", "circ12b")):
+        base[f"bridge_{one}_{two}_near_bound"] = ["key-bridge", "--graph1", path[one], "--graph2",
+                                                  path[two], "--delta",
+                                                  near_bridge_bound(one, two)]
     for graph, delta in (("er14", "0.1"), ("er14", "0.185"),
                          ("circ10", "0.2"), ("circ10", "0.2358")):
         base[f"potential_{graph}_{delta}"] = ["link-value", "--graph", path[graph], "--delta",
@@ -111,6 +123,10 @@ def cases(root) -> dict:
     for graph, delta in (("er30", "0.1"), ("circ16", "0.2")):
         base[f"existing_{graph}_{delta}"] = ["link-value", "--graph", path[graph], "--delta",
                                              delta, "--all-existing"]
+    base["potential_er14_near_bound"] = ["link-value", "--graph", path["er14"], "--delta",
+                                         near_bound("er14"), "--all-potential"]
+    base["existing_er30_near_bound"] = ["link-value", "--graph", path["er30"], "--delta",
+                                        near_bound("er30"), "--all-existing"]
     out = {}
     for name, argv in base.items():
         out[f"{name}.json"] = argv
