@@ -1,13 +1,15 @@
 """Bridge scores between separate components and values of single links.
 
-A bridge's worth is a closed form in four per-component scalars: the two
-endpoints' centralities and self-loop counts. The same algebra prices any
-single link inside one network, present or absent. All scores are stated
-for unit characteristics, where score times the synergy weight equals the
-realized aggregate change exactly. The searches score every candidate in
-array arithmetic: the Pareto frontiers and the frontier-by-frontier grid of
-bridges from each game's centralities and self-loops, and every absent or
-present link of a network from one influence matrix.
+Each score is the paper's equivalence on S = {i, j}: adding or cutting the
+link (i, j) is C_SS = +P or -P, P the 2 x 2 swap, and acts as the
+characteristic shift delta C_SS y with y = (I - delta M_SS C_SS)^-1 b_S,
+solved in closed form by graphs.one_link_solve. The score b_i y_j + b_j y_i,
+stated for unit characteristics, times the synergy weight is the realized
+aggregate change exactly. A bridge joins two separate components, whose
+joined M is block diagonal: its index is the same solve with m_ij = 0, from
+the endpoints' centralities and self-loops. The searches score every
+candidate in array arithmetic: the frontier-by-frontier grid of bridges, and
+every absent or present link of a network from one influence matrix.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from .graphs import (
     certify_local,
     label_key,
     links_certified,
+    one_link_solve,
     rank_order,
 )
 
@@ -136,16 +139,9 @@ def joined_network(net1: Network, net2: Network, bridge: tuple[str, str] | None 
     return Network.from_edges(edges, isolated)
 
 
-def _bridge_value(delta: float, b_i, m_ii, b_j, m_jj):
-    """Bridge index from endpoint statistics; scalars or arrays."""
-    den = 1.0 - delta * delta * m_ii * m_jj
-    if np.any(den <= FRONTIER_SLACK):
-        raise InputError(_UNCERTIFIED)
-    return (delta * m_jj * b_i * b_i + delta * m_ii * b_j * b_j + 2.0 * b_i * b_j) / den
-
-
-def _require_certified(spec1: GameSpec, spec2: GameSpec, rows, cols) -> None:
-    """Raise unless certify accepts the joined network with each bridge (rows[t], cols[t]).
+def _bridge_indices(spec1: GameSpec, spec2: GameSpec, rows, cols) -> np.ndarray:
+    """Indices of the bridges (rows[t], cols[t]); refused unless certify accepts
+    the joined network with each.
 
     A bridge is a created link of the disjoint union, whose influence matrix
     is block diagonal: m_ij = 0, and each side's max(b_unit), its largest row
@@ -154,13 +150,19 @@ def _require_certified(spec1: GameSpec, spec2: GameSpec, rows, cols) -> None:
     """
     b = np.concatenate((spec1.b_unit, spec2.b_unit))
     loops = np.concatenate((spec1.self_loops, spec2.self_loops))
+    joint = cols + spec1.n
+    b_i, b_j = b[rows], b[joint]
+    y_i, y_j, den = one_link_solve(spec1.delta, 1.0, b_i, b_j, loops[rows], loops[joint], 0.0)
+    if np.any(den <= FRONTIER_SLACK):
+        raise InputError(_UNCERTIFIED)
     top = np.repeat([s.b_unit.max(initial=0.0) for s in (spec1, spec2)], (spec1.n, spec2.n))
-    fits = links_certified(spec1.delta, b, loops, top, rows, cols + spec1.n, np.zeros(len(rows)))
+    fits = links_certified(spec1.delta, b, loops, top, rows, joint, np.zeros(len(rows)))
     net1, net2 = spec1.network, spec2.network
     for t in np.flatnonzero(~fits):
         joined = joined_network(net1, net2, (net1.labels[rows[t]], net2.labels[cols[t]]))
         if certified_game(joined, spec1.delta) is None:
             raise InputError(_UNCERTIFIED)
+    return b_i * y_j + b_j * y_i
 
 
 def _require_unit_theta(spec: GameSpec, what: str) -> None:
@@ -181,12 +183,8 @@ def bridge_index(spec1: GameSpec, spec2: GameSpec, i: str, j: str) -> BridgeScor
     """Score the link joining node i of the first component to j of the second;
     refused unless the joined game certifies."""
     _require_shared_delta(spec1, spec2, "the bridge index")
-    b1, m1 = spec1.b_unit, spec1.self_loops
-    b2, m2 = spec2.b_unit, spec2.self_loops
-    ii = spec1.network.index_of(i)
-    jj = spec2.network.index_of(j)
-    value = _bridge_value(spec1.delta, b1[ii], m1[ii], b2[jj], m2[jj])
-    _require_certified(spec1, spec2, np.array([ii]), np.array([jj]))
+    rows, cols = np.array([spec1.network.index_of(i)]), np.array([spec2.network.index_of(j)])
+    value = float(_bridge_indices(spec1, spec2, rows, cols)[0])
     return BridgeScore(i, j, value, spec1.delta * value)
 
 
@@ -217,12 +215,9 @@ def rank_bridges(spec1: GameSpec, spec2: GameSpec) -> BridgeRanking:
     unless the joined game certifies with every candidate.
     """
     _require_shared_delta(spec1, spec2, "the key-bridge search")
-    b1, m1 = spec1.b_unit, spec1.self_loops
-    b2, m2 = spec2.b_unit, spec2.self_loops
-    front1, front2 = _frontier(b1, m1), _frontier(b2, m2)
+    front1, front2 = (_frontier(s.b_unit, s.self_loops) for s in (spec1, spec2))
     rows, cols = np.repeat(front1, len(front2)), np.tile(front2, len(front1))
-    value = _bridge_value(spec1.delta, b1[rows], m1[rows], b2[cols], m2[cols])
-    _require_certified(spec1, spec2, rows, cols)
+    value = _bridge_indices(spec1, spec2, rows, cols)
     order = rank_order(value, (rows, cols))
     return BridgeRanking(
         spec1.network.labels, spec2.network.labels, rows[order], cols[order], value[order],
@@ -241,12 +236,9 @@ def _link_value(spec: GameSpec, kind: str, rows, cols, m_ii, m_jj, m_ij) -> np.n
     An existing link is priced by the aggregate loss from cutting it, a
     potential one by the gain from adding it, both over the synergy weight.
     """
-    delta = spec.delta
     present = kind == "existing"
-    s = 1.0 + delta * m_ij if present else 1.0 - delta * m_ij
-    # float_power calls the C pow that ** 2 on a float64 scalar calls; ** 2 on
-    # an array squares instead, which can round the last bit differently.
-    den = np.float_power(s, 2) - delta**2 * m_ii * m_jj
+    b_i, b_j = spec.b_unit[rows], spec.b_unit[cols]
+    y_i, y_j, den = one_link_solve(spec.delta, -1.0 if present else 1.0, b_i, b_j, m_ii, m_jj, m_ij)
     bad = np.flatnonzero(den <= FRONTIER_SLACK)
     if bad.size:
         # Removal only shrinks the certified range, and additions are certified.
@@ -255,10 +247,7 @@ def _link_value(spec: GameSpec, kind: str, rows, cols, m_ii, m_jj, m_ij) -> np.n
             f"nonpositive denominator for {'existing' if present else 'certified'} link "
             f"({labels[rows[bad[0]]]},{labels[cols[bad[0]]]})"
         )
-    b_i, b_j = spec.b_unit[rows], spec.b_unit[cols]
-    own = delta * m_ii * b_j * b_j + delta * m_jj * b_i * b_i
-    cross = 2.0 * s * b_i * b_j
-    return (cross - own if present else own + cross) / den
+    return b_i * y_j + b_j * y_i
 
 
 def _single_link(spec: GameSpec, i: str, j: str, kind: str) -> LinkValue:
@@ -336,8 +325,6 @@ def link_values(spec: GameSpec, kind: str) -> tuple[LinkRanking, list[tuple[str,
             except InputError as exc:
                 skipped.append((net.labels[rows[t]], net.labels[cols[t]], str(exc)))
         rows, cols = rows[fits], cols[fits]
-        if not len(rows):  # also keeps delta**2 from overflowing when nothing certifies
-            return ranked(rows, cols, np.zeros(0)), skipped
     value = _link_value(spec, kind, rows, cols, m[rows, rows], m[cols, cols], m[cols, rows])
     order = rank_order(value, (rows, cols))
     return ranked(rows[order], cols[order], value[order]), skipped

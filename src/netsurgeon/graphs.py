@@ -1038,6 +1038,20 @@ def certify_local(spec: GameSpec, changes, idx, cols: np.ndarray, c_ss: np.ndarr
     certify_change(spec.network, spec.delta, changes)
 
 
+def one_link_solve(delta: float, sign: float, b_i, b_j, m_ii, m_jj, m_ij):
+    """y = (I - delta M_SS C_SS)^-1 b_S and its determinant den, C_SS = sign P on S = {i, j}.
+
+    P is the 2 x 2 swap: sign +1 adds the link (i, j), -1 cuts it, and the
+    aggregate moves by sign delta (b_i y_j + b_j y_i). Elementwise; past the
+    bound, where den <= 0, y is nan and nothing is divided by den.
+    """
+    s = 1.0 - sign * delta * m_ij
+    d_i, d_j = sign * delta * m_ii, sign * delta * m_jj
+    den = s * s - d_i * d_j
+    solvable = np.where(den > 0.0, den, np.nan)
+    return (s * b_i + d_i * b_j) / solvable, (d_j * b_i + s * b_j) / solvable, den
+
+
 def links_certified(delta: float, b, loops, top, rows, cols, m_ij) -> np.ndarray:
     """Whether adding each absent link (rows[t], cols[t]) provably keeps a game certified.
 
@@ -1052,15 +1066,10 @@ def links_certified(delta: float, b, loops, top, rows, cols, m_ij) -> np.ndarray
     # Links past the 2 x 2 test go no further; for the rest delta < 1, so
     # nothing below overflows.
     t = np.flatnonzero(delta * (m_ij + np.sqrt(m_ii * m_jj)) < 1.0)
-    s = 1.0 - delta * m_ij[t]
-    den = s * s - (delta * m_ii[t]) * (delta * m_jj[t])
-    t, s, den = t[den > 0.0], s[den > 0.0], den[den > 0.0]  # rounding at the bound
-    b_i, b_j = b[rows[t]], b[cols[t]]
-    y_i = (s * b_i + delta * m_ii[t] * b_j) / den
-    y_j = (delta * m_jj[t] * b_i + s * b_j) / den
+    y_i, y_j, den = one_link_solve(delta, 1.0, b[rows[t]], b[cols[t]], m_ii[t], m_jj[t], m_ij[t])
     grown = b.max() + delta * (top[rows[t]] * np.abs(y_j) + top[cols[t]] * np.abs(y_i))
     fits = np.zeros(len(rows), dtype=bool)
-    fits[t] = grown < ROW_SUM_BOUND
+    fits[t] = (den > 0.0) & (grown < ROW_SUM_BOUND)  # den: rounding at the bound
     return fits
 
 

@@ -22,7 +22,7 @@ from netsurgeon import (
     spectral_radius,
 )
 from netsurgeon import cli
-from netsurgeon.bridge import _bridge_value
+from netsurgeon.graphs import one_link_solve
 
 from .conftest import dense_inverse, eig_lambda_max, oracle_b, random_connected_graph, safe_delta
 from .oracle import degree, serialize
@@ -175,26 +175,32 @@ class TestParetoFrontier:
             )
 
 
+def bridge_value(delta, b_i, m_ii, b_j, m_jj):
+    """The bridge index from its four endpoint statistics: the one-link solve with m_ij = 0."""
+    y_i, y_j, _ = one_link_solve(delta, 1.0, b_i, b_j, m_ii, m_jj, 0.0)
+    return b_i * y_j + b_j * y_i
+
+
 class TestScalarShape:
     # the index as a function of the four endpoint statistics
 
     def test_monotone_in_centrality_and_self_loops(self):
         base = dict(delta=0.2, b_i=2.0, m_ii=1.3, b_j=3.0, m_jj=1.5)
-        v0 = _bridge_value(**base)
-        assert _bridge_value(**{**base, "b_i": 2.2}) > v0
-        assert _bridge_value(**{**base, "m_ii": 1.4}) > v0
-        assert _bridge_value(**{**base, "b_j": 3.3}) > v0
-        assert _bridge_value(**{**base, "m_jj": 1.6}) > v0
+        v0 = bridge_value(**base)
+        assert bridge_value(**{**base, "b_i": 2.2}) > v0
+        assert bridge_value(**{**base, "m_ii": 1.4}) > v0
+        assert bridge_value(**{**base, "b_j": 3.3}) > v0
+        assert bridge_value(**{**base, "m_jj": 1.6}) > v0
 
     def test_gains_from_better_endpoints_compound(self):
         # moving the far endpoint up helps more when the near one is stronger
         for delta in (0.1, 0.2, 0.3):
             hi, lo = 1.6, 1.2
             b_hi, b_lo = 3.0, 2.4
-            gap_strong = _bridge_value(delta, 2.0, hi, b_hi, 1.4) - _bridge_value(
+            gap_strong = bridge_value(delta, 2.0, hi, b_hi, 1.4) - bridge_value(
                 delta, 2.0, hi, b_lo, 1.4
             )
-            gap_weak = _bridge_value(delta, 2.0, lo, b_hi, 1.4) - _bridge_value(
+            gap_weak = bridge_value(delta, 2.0, lo, b_hi, 1.4) - bridge_value(
                 delta, 2.0, lo, b_lo, 1.4
             )
             assert gap_strong >= gap_weak - 1e-10

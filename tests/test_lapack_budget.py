@@ -106,6 +106,33 @@ def test_a_refused_link_addition_makes_no_eigensolve(er300, lapack):
     assert lapack == {"eigh": 0, "cho_factor": 2}
 
 
+def test_a_refused_link_value_makes_no_eigensolve(er300, lapack):
+    net, path = er300
+    i, j, delta = absent_pair_past_bound(net)
+    code, err = run(["link-value", "--graph", path, "--delta", repr(delta),
+                     "--pair", f"{net.labels[i]},{net.labels[j]}"])
+    assert code == 1 and err.startswith("error: spectral condition violated")
+    # Known excess (item 12): the second factorization is certify_change's,
+    # of the grown network, for a change the 2 x 2 test already fails.
+    assert lapack == {"eigh": 0, "cho_factor": 2}
+
+
+def test_all_potential_links_in_the_sliver_factor_each_refusal(tmp_path, lapack):
+    # Known excess (item 12): in the sliver every absent link is refused, and
+    # certify_change factors each grown network to word the refusal. On the
+    # 300-node game that is 43,977 factorizations, so this cell has 30 nodes.
+    net = build("er", 30, 11)
+    path = tmp_path / "er30.txt"
+    path.write_text(serialize(net))
+    code, err = run(["link-value", "--all-potential", "--graph", str(path),
+                     "--delta", repr((1 - 2e-9) / eig_lambda_max(net))])
+    assert (code, err) == (0, "")
+    # The game's factor, its margin system's, and one per refused link.
+    assert {name: count for name, count in lapack.items() if count} == {
+        "cho_factor": 2 + 342, "dpotri": 1,
+    }
+
+
 def test_congestion_with_complex_roots_factors_once(er300, lapack):
     net, path = er300
     delta = 0.5 / eig_lambda_max(net)  # delta^2 < 4 gamma
@@ -168,12 +195,16 @@ ANSWERED = [
     ("remove", ["intervene", "--remove", "EDGE"], {"cho_factor": 1}),
     ("add", ["intervene", "--add", "ABSENT"], {"cho_factor": 1}),
     ("pair", ["link-value", "--pair", "ABSENT"], {"cho_factor": 1}),
+    ("pair-existing", ["link-value", "--pair", "EDGE"], {"cho_factor": 1}),
+    ("pair-existing-sliver", ["link-value", "--pair", "EDGE", "--delta", "SLIVER"],
+     {"cho_factor": 2}),
     ("from-to", ["walks", "--from", "0", "--to", "1"], {"cho_factor": 1}),
     ("exhaustive", ["key-group", "--k", "2"], {"cho_factor": 1, "dpotri": 1}),
     ("exhaustive-sliver", ["key-group", "--k", "2", "--delta", "SLIVER"],
      {"cho_factor": 2, "dpotri": 1}),
     ("exclude", ["walks", "--exclude", "0,1"], {"cho_factor": 1, "dpotri": 1}),
     ("all-existing", ["link-value", "--all-existing"], {"cho_factor": 1, "dpotri": 1}),
+    ("all-potential", ["link-value", "--all-potential"], {"cho_factor": 1, "dpotri": 1}),
     ("global", ["extension", "--model", "global", "--phi", "0.2"], {"cho_factor": 1}),
     ("multi", ["extension", "--model", "multi", "--beta", "0.3"], {"cho_factor": 2}),
     ("multi-at-0", ["extension", "--model", "multi", "--beta", "0.3", "--delta", "0"],

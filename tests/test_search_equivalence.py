@@ -475,13 +475,14 @@ def test_link_values_match_one_value_per_pair(net, kind, data):
 
 
 def scalar_link_value(delta, b, m, i, j, present):
-    """The closed form on float64 scalars, one pair at a time."""
+    """The one-link solve on float64 scalars, one pair at a time: b_i y_j + b_j y_i
+    with y = (I - delta M_SS C_SS)^-1 b_S, C_SS = -P for a cut and +P for an addition."""
     b_i, b_j, m_ii, m_jj, m_ij = b[i], b[j], m[i, i], m[j, j], m[j, i]
     s = 1.0 + delta * m_ij if present else 1.0 - delta * m_ij
-    den = s**2 - delta**2 * m_ii * m_jj
-    own = delta * m_ii * b_j * b_j + delta * m_jj * b_i * b_i
-    cross = 2.0 * s * b_i * b_j
-    return (cross - own if present else own + cross) / den
+    d_i, d_j = (-delta * m_ii, -delta * m_jj) if present else (delta * m_ii, delta * m_jj)
+    den = s * s - (delta * m_ii) * (delta * m_jj)
+    y_i, y_j = (s * b_i + d_i * b_j) / den, (d_j * b_i + s * b_j) / den
+    return b_i * y_j + b_j * y_i
 
 
 def test_link_values_keep_the_scalar_arithmetic():

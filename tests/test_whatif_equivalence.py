@@ -38,8 +38,13 @@ from netsurgeon import (
     structural_effect,
     walk_matrix,
 )
-from netsurgeon.bridge import _link_value
-from netsurgeon.graphs import certify_change, embed, spectral_radius, within_bound
+from netsurgeon.graphs import (
+    certify_change,
+    embed,
+    one_link_solve,
+    spectral_radius,
+    within_bound,
+)
 from netsurgeon.walks import CROSS_ROUTE_TOL
 
 from .conftest import eig_lambda_max
@@ -411,8 +416,9 @@ def test_single_potential_link_matches_certify_of_the_grown_network(net, frac, d
         assert str(got.value) == str(exc)
         return
     m = spec.solve(np.eye(net.n)[:, [i, j]])
-    rows, cols = np.array([i]), np.array([j])
-    want = _link_value(spec, "potential", rows, cols, m[rows, 0], m[cols, 1], m[cols, 0])[0]
+    b = spec.b_unit
+    y_i, y_j, _ = one_link_solve(spec.delta, 1.0, b[i], b[j], m[i, 0], m[j, 1], m[j, 0])
+    want = b[i] * y_j + b[j] * y_i
     assert link_value_potential(spec, net.labels[i], net.labels[j]).value == want
 
 
