@@ -7,9 +7,12 @@ solved in closed form by graphs.one_link_solve. The score b_i y_j + b_j y_i,
 stated for unit characteristics, times the synergy weight is the realized
 aggregate change exactly. A bridge joins two separate components, whose
 joined M is block diagonal: its index is the same solve with m_ij = 0, from
-the endpoints' centralities and self-loops. The searches score every
-candidate in array arithmetic: the frontier-by-frontier grid of bridges, and
-every absent or present link of a network from one influence matrix.
+the endpoints' centralities and self-loops. Every added link, bridges
+too, is certified from M_SS and b_unit by graphs.links_certified, each
+column of M bounded by its endpoint's b_unit, and what that leaves by
+graphs.certify_change. The searches score every candidate in array
+arithmetic: the frontier-by-frontier grid of bridges, and every absent or
+present link of a network from one influence matrix.
 """
 
 from __future__ import annotations
@@ -27,9 +30,8 @@ from .graphs import (
     InternalCheckError,
     Network,
     NodeSet,
-    certified_game,
+    SpectralConditionError,
     certify_change,
-    certify_local,
     label_key,
     links_certified,
     one_link_solve,
@@ -39,9 +41,6 @@ from .graphs import (
 FRONTIER_SLACK = 1e-12
 
 _UNCERTIFIED = "bridging these endpoints pushes the joined game outside the certified range"
-
-# C_SS of one created link, on its two endpoints.
-_ONE_LINK = np.array([[0.0, 1.0], [1.0, 0.0]])
 
 
 @dataclass(frozen=True)
@@ -144,24 +143,29 @@ def _bridge_indices(spec1: GameSpec, spec2: GameSpec, rows, cols) -> np.ndarray:
     the joined network with each.
 
     A bridge is a created link of the disjoint union, whose influence matrix
-    is block diagonal: m_ij = 0, and each side's max(b_unit), its largest row
-    sum, bounds its column maxima. links_certified decides in closed form,
-    and certify's own rule on the joined network decides the sliver it leaves.
+    is block diagonal: m_ij = 0. One past the 2 x 2 test is refused before
+    the solve, which could overflow; links_certified decides the rest in
+    closed form, and certify_change on the union, built once, the sliver.
     """
+    delta, net1, net2 = spec1.delta, spec1.network, spec2.network
     b = np.concatenate((spec1.b_unit, spec2.b_unit))
     loops = np.concatenate((spec1.self_loops, spec2.self_loops))
     joint = cols + spec1.n
-    b_i, b_j = b[rows], b[joint]
-    y_i, y_j, den = one_link_solve(spec1.delta, 1.0, b_i, b_j, loops[rows], loops[joint], 0.0)
+    b_i, b_j, m_ii, m_jj = b[rows], b[joint], loops[rows], loops[joint]
+    if not np.all(delta * np.sqrt(m_ii * m_jj) < 1.0):
+        raise InputError(_UNCERTIFIED)
+    y_i, y_j, den = one_link_solve(delta, 1.0, b_i, b_j, m_ii, m_jj, 0.0)
     if np.any(den <= FRONTIER_SLACK):
         raise InputError(_UNCERTIFIED)
-    top = np.repeat([s.b_unit.max(initial=0.0) for s in (spec1, spec2)], (spec1.n, spec2.n))
-    fits = links_certified(spec1.delta, b, loops, top, rows, joint, np.zeros(len(rows)))
-    net1, net2 = spec1.network, spec2.network
-    for t in np.flatnonzero(~fits):
-        joined = joined_network(net1, net2, (net1.labels[rows[t]], net2.labels[cols[t]]))
-        if certified_game(joined, spec1.delta) is None:
-            raise InputError(_UNCERTIFIED)
+    left = np.flatnonzero(~links_certified(delta, b, rows, joint, m_ii, m_jj, np.zeros(len(rows))))
+    if left.size:
+        union = joined_network(net1, net2)
+        at = np.array([union.index[label] for label in net1.labels + net2.labels], dtype=np.intp)
+        for t in left:
+            try:
+                certify_change(union, delta, [(at[rows[t]], at[joint[t]], 1)])
+            except SpectralConditionError:
+                raise InputError(_UNCERTIFIED) from None
     return b_i * y_j + b_j * y_i
 
 
@@ -260,15 +264,12 @@ def _single_link(spec: GameSpec, i: str, j: str, kind: str) -> LinkValue:
         raise InputError(f"link ({i},{j}) already present; use the existing-link value")
     if not present and kind == "existing":
         raise InputError(f"link ({i},{j}) not present; use the potential-link value")
-    if kind == "potential":
-        # The changed row sums need all of M[:, {i, j}].
-        m = spec.columns([ii, jj])
-        certify_local(spec, [(ii, jj, 1)], [ii, jj], m, _ONE_LINK)
-        m = m[[ii, jj]]
-    else:
-        m = spec.block([ii, jj])
     rows, cols = np.array([ii]), np.array([jj])
-    value = _link_value(spec, kind, rows, cols, m[:1, 0], m[1:, 1], m[1:, 0])[0]
+    m = spec.block([ii, jj])
+    entries = m[:1, 0], m[1:, 1], m[1:, 0]
+    if not (present or links_certified(spec.delta, spec.b_unit, rows, cols, *entries)[0]):
+        certify_change(spec.network, spec.delta, [(ii, jj, 1)])
+    value = _link_value(spec, kind, rows, cols, *entries)[0]
     u, v = sorted((i, j), key=label_key)
     return LinkValue(u, v, kind, value)
 
@@ -313,10 +314,10 @@ def link_values(spec: GameSpec, kind: str) -> tuple[LinkRanking, list[tuple[str,
     if not len(rows):
         return ranked(rows, cols, np.zeros(0)), []
     m = spec.influence()
+    entries = m[rows, rows], m[cols, cols], m[cols, rows]
     skipped = []
     if kind == "potential":
-        loops, top = np.diag(m), m.max(axis=0)
-        fits = links_certified(spec.delta, spec.b_unit, loops, top, rows, cols, m[cols, rows])
+        fits = links_certified(spec.delta, spec.b_unit, rows, cols, *entries)
         for t in np.flatnonzero(~fits):
             try:
                 # The sliver and every refusal are settled by the exact certificate.
@@ -324,7 +325,7 @@ def link_values(spec: GameSpec, kind: str) -> tuple[LinkRanking, list[tuple[str,
                 fits[t] = True
             except InputError as exc:
                 skipped.append((net.labels[rows[t]], net.labels[cols[t]], str(exc)))
-        rows, cols = rows[fits], cols[fits]
-    value = _link_value(spec, kind, rows, cols, m[rows, rows], m[cols, cols], m[cols, rows])
+        rows, cols, entries = rows[fits], cols[fits], [e[fits] for e in entries]
+    value = _link_value(spec, kind, rows, cols, *entries)
     order = rank_order(value, (rows, cols))
     return ranked(rows[order], cols[order], value[order]), skipped

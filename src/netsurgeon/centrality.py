@@ -6,8 +6,8 @@ of walks from i to j. Everything here reads the game's cached
 factorization: the centralities through solves, and the self-loops m_ii as
 the column sums of squares of the Cholesky factor's inverse, from its
 recursive blocked inverse (dtrmm; dtrtri on small blocks) without
-assembling it. Blocks of M come from GameSpec itself:
-columns(idx) for a few columns, influence() for all of M.
+assembling it. Blocks of M come from GameSpec itself: block(idx) on a
+few nodes, influence() for all of M.
 """
 
 from __future__ import annotations

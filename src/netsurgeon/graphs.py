@@ -16,9 +16,9 @@ accepts, because then delta * lambda_max < 1 - 1e-8 clears the margin.
 Only the sliver in between runs the margin test itself (within_bound: the
 Cholesky factorization of (1 - SPECTRAL_MARGIN) I - w G succeeds exactly
 when w * lambda_max < 1 - SPECTRAL_MARGIN). A change C to the links among
-nodes S is certified the same way from the columns M[:, S] alone
-(certify_local); what those cannot decide goes to certify_change, which
-runs certify's own rule on the changed network. A rejection words
+nodes S is certified the same way from M[:, S] (certify_local), one added
+link from M_SS and b_unit (links_certified); what those cannot decide goes
+to certify_change: certify's rule on the changed network. A rejection words
 lambda_max from an enclosure built from the links alone, a short Lanczos run
 whose Ritz vector gives Collatz-Wielandt bounds, O(m) a step; where that run
 cannot close (slow-gap graphs such as long paths), shift-invert iteration on
@@ -710,13 +710,13 @@ class GameSpec:
     Construct through certify(); direct construction skips the spectral check.
     The Cholesky factorization I - delta G = L L^T, which certify made and
     tested, is cached, read-only, and shared by every solve against this
-    spec. Queries read what they need of M = (I - delta G)^-1 by one of
-    three routes:
+    spec. Queries read what they need of M = (I - delta G)^-1 by solve on
+    unit columns, M[:, idx] from one solve (forward and back) of |idx|
+    columns, O(n^2 |idx|), or by one of two routes:
 
-    - columns(idx), M[:, idx]: one solve (forward and back) for |idx| unit
-      columns, O(n^2 |idx|).
     - block(idx), M[idx][:, idx]: one forward solve Y = L^-1 E_idx and its
-      Gram Y^T Y, O(n^2 |idx|) at half the cost of columns, exactly symmetric.
+      Gram Y^T Y, O(n^2 |idx|) at half the cost of that solve, exactly
+      symmetric.
     - the held M: the first of influence(), influence_rows and
       influence_less to run on a game inverts the factor by LAPACK dpotri,
       about 2n^3/3 flops, and keeps M in space the factor already owns: M's
@@ -731,9 +731,9 @@ class GameSpec:
       largest entry, O(nnz(G) n) for both, from which walk queries bound
       their own residuals.
 
-    The three routes round differently, so columns(idx)[idx], block(idx)
-    and influence()[idx][:, idx] can differ in the last bit; each route
-    agrees bit for bit only with itself. columns and block read only L's
+    These round differently, so the solved M[idx][:, idx], block(idx)
+    and influence()[idx][:, idx] can differ in the last bit; each agrees
+    bit for bit only with itself. solve and block read only L's
     lower triangle, never the held M, so their bits do not depend on what
     was asked before. self_loops, the diagonal of M, is the column sums of
     squares of L^-1, from a recursive blocked inverse (about n^3/3 flops,
@@ -791,19 +791,12 @@ class GameSpec:
         b.flags.writeable = False
         return b
 
-    def columns(self, idx) -> np.ndarray:
-        """M[:, idx] for a sequence of node indices, through one solve on unit columns."""
-        idx = np.asarray(idx, dtype=np.intp)
-        rhs = np.zeros((self.n, idx.size))
-        rhs[idx, np.arange(idx.size)] = 1.0
-        return self.solve(rhs)
-
     def block(self, idx) -> np.ndarray:
         """M[idx][:, idx] for a sequence of node indices, as Y^T Y with Y = L^-1 E_idx.
 
         One forward triangular solve on the held factor's lower triangle and
-        the Gram of its result: exactly symmetric, and half the work of
-        columns(idx). It can differ from columns(idx)[idx] in the last bit.
+        the Gram of its result: exactly symmetric, and half the work of solving
+        the unit columns E_idx, from whose rows idx it can differ in the last bit.
         """
         idx = np.asarray(idx, dtype=np.intp)
         rhs = np.zeros((self.n, idx.size), order="F")
@@ -1052,22 +1045,21 @@ def one_link_solve(delta: float, sign: float, b_i, b_j, m_ii, m_jj, m_ij):
     return (s * b_i + d_i * b_j) / solvable, (d_j * b_i + s * b_j) / solvable, den
 
 
-def links_certified(delta: float, b, loops, top, rows, cols, m_ij) -> np.ndarray:
+def links_certified(delta: float, b, rows, cols, m_ii, m_jj, m_ij) -> np.ndarray:
     """Whether adding each absent link (rows[t], cols[t]) provably keeps a game certified.
 
     certify_local's two tests in closed form for all links at once, from the
-    game's b_unit, self-loops and bounds top on M's column maxima per node,
-    and M's entries m_ij per link. With S = {i, j}, I - delta R^T C_SS R is
-    positive definite exactly when delta (m_ij + sqrt(m_ii m_jj)) < 1, and
-    the grown row sums are at most max(b) + delta (top_i |y_j| + top_j |y_i|).
+    game's b_unit and M's entries m_ii, m_jj, m_ij per link. With S = {i, j},
+    I - delta R^T C_SS R is positive definite exactly when delta (m_ij +
+    sqrt(m_ii m_jj)) < 1; M >= 0 is symmetric, so column i sums to b_i, and
+    the grown row sums are at most max(b) + delta (b_i |y_j| + b_j |y_i|).
     False leaves the link to certify's own rule.
     """
-    m_ii, m_jj = loops[rows], loops[cols]
     # Links past the 2 x 2 test go no further; for the rest delta < 1, so
     # nothing below overflows.
     t = np.flatnonzero(delta * (m_ij + np.sqrt(m_ii * m_jj)) < 1.0)
     y_i, y_j, den = one_link_solve(delta, 1.0, b[rows[t]], b[cols[t]], m_ii[t], m_jj[t], m_ij[t])
-    grown = b.max() + delta * (top[rows[t]] * np.abs(y_j) + top[cols[t]] * np.abs(y_i))
+    grown = b.max() + delta * (b[rows[t]] * np.abs(y_j) + b[cols[t]] * np.abs(y_i))
     fits = np.zeros(len(rows), dtype=bool)
     fits[t] = (den > 0.0) & (grown < ROW_SUM_BOUND)  # den: rounding at the bound
     return fits

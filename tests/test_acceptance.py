@@ -228,7 +228,7 @@ def test_criterion_06_group_removal_identities():
         # monotone under adding one more node to the removed set
         ones = certify(net, delta)
         b_s = ones.solve(np.ones(n))[members]
-        m_ss = ones.columns(members)[members, :]
+        m_ss = ones.solve(np.eye(n)[:, members])[members, :]
         v = np.linalg.solve(m_ss, b_s)
         if float(v.min()) < -1e-12:
             failures.append(f"trial {trial}: negative pricing entry {v.min():.3e}")

@@ -4,6 +4,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from netsurgeon import (
     InputError,
@@ -22,7 +24,7 @@ from netsurgeon import (
     spectral_radius,
 )
 from netsurgeon import cli
-from netsurgeon.graphs import one_link_solve
+from netsurgeon.graphs import certified_game, one_link_solve
 
 from .conftest import dense_inverse, eig_lambda_max, oracle_b, random_connected_graph, safe_delta
 from .oracle import degree, serialize
@@ -109,6 +111,52 @@ class TestCertifiedRange:
         assert (winner.i, winner.j) == ("h", "a2")
         assert bridge_index(s1, s2, "h", "a2") == winner
         assert (code, err) == (0, "") and '"j": "a2"' in out
+
+
+@st.composite
+def components(draw, prefix):
+    """A small ER or circulant network on the labels prefix0, prefix1, ..."""
+    n = draw(st.integers(2, 8))
+    if draw(st.sampled_from(["er", "circulant"])) == "er":
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        p = draw(st.floats(0.2, 0.9))
+        pairs = [pair for pair in itertools.combinations(range(n), 2) if rng.random() < p]
+    else:
+        steps = draw(st.sets(st.integers(1, n // 2), min_size=1))
+        pairs = {tuple(sorted((k, (k + s) % n))) for k in range(n) for s in steps}
+    labels = [f"{prefix}{k}" for k in range(n)]
+    return Network.from_edges([(labels[u], labels[v]) for u, v in pairs], labels)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    components("a"), components("b"),
+    st.sampled_from((0.5, 0.999999, 1 - 2e-9, 1 - 5e-10, 1.000001)),
+)
+def test_bridge_decisions_match_certify_of_each_joined_network(net1, net2, frac):
+    # delta at frac of the strongest bridge's joined bound; both components
+    # must certify on their own.
+    bridges = list(itertools.product(net1.labels, net2.labels))
+    delta = frac / max(eig_lambda_max(joined_network(net1, net2, uv)) for uv in bridges)
+    spec1, spec2 = certified_game(net1, delta), certified_game(net2, delta)
+    assume(spec1 is not None and spec2 is not None)
+    front = list(itertools.product(pareto_frontier(spec1).labels(net1),
+                                   pareto_frontier(spec2).labels(net2)))
+    accepted = {uv: certified_game(joined_network(net1, net2, uv), delta) is not None
+                for uv in front}
+    for (u, v), want in accepted.items():
+        try:
+            bridge_index(spec1, spec2, u, v)
+        except InputError as exc:
+            assert not want and str(exc) == TestCertifiedRange.REFUSAL
+        else:
+            assert want
+    try:
+        ranked = rank_bridges(spec1, spec2)
+    except InputError as exc:
+        assert not all(accepted.values()) and str(exc) == TestCertifiedRange.REFUSAL
+    else:
+        assert all(accepted.values()) and len(ranked) == len(front)
 
 
 class TestJoin:

@@ -98,7 +98,7 @@ class TestLeontief:
         spec = certify(net, 0.6 / max(spectral_radius(net), 1.0))
         m = dense_inverse(net, spec.delta)
         rows, cols = NodeSet.of([0, 3, 5]), NodeSet.of([1, 2, 6, 7])
-        block = spec.columns(cols.members)[list(rows.members), :]
+        block = spec.solve(np.eye(net.n)[:, list(cols.members)])[list(rows.members), :]
         np.testing.assert_allclose(block, m[np.ix_(rows.members, cols.members)], atol=1e-10)
 
     def test_block_transpose_symmetry(self):
@@ -106,8 +106,8 @@ class TestLeontief:
         net = random_graph(rng, 9, p=0.4)
         spec = certify(net, 0.65 / max(spectral_radius(net), 1.0))
         a, b = NodeSet.of([0, 2, 4]), NodeSet.of([1, 5, 8])
-        ab = spec.columns(b.members)[list(a.members), :]
-        ba = spec.columns(a.members)[list(b.members), :]
+        ab = spec.solve(np.eye(net.n)[:, list(b.members)])[list(a.members), :]
+        ba = spec.solve(np.eye(net.n)[:, list(a.members)])[list(b.members), :]
         np.testing.assert_allclose(ab, ba.T, atol=1e-12)
 
     def test_row_sums_equal_unweighted_centrality(self):

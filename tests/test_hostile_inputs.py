@@ -38,6 +38,10 @@ GRAPHS = {
     # than int() reads by default, on a good line and on a bad one.
     "digit_like": "1 2\n2 \u00b3\n\u00b3 4\n4 " + "5" * 5000 + "\n",
     "long_label_bad_line": "1 2\n" + "5" * 5000 + " 1 2\n",
+    # Two edgeless components: M = I on both, so every bridge's 2 x 2 test
+    # reads delta itself, which overflows when squared.
+    "edgeless_pair": "a1\na2\n",
+    "edgeless_single": "b1\n",
 }
 THETAS = {
     "nan": "1 nan\n2 1\n3 1\n4 1\n",
@@ -92,6 +96,9 @@ def corpus(files):
             cases += graph_commands(files[graph], delta)
             cases.append(["key-bridge", "--graph1", files[graph], "--graph2", files["other"],
                           "--delta", delta])
+    for delta in DELTAS + ("1e200",):
+        cases.append(["key-bridge", "--graph1", files["edgeless_pair"],
+                      "--graph2", files["edgeless_single"], "--delta", delta])
     path = ["--graph", files["path"], "--delta", "0.2"]
     for name in THETAS:
         theta = files[f"theta_{name}"]
@@ -155,6 +162,17 @@ def test_non_finite_parameters_name_themselves(files):
         out, err = io.StringIO(), io.StringIO()
         assert cli.run(argv, out=out, err=err) == 1
         assert err.getvalue() == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("delta", ["1", "1e200", "1e308"])
+def test_edgeless_bridges_past_the_bound_are_one_refusal(files, delta):
+    out, err = io.StringIO(), io.StringIO()
+    argv = ["key-bridge", "--graph1", files["edgeless_pair"], "--graph2",
+            files["edgeless_single"], "--delta", delta]
+    assert cli.run(argv, out=out, err=err) == 1
+    assert (out.getvalue(), err.getvalue()) == (
+        "", "error: bridging these endpoints pushes the joined game outside the certified range\n"
+    )
 
 
 class TestLibraryRejectsNonFinite:

@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 
 import netsurgeon
-from netsurgeon import cli, extensions, graphs
+from netsurgeon import Network, cli, extensions, graphs
 
 from .oracle import serialize
 from .test_refusal_enclosure import build, congestion_bound, eig_lambda_max
@@ -115,6 +115,36 @@ def test_a_refused_link_value_makes_no_eigensolve(er300, lapack):
     # Known excess (item 12): the second factorization is certify_change's,
     # of the grown network, for a change the 2 x 2 test already fails.
     assert lapack == {"eigh": 0, "cho_factor": 2}
+
+
+def test_a_refused_link_value_in_the_sliver_makes_no_eigensolve(er300, lapack):
+    net, path = er300
+    absent = next(j for j in range(1, net.n) if not net.has_link(0, j))
+    delta = (1 - 2e-9) / eig_lambda_max(net)  # adding any link leaves the bound
+    code, err = run(["link-value", "--graph", path, "--delta", repr(delta),
+                     "--pair", f"{net.labels[0]},{net.labels[absent]}"])
+    assert code == 1 and err.startswith("error: spectral condition violated")
+    # The game's factor, its margin system's, and certify_change's failed
+    # factor of the grown network; the refusal is worded from the enclosure.
+    assert lapack == {"eigh": 0, "cho_factor": 3}
+
+
+def test_an_answered_key_bridge_factors_each_component_once(er300, tmp_path, lapack):
+    net, path = er300
+    other = build("er", 200, 12)
+    other = Network.from_edges([(f"b{u}", f"b{v}") for u, v in other.edges()],
+                               [f"b{label}" for label in other.labels])
+    other_path = tmp_path / "er200.txt"
+    other_path.write_text(serialize(other))
+    # Half of a bound every bridge keeps: one link raises lambda_max by at most 1.
+    delta = 0.5 / (max(eig_lambda_max(net), eig_lambda_max(other)) + 1.0)
+    code, err = run(["key-bridge", "--graph1", path, "--graph2", str(other_path),
+                     "--delta", repr(delta)])
+    assert (code, err) == (0, "")
+    # Each component's factor and self-loops; no joined network is factored.
+    assert {name: count for name, count in lapack.items() if count} == {
+        "cho_factor": 2, "trtri": 2,
+    }
 
 
 def test_all_potential_links_in_the_sliver_factor_each_refusal(tmp_path, lapack):

@@ -1,11 +1,12 @@
 """The certificates read from the solver's own factor, against the margin tests.
 
 certify decides from its factor of I - delta G and the row sums of the
-inverse; structural and hybrid interventions and single potential links
-decide from the |S| columns of M they read; link_values(..., "potential")
-decides every absent link from M at once. Each must give the decision of the
-n x n margin test it replaces (within_bound, or certify_change on the same
-changed network), refusal messages included, at fractions of the eigvalsh
+inverse; structural and hybrid interventions decide from the |S| columns of
+M they read; a single potential link from its 2 x 2 block of M and b_unit,
+and link_values(..., "potential") every absent link from M at once. Each
+must give the decision of the n x n margin test it replaces (within_bound,
+or certify_change on the same changed network), refusal messages included,
+at fractions of the eigvalsh
 bound on both sides of the margin. The two fractions in the sliver between
 the row-sum bound and the margin must reach that margin test. Interventions
 that certify must also price the changed network as an exact rational solve
@@ -238,7 +239,7 @@ def test_single_potential_link_at_the_sliver_reaches_certify_change():
         spec = certify(net, delta)
         fallback = Recorder(certify_change)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(graphs, "certify_change", fallback)
+            mp.setattr(bridge, "certify_change", fallback)
             got = refusal(lambda: link_value_potential(spec, "1", "12"))
         assert len(fallback.calls) == 1
         assert got == refusal(lambda: certify_change(net, delta, [(0, 11, 1)]))

@@ -23,7 +23,7 @@ PUBLIC_MEMBERS = {
     "CharacteristicIntervention": "delta_theta from_pairs support",
     "CongestionSpec": "delta gamma network smallest_eigenvalue system theta",
     "EffectReport": "delta_aggregate delta_x equivalent_delta_theta labels post_b",
-    "GameSpec": "b b_unit block columns delta influence influence_less influence_rows"
+    "GameSpec": "b b_unit block delta influence influence_less influence_rows"
     " n network self_loops solve theta theta_is_ones with_theta",
     "GlobalSubstitutionSpec": "delta game network phi",
     "GraphFormatError": "",

@@ -519,6 +519,5 @@ def test_two_by_two_link_test_is_exact_at_one_part_per_million(net, data):
         assert within_bound(grown, delta) == fits
         spec = certify(net, delta)
         m = spec.influence()
-        loops, top = np.diag(m), m.max(axis=0)
         for r, c in ((rows, cols), (cols, rows)):
-            assert links_certified(delta, spec.b_unit, loops, top, r, c, m[c, r])[0] == fits
+            assert links_certified(delta, spec.b_unit, r, c, m[r, r], m[c, c], m[c, r])[0] == fits

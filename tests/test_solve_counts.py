@@ -3,8 +3,8 @@
 GameSpec.solve is wrapped to record the number of right-hand-side columns of
 each call. A structural or hybrid effect reads its per-node change through
 the columns its local system already solved, so it makes one solve; queries
-that read only M on a few nodes (intercentrality, existing links, avoidance
-blocks) take GameSpec.block's forward solve and make none.
+that read only M on a few nodes (intercentrality, existing and potential
+links, avoidance blocks) take GameSpec.block's forward solve and make none.
 """
 
 import numpy as np
@@ -81,20 +81,17 @@ def test_block_readers_make_no_solve(game, solves):
     intercentrality(spec, NodeSet.of(nodes[:3]))
     avoidance_block(spec, NodeSet.of(nodes[:2]), NodeSet.of(nodes[2:]))
     if spec.theta_is_ones():
-        (rows, cols), labels = spec.network.links, spec.network.labels
+        net = spec.network
+        (rows, cols), labels = net.links, net.labels
         link_value_existing(spec, labels[rows[0]], labels[cols[0]])
+        absent = next(j for j in range(1, net.n) if not net.has_link(0, j))
+        link_value_potential(spec, labels[0], labels[absent])
     assert solves == []
 
 
-def test_characteristic_effect_and_potential_link_solve_once(game, solves):
+def test_characteristic_effect_solves_once(game, solves):
     spec, _, rng = game
     dtheta = np.zeros(spec.n)
     dtheta[rng.choice(spec.n, size=3, replace=False)] = 0.25
     characteristic_effect(spec, CharacteristicIntervention(dtheta))
     assert solves == [1]
-    if spec.theta_is_ones():
-        net = spec.network
-        absent = next(j for j in range(1, net.n) if not net.has_link(0, j))
-        solves.clear()
-        link_value_potential(spec, net.labels[0], net.labels[absent])
-        assert solves == [2]
