@@ -7,9 +7,11 @@ whether or not Lanczos converged; where Lanczos stops open on a graph whose
 Perron vector is nowhere tiny (slow-gap paths), shift-invert iteration on one
 factorization closes it. The text is taken from the enclosure only when both
 ends print alike, and from the dense eigensolver otherwise. These tests hold
-the enclosure to numpy's eigvalsh, every message to the dense route's, and
-congestion's closed-form acceptance to the factorization it skips.
+the enclosure to lambda_max from numpy's eigh, every message to the dense
+route's, and congestion's closed-form acceptance to the factorization it skips.
 """
+
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -74,11 +76,28 @@ def eig_lambda_max(net: Network) -> float:
     return float(np.linalg.eigvalsh(net.adjacency)[-1])
 
 
+def rayleigh_lambda_max(net: Network) -> Fraction:
+    """lambda_max as the Rayleigh quotient of eigh's top eigenvector v, summed
+    exactly in integers.
+
+    eigvalsh's own value is off by up to a few n eps ||G||, as far as the
+    enclosure's ends may lie from lambda_max. v^T G v / v^T v never exceeds
+    lambda_max and falls short of it by the square of v's error, far below
+    one rounding.
+    """
+    ratios = [x.as_integer_ratio() for x in np.linalg.eigh(net.adjacency)[1][:, -1].tolist()]
+    scale = max(den for _, den in ratios)
+    k = [num * (scale // den) for num, den in ratios]  # v * scale, exactly
+    rows, cols = np.nonzero(net.adjacency)  # 0/1 entries, each link both ways
+    return Fraction(sum(k[i] * k[j] for i, j in zip(rows.tolist(), cols.tolist())),
+                    sum(x * x for x in k))
+
+
 @settings(max_examples=200, deadline=None)
 @given(networks)
 def test_the_enclosure_holds_eigvalsh_lambda_max(net):
     lo, hi, ritz = _lambda_enclosure(net)
-    lam = eig_lambda_max(net) if len(net.links[0]) else 0.0
+    lam = rayleigh_lambda_max(net) if len(net.links[0]) else 0.0
     assert lo <= lam <= hi
     assert lo <= ritz <= hi
 
