@@ -10,9 +10,11 @@ joined M is block diagonal: its index is the same solve with m_ij = 0, from
 the endpoints' centralities and self-loops. Every added link, bridges
 too, is certified from M_SS and b_unit by graphs.links_certified, each
 column of M bounded by its endpoint's b_unit, and what that leaves by
-graphs.certify_change. The searches score every candidate in array
-arithmetic: the frontier-by-frontier grid of bridges, and every absent or
-present link of a network from one influence matrix.
+certify's rule on the changed network: graphs.certify_change, or for a
+bridge graphs.certified_game, whose refusal words no lambda_max. The
+searches score every candidate in array arithmetic: the frontier-by-frontier
+grid of bridges, and every absent or present link of a network from one
+influence matrix.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from .graphs import (
     InternalCheckError,
     Network,
     NodeSet,
-    SpectralConditionError,
+    certified_game,
     certify_change,
     label_key,
     links_certified,
@@ -145,7 +147,8 @@ def _bridge_indices(spec1: GameSpec, spec2: GameSpec, rows, cols) -> np.ndarray:
     A bridge is a created link of the disjoint union, whose influence matrix
     is block diagonal: m_ij = 0. One past the 2 x 2 test is refused before
     the solve, which could overflow; links_certified decides the rest in
-    closed form, and certify_change on the union, built once, the sliver.
+    closed form, and certify's own rule (certified_game) on the union, built
+    once, the sliver; a refusal there words no lambda_max.
     """
     delta, net1, net2 = spec1.delta, spec1.network, spec2.network
     b = np.concatenate((spec1.b_unit, spec2.b_unit))
@@ -162,10 +165,8 @@ def _bridge_indices(spec1: GameSpec, spec2: GameSpec, rows, cols) -> np.ndarray:
         union = joined_network(net1, net2)
         at = np.array([union.index[label] for label in net1.labels + net2.labels], dtype=np.intp)
         for t in left:
-            try:
-                certify_change(union, delta, [(at[rows[t]], at[joint[t]], 1)])
-            except SpectralConditionError:
-                raise InputError(_UNCERTIFIED) from None
+            if certified_game(union.with_changes([(at[rows[t]], at[joint[t]], 1)]), delta) is None:
+                raise InputError(_UNCERTIFIED)
     return b_i * y_j + b_j * y_i
 
 

@@ -59,23 +59,20 @@ class _Parser(argparse.ArgumentParser):
 
 # The JSON writer: the bytes of json.dump(payload, indent=2) with every float
 # rounded to 6 significant digits first, built as one string; keys must be
-# strings. Lists of scalars are formatted a column at a time, each distinct
-# float and string once, and a list of same-shaped records, or _Columns, is
-# laid out as one list of key and value texts and joined once, so the cost
-# per printed number is a few C calls, and less where values repeat. The CSV
-# writer takes the same columns and formats each distinct float once too.
+# strings. Lists of scalars are formatted a column at a time: floats by one
+# %-format of the whole list, strings by json's own C escaper mapped over it,
+# and where at most half of a list's values are distinct, each distinct value
+# once. A list of same-shaped records, or _Columns, is laid out as one list of
+# key and value texts and joined once, so a printed number or label costs a
+# few C calls and, but for rare exponent forms, no Python call. The CSV writer
+# takes the same columns and formats each float column the same way, with %.6g.
 
 _SCALARS = {str, float, int, bool, type(None)}
 _NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-_INTEGRAL = re.compile(r"\n-?\d+(?![^\n])")  # a text of digits alone, after its newline
-
-
-class _Escaped(dict):
-    """JSON text of each distinct string, escaped once per document."""
-
-    def __missing__(self, s):
-        text = self[s] = json.encoder.encode_basestring_ascii(s)
-        return text
+# A text of digits alone, after its newline, captured: split out of a
+# document of float texts, each is given its ".0" by a C-level map.
+_INTEGRAL = re.compile(r"(\n-?\d+)(?![^\n])")
+_escaped = json.encoder.encode_basestring_ascii
 
 
 @dataclass(frozen=True)
@@ -95,15 +92,18 @@ class _Columns:
 
 
 def _once_each(fmt, values) -> list[str]:
-    """fmt(values), with fmt called on each distinct value once.
+    """fmt(values), with fmt called on each distinct value once where at
+    most half of the values are distinct.
 
-    Rankings of symmetric networks repeat a few values thousands of times.
-    A set finds the distinct values, but it holds 0.0 and -0.0 as one, so
-    when values repeat the zeros are given their texts by sign afterwards.
-    NaNs never compare equal, so each keeps its own text.
+    Rankings of symmetric networks repeat a few values thousands of times,
+    and key-bridge's grids each label about 90 times; a list with fewer
+    repeats is formatted whole, which costs less than finding them. A set
+    finds the distinct values, but it holds 0.0 and -0.0 as one, so when
+    values repeat the zeros are given their texts by sign afterwards. NaNs
+    never compare equal, so each keeps its own text.
     """
     distinct = set(values)
-    if len(distinct) == len(values):
+    if 2 * len(distinct) > len(values):
         return fmt(values)
     keys = list(distinct)
     text = dict(zip(keys, fmt(keys)))
@@ -122,13 +122,16 @@ def _json_floats(values) -> list[str]:
     form only for integral texts, where repr adds ".0", for decimal
     exponents 6 to 15, where repr is positional, and for subnormals, where
     repr is shorter. An integral text has no ".", so the texts are searched
-    for them only when some text lacks one. Texts holding "e+" or "e-3",
-    which covers both of the last two cases, are redone through repr one by
-    one.
+    for them only when some text lacks one; a regex split puts them at the
+    odd places of a list, which one map over that slice suffixes, so no
+    Python code runs per match. Texts holding "e+" or "e-3", which covers
+    both of the last two cases, are redone through repr one by one.
     """
     text = ("\n%.6g" * len(values)) % tuple(values)
     if text.count(".") < len(values):
-        text = _INTEGRAL.sub(r"\g<0>.0", text)
+        pieces = _INTEGRAL.split(text)
+        pieces[1::2] = map(operator.add, pieces[1::2], itertools.repeat(".0"))
+        text = "".join(pieces)
     texts = text.split("\n")
     del texts[0]
     if "e+" in text or "e-3" in text:
@@ -143,9 +146,13 @@ def _floats(values) -> list[str]:
     return _once_each(_json_floats, values)
 
 
-def _scalar(v, esc: _Escaped) -> str:
+def _json_strings(values) -> list[str]:
+    return list(map(_escaped, values))
+
+
+def _scalar(v) -> str:
     if isinstance(v, str):
-        return esc[v]
+        return _escaped(v)
     if v is None:
         return "null"
     if v is True:
@@ -159,12 +166,12 @@ def _scalar(v, esc: _Escaped) -> str:
     raise TypeError(f"Object of type {type(v).__name__} is not JSON serializable")
 
 
-def _scalars(values, kinds: set, esc: _Escaped) -> list[str]:
+def _scalars(values, kinds: set) -> list[str]:
     if kinds == {float}:
         return _floats(values)
     if kinds == {str}:
-        return list(map(esc.__getitem__, values))
-    return [_scalar(v, esc) for v in values]
+        return _once_each(_json_strings, values)
+    return list(map(_scalar, values))
 
 
 def _bracketed(texts: list, indent: str) -> str:
@@ -172,7 +179,7 @@ def _bracketed(texts: list, indent: str) -> str:
     return "[\n" + inner + (",\n" + inner).join(texts) + "\n" + indent + "]"
 
 
-def _columns(fields: dict, indent: str, esc: _Escaped) -> str:
+def _columns(fields: dict, indent: str) -> str:
     """The list of records whose values at key k are fields[k], at indent.
 
     Each field's texts are made a column at a time, scalars through
@@ -183,7 +190,7 @@ def _columns(fields: dict, indent: str, esc: _Escaped) -> str:
     if not records:
         return "[]"
     inner = indent + "  "
-    keys = [f"{inner}  {esc[k]}: " for k in fields]
+    keys = [f"{inner}  {_escaped(k)}: " for k in fields]
     # A record is its key and value texts in turn; its first key text also
     # closes the record before it, and the others follow a comma.
     heads = [f"\n{inner}}},\n{inner}{{\n{keys[0]}", *[",\n" + key for key in keys[1:]]]
@@ -192,52 +199,52 @@ def _columns(fields: dict, indent: str, esc: _Escaped) -> str:
     for at, column in enumerate(fields.values()):
         kinds = set(map(type, column))
         if kinds <= _SCALARS:
-            texts = _scalars(column, kinds, esc)
+            texts = _scalars(column, kinds)
         else:
-            texts = [_value(v, inner + "  ", esc) for v in column]
+            texts = [_value(v, inner + "  ") for v in column]
         parts[2 * at + 1 :: stride] = texts
     parts[0] = f"[\n{inner}{{\n{keys[0]}"
     parts.append(f"\n{inner}}}\n{indent}]")
     return "".join(parts)
 
 
-def _list(items, indent: str, esc: _Escaped) -> str:
+def _list(items, indent: str) -> str:
     if not items:
         return "[]"
     kinds = set(map(type, items))
     if kinds <= _SCALARS:
-        return _bracketed(_scalars(items, kinds, esc), indent)
+        return _bracketed(_scalars(items, kinds), indent)
     keys = list(items[0]) if kinds == {dict} else None
     if keys and not any(map(keys.__ne__, map(list, items))):
-        return _columns({k: [row[k] for row in items] for k in keys}, indent, esc)
+        return _columns({k: [row[k] for row in items] for k in keys}, indent)
     inner = indent + "  "
-    return _bracketed([_value(v, inner, esc) for v in items], indent)
+    return _bracketed([_value(v, inner) for v in items], indent)
 
 
-def _dict(obj: dict, indent: str, esc: _Escaped) -> str:
+def _dict(obj: dict, indent: str) -> str:
     if not obj:
         return "{}"
     inner = indent + "  "
     parts = []
     for k, v in obj.items():
-        parts += (",\n" + inner, esc[k], ": ", _value(v, inner, esc))
+        parts += (",\n" + inner, _escaped(k), ": ", _value(v, inner))
     parts[0] = "{\n" + inner
     parts.append("\n" + indent + "}")
     return "".join(parts)
 
 
-def _value(obj, indent: str, esc: _Escaped) -> str:
+def _value(obj, indent: str) -> str:
     if isinstance(obj, (list, tuple)):
-        return _list(obj, indent, esc)
+        return _list(obj, indent)
     if isinstance(obj, dict):
-        return _dict(obj, indent, esc)
+        return _dict(obj, indent)
     if isinstance(obj, _Columns):
-        return _columns(obj.fields, indent, esc)
-    return _scalar(obj, esc)
+        return _columns(obj.fields, indent)
+    return _scalar(obj)
 
 
 def _emit_json(payload, stream) -> None:
-    stream.write(_value(payload, "", _Escaped()))
+    stream.write(_value(payload, ""))
     stream.write("\n")
 
 

@@ -67,6 +67,12 @@ _STRICT_LOWER = np.tri(STRIP, k=-1, dtype=bool)
 LANCZOS_STEPS = 48
 LANCZOS_CHECK = 8
 
+# An edge list of ASCII digits and C whitespace, labels of at most
+# DECIMAL_DIGITS digits (all below 2**63), is read as int64 values by numpy.
+DECIMAL_DIGITS = 18
+_DECIMAL_TEXT = b"0123456789 \t\n\r\x0b\x0c"
+_LINE_BREAKS = bytes.maketrans(b"\r\x0b\x0c", b"\n\n\n")
+
 
 class NetsurgeonError(Exception):
     """Base class for all library errors."""
@@ -120,19 +126,21 @@ def label_key(label: str) -> tuple[int, int, str, str]:
 def _natural_order(names) -> list:
     """The distinct names sorted by label_key.
 
-    When every name is a string of ASCII digits with no leading zero ("0"
-    itself allowed), label_key's order is by length and then as text, which
-    two sorts give with no Python key per name; any other names take
-    label_key.
+    The decimal names come first and the rest follow as plain text, so only
+    decimal names are keyed. When those are ASCII digits with no leading
+    zero ("0" itself allowed), label_key's order is by length and then as
+    text, which two sorts give with no Python key per name; other decimal
+    names take label_key.
     """
-    text = "".join(names)
-    if text.isascii() and text.isdigit():
-        ordered = sorted(names)
-        # A name led by "0" (or the empty name) sorts first, after "0" itself.
+    decimal = list(filter(str.isdecimal, names))
+    rest = sorted(itertools.filterfalse(str.isdecimal, names))
+    if "".join(decimal).isascii():
+        ordered = sorted(decimal)
+        # A name led by "0" sorts first, after "0" itself.
         first = ordered[1:2] if ordered[:1] == ["0"] else ordered[:1]
-        if all(s and s[0] != "0" for s in first):
-            return sorted(ordered, key=len)
-    return sorted(names, key=label_key)
+        if not first or first[0][0] != "0":
+            return sorted(ordered, key=len) + rest
+    return sorted(decimal, key=label_key) + rest
 
 
 def rank_order(values: np.ndarray, keys: tuple) -> np.ndarray:
@@ -345,6 +353,9 @@ def parse_edge_list(text: str) -> Network:
     node; duplicate edges collapse. Self-loops are rejected. The first bad
     line, a self-loop or one of three or more labels, is reported.
     """
+    net = _decimal_edge_list(text)
+    if net is not None:
+        return net
     tokens = line_tokens(text)
     widths = np.fromiter(map(len, tokens), dtype=np.intp, count=len(tokens))
     ends = list(itertools.chain.from_iterable(tokens))
@@ -362,6 +373,48 @@ def parse_edge_list(text: str) -> Network:
         raw = text.splitlines()[t]
         raise GraphFormatError(f"expected 'u v', got {raw.strip()!r}", t + 1)
     return Network._of_links(labels, rows, cols)
+
+
+def _decimal_edge_list(text: str) -> Network | None:
+    """parse_edge_list(text) read by numpy, for a text of decimal labels.
+
+    The text qualifies when it holds only ASCII digits and C whitespace
+    (what numpy's reader splits on), and each label has at most
+    DECIMAL_DIGITS digits and no leading zero ("0" itself allowed); then
+    str() of each label's value gives it back, and numeric order is natural
+    order. Lines break where str.splitlines breaks them. None when the text
+    does not qualify, is empty, holds a bad line or is not read one value
+    per label: parse_edge_list's own reading decides those and words their
+    errors.
+    """
+    if not text.isascii():
+        return None
+    raw = text.encode("ascii")
+    if raw.translate(None, _DECIMAL_TEXT):
+        return None
+    # Every byte str.splitlines breaks at as "\n"; a "\r\n" becomes two, but
+    # only whether two labels share a line is read here.
+    buf = np.frombuffer(raw.translate(_LINE_BREAKS), dtype=np.uint8)
+    # Where a run of digits starts and ends; every other byte is whitespace.
+    edges = np.flatnonzero(np.diff(buf >= ord("0"), prepend=False, append=False))
+    starts, widths = edges[0::2], edges[1::2] - edges[0::2]
+    if not starts.size or widths.max() > DECIMAL_DIGITS:
+        return None
+    if np.any((buf[starts] == ord("0")) & (widths > 1)):
+        return None
+    line = np.searchsorted(np.flatnonzero(buf == ord("\n")), starts)
+    values = np.fromstring(text, dtype=np.int64, sep=" ")
+    if len(values) != len(starts):  # a short read would drop labels silently
+        return None
+    paired = line[1:] == line[:-1]  # token t and t + 1 share a line
+    if np.any(paired[1:] & paired[:-1]):
+        return None
+    first = np.flatnonzero(paired)
+    names, at = np.unique(values, return_inverse=True)
+    rows, cols = at[first], at[first + 1]
+    if np.any(rows == cols):
+        return None
+    return Network._of_links(tuple(map(str, names.tolist())), rows, cols)
 
 
 def load_network(path) -> Network:

@@ -106,6 +106,28 @@ class TestNaturalOrder:
     def test_natural_order_is_label_key_order(self, names):
         assert _natural_order(names) == sorted(names, key=label_key)
 
+    # Decimal names are keyed and the rest sort as plain text after them: mixed
+    # sets of ASCII and non-ASCII decimals, zero-led ones and other names.
+    @settings(max_examples=300, deadline=None)
+    @given(st.sets(st.one_of(
+        st.integers(0, 10**6).map(str),
+        st.sampled_from(["0", "00", "007", "١٢", "٠", "१०", "12",
+                         "a0", "a10", "a9", "", " 1", "1 ", "-1", "1.5", "²", "Z", "é"]),
+        st.text(alphabet="0123456789٠١٢०१ab", max_size=4),
+        st.text(max_size=3),
+    ), max_size=40))
+    def test_natural_order_of_mixed_names_is_label_key_order(self, names):
+        assert _natural_order(names) == sorted(names, key=label_key)
+        assert _natural_order(list(names)) == sorted(names, key=label_key)
+
+    def test_natural_order_keys_only_decimal_names(self, monkeypatch):
+        names = {f"a{i}" for i in range(500)} | {"١٢", "7"}
+        want = sorted(names, key=label_key)
+        keyed = []
+        monkeypatch.setattr(graphs, "label_key", lambda s: keyed.append(s) or label_key(s))
+        assert _natural_order(names) == want
+        assert sorted(keyed) == ["7", "١٢"]
+
     def test_natural_order_keeps_plain_digits_off_label_key(self, monkeypatch):
         names = {str(i) for i in range(600)}
         want = sorted(names, key=label_key)
@@ -714,3 +736,97 @@ def test_the_first_bad_line_is_reported(text, message):
     with pytest.raises(GraphFormatError) as want:
         parse_edge_list_by_line(text)
     assert str(want.value) == message
+
+
+# Decimal edge lists are read by numpy (graphs._decimal_edge_list) when the
+# text is ASCII digits and C whitespace, every label has at most 18 digits
+# and none has a leading zero; any other text takes the token reading.
+CLEAN_LABELS = st.one_of(
+    st.integers(0, 60).map(str),
+    st.integers(0, 10**18 - 1).map(str),
+    st.sampled_from(["0", "9" * 18, "1" + "0" * 17]),
+)
+DECIMAL_LABELS = CLEAN_LABELS | st.sampled_from(["00", "007", "9" * 19, "1" + "0" * 18])
+# C whitespace first; the rest split and break lines for Python but not for numpy.
+DECIMAL_SPACES = [" ", "\t", "  ", " \t", "\x1c", "\x1d", "\x1e", "\x1f", "\u3000"]
+DECIMAL_BREAKS = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e"]
+C_SPACE = set(" \t\n\r\x0b\x0c")
+
+
+@st.composite
+def decimal_edge_lists(draw):
+    """Lines of 0-3 decimal labels, maybe no last break; half of the texts
+    hold only labels without a leading zero and C whitespace, and half hold
+    no bad line (a self-loop or three labels)."""
+    clean, faults = draw(st.booleans()), draw(st.booleans())
+    labels = CLEAN_LABELS if clean else DECIMAL_LABELS
+    space = st.sampled_from(DECIMAL_SPACES[:4] if clean else DECIMAL_SPACES)
+    brk = st.sampled_from(DECIMAL_BREAKS[:5] if clean else DECIMAL_BREAKS)
+    text = ""
+    for _ in range(draw(st.integers(0, 12))):
+        width = draw(st.sampled_from([2, 2, 2, 1, 0, 3] if faults else [2, 2, 2, 1, 0]))
+        line = draw(st.sampled_from(["", " ", "\t"]))
+        line += draw(space).join(draw(labels) for _ in range(width))
+        if faults and width == 2 and draw(st.integers(0, 4)) == 0:
+            label = draw(labels)
+            line = f"{label}{draw(space)}{label}"  # a self-loop
+        text += line + draw(st.sampled_from(["", " ", "\t"])) + draw(brk)
+    if text and draw(st.booleans()):
+        text = text.rstrip("\n\r\x0b\x0c\x1c\x1d\x1e")
+    return text
+
+
+def takes_decimal_path(text: str) -> bool:
+    """Whether the text qualifies for numpy's reading, judged label by label."""
+    labels = text.split()
+    return (
+        bool(labels)
+        and set(text) <= C_SPACE | set("0123456789")
+        and all(len(s) <= 18 and (s == "0" or s[0] != "0") for s in labels)
+    )
+
+
+@settings(max_examples=400, deadline=None)
+@given(decimal_edge_lists())
+def test_decimal_edge_lists_match_the_line_loop(text):
+    try:
+        labels, a = parse_edge_list_by_line(text)
+    except InputError as exc:
+        with pytest.raises(type(exc)) as got:
+            parse_edge_list(text)
+        assert str(got.value) == str(exc)
+        assert getattr(got.value, "line", None) == getattr(exc, "line", None)
+        assert graphs._decimal_edge_list(text) is None
+        return
+    net = parse_edge_list(text)
+    assert net == Network(labels, a)
+    assert not net.adjacency.flags.writeable
+    assert (graphs._decimal_edge_list(text) is not None) == takes_decimal_path(text)
+
+
+@pytest.mark.parametrize(
+    "text, decimal",
+    [
+        ("1 2\n2 3\n4\n", True),
+        ("0 10\r\n10 7\r\n", True),
+        ("1 2\x0b3 4\x0c5 6\r7 8", True),
+        ("\n\n 1\t2 \n\n", True),
+        ("9" * 18 + " 1\n", True),
+        ("9" * 19 + " 1\n", False),
+        ("00 1\n", False),
+        ("007 1\n", False),
+        ("1 2 # a comment\n", False),
+        ("1 2\x1f3 4\n", False),
+        ("1 2\x1c3 4\n", False),
+        ("1　2\n", False),
+        ("١ 2\n", False),
+        ("a 1\n", False),
+        ("", False),
+        ("\n \n", False),
+        ("1 1\n", False),
+        ("1 2 3\n", False),
+    ],
+)
+def test_which_edge_lists_numpy_reads(text, decimal):
+    assert (graphs._decimal_edge_list(text) is not None) == decimal
+    assert takes_decimal_path(text) or not decimal

@@ -25,7 +25,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from netsurgeon.cli import _Columns, _emit_csv, _emit_json, _floats
+from netsurgeon.cli import _Columns, _emit_csv, _emit_json, _floats, _once_each
 
 
 def _sig6(obj):
@@ -225,6 +225,51 @@ def test_columns_write_as_the_list_of_records(rows):
 def test_zeros_keep_their_sign_among_repeats():
     assert _floats([0.0, -0.0, 0.0, -0.0]) == ["0.0", "-0.0", "0.0", "-0.0"]
     assert _floats([-0.0, 1.5, 0.0, 1.5]) == ["-0.0", "1.5", "0.0", "1.5"]
+
+
+@st.composite
+def repeating(draw, values, specials):
+    """A list of values with no, few or many repeats, some specials among
+    them: distinct values drawn, then some of them drawn again."""
+    distinct = draw(st.lists(values, min_size=1, max_size=40))
+    distinct += draw(st.lists(st.sampled_from(specials), max_size=4))
+    repeats = draw(st.sampled_from([0, 1, 3, len(distinct), 10 * len(distinct)]))
+    picks = draw(st.lists(st.sampled_from(distinct), min_size=repeats, max_size=repeats))
+    return draw(st.permutations(distinct + picks))
+
+
+@settings(max_examples=300, deadline=None)
+@given(repeating(text_floats, [0.0, -0.0, math.nan]))
+@example([0.0, -0.0, 0.0, math.nan, math.nan, 1.5])
+@example([-0.0] * 3 + [0.0] * 3 + [float("nan")] * 2)
+def test_floats_with_any_share_of_repeats_match_the_one_at_a_time_route(values):
+    assert _floats(values) == floats_one_by_one(values)
+    assert written(values) == reference(values)
+
+
+@settings(max_examples=150, deadline=None)
+@given(repeating(labels, POOL_LABELS))
+def test_labels_with_any_share_of_repeats_match_json_dump(values):
+    assert written(values) == reference(values)
+    assert written({"rows": _Columns({"i": values})}) == reference(
+        {"rows": [{"i": v} for v in values]})
+
+
+def formatted(values) -> list:
+    """The lists _once_each hands its formatter, for values."""
+    calls = []
+    _once_each(lambda vs: calls.append(list(vs)) or [repr(v) for v in vs], values)
+    return calls
+
+
+def test_once_each_dedups_only_where_at_most_half_are_distinct():
+    few = [0.5 * k for k in range(100)] + [0.0, 1.0, 2.0]
+    assert formatted(few) == [few]
+    half = [float(k % 50) for k in range(100)]
+    assert [sorted(call) for call in formatted(half)] == [sorted(set(half)), [-0.0, 0.0]]
+    # A key-bridge grid of two 300-node circulants repeats each label 300 times.
+    grid = [f"a{k}" for k in range(300) for _ in range(300)]
+    assert [sorted(call) for call in formatted(grid)] == [sorted(set(grid))]
 
 
 def pooled_table(size: int, seed: int) -> dict:

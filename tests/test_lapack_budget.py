@@ -6,7 +6,8 @@ inverse behind self-loops are wrapped where netsurgeon calls them, on a
 to one factorization per game and at most one triangular inverse, apart from
 the marked cells. A refusal words lambda_max from the links' enclosure, so it
 makes no dense eigensolve: on the slow-gap path, where Lanczos cannot close
-the enclosure, one shift-invert factorization closes it instead. Congestion
+the enclosure, one shift-invert factorization closes it instead; a key-bridge
+refusal is worded without lambda_max and computes none. Congestion
 with complex roots is certified by its quadratic, so its solve's factor is
 its only one.
 """
@@ -20,7 +21,7 @@ import numpy as np
 import pytest
 
 import netsurgeon
-from netsurgeon import Network, cli, extensions, graphs
+from netsurgeon import Network, bridge, cli, extensions, graphs
 
 from .oracle import serialize
 from .test_refusal_enclosure import build, congestion_bound, eig_lambda_max
@@ -144,6 +145,52 @@ def test_an_answered_key_bridge_factors_each_component_once(er300, tmp_path, lap
     # Each component's factor and self-loops; no joined network is factored.
     assert {name: count for name, count in lapack.items() if count} == {
         "cho_factor": 2, "trtri": 2,
+    }
+
+
+def strongest_bridge(net1: Network, net2: Network) -> tuple[str, str]:
+    """The bridge that raises lambda_max of the union most. Past both
+    components' lambda_max, a bridge (i, j) puts lambda_max at the root of
+    R1_ii(l) R2_jj(l) = 1, R(l) = (l I - G)^-1, each factor falling in l; the
+    largest root pairs each component's largest diagonal at that root."""
+    (m1, v1), (m2, v2) = (np.linalg.eigh(net.adjacency) for net in (net1, net2))
+    w1, w2 = v1**2, v2**2
+    lo = max(m1[-1], m2[-1])
+    hi = lo + 2.0  # one link raises lambda_max by at most 1
+    for _ in range(100):
+        mid = 0.5 * (lo + hi)
+        grows = (w1 @ (1 / (mid - m1))).max() * (w2 @ (1 / (mid - m2))).max() > 1
+        lo, hi = (mid, hi) if grows else (lo, mid)
+    i, j = np.argmax(w1 @ (1 / (hi - m1))), np.argmax(w2 @ (1 / (hi - m2)))
+    return net1.labels[i], net2.labels[j]
+
+
+def test_a_key_bridge_refused_in_the_sliver_words_no_lambda_max(tmp_path, lapack, monkeypatch):
+    # Two sparse ER components; delta sits inside certify's margin on the
+    # union joined by the strongest bridge, so every bridge passes the closed
+    # form's 2 x 2 test and the strongest is refused by certify's own rule.
+    net1 = build("sparse-er", 300, 11)
+    net2 = build("sparse-er", 300, 12)
+    net2 = Network.from_edges([(f"b{u}", f"b{v}") for u, v in net2.edges()],
+                              [f"b{label}" for label in net2.labels])
+    joined = bridge.joined_network(net1, net2, strongest_bridge(net1, net2))
+    delta = (1 - 5e-10) / eig_lambda_max(joined)
+    paths = [tmp_path / "a.txt", tmp_path / "b.txt"]
+    for path, net in zip(paths, (net1, net2)):
+        path.write_text(serialize(net))
+    calls = {"_lambda_enclosure": 0, "spectral_radius": 0}
+    for name in calls:
+        def counted(*args, _fn=getattr(graphs, name), _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(graphs, name, counted)
+    code, err = run(["key-bridge", "--graph1", str(paths[0]), "--graph2", str(paths[1]),
+                     "--delta", repr(delta)])
+    assert (code, err) == (1, f"error: {bridge._UNCERTIFIED}\n")
+    assert calls == {"_lambda_enclosure": 0, "spectral_radius": 0}
+    # Each component's factor and self-loops; the union's factor and its margin system's.
+    assert {name: count for name, count in lapack.items() if count} == {
+        "cho_factor": 4, "trtri": 2,
     }
 
 
