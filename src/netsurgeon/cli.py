@@ -7,7 +7,8 @@ digits with fixed key order, so identical inputs give identical bytes.
 
 Only this module knows the output schema: it writes every JSON key and CSV
 header, and each command builds its CSV columns and its JSON payload from
-one tolist() of its result arrays. The library's result classes are plain data.
+one tolist() of its result arrays, or, for a ranking, from the arrays it
+holds. The library's result classes are plain data.
 """
 
 from __future__ import annotations
@@ -64,8 +65,11 @@ class _Parser(argparse.ArgumentParser):
 # and where at most half of a list's values are distinct, each distinct value
 # once. A list of same-shaped records, or _Columns, is laid out as one list of
 # key and value texts and joined once, so a printed number or label costs a
-# few C calls and, but for rare exponent forms, no Python call. The CSV writer
-# takes the same columns and formats each float column the same way, with %.6g.
+# few C calls and, but for rare exponent forms, no Python call. A column of
+# _Columns may also be held as arrays, as rankings hold theirs: a float64
+# array, or _Labels; np.unique finds its distinct values, each is formatted
+# once, and the texts are gathered by index. The CSV writer takes the same
+# columns and formats each float column the same way, with %.6g.
 
 _SCALARS = {str, float, int, bool, type(None)}
 _NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
@@ -78,8 +82,9 @@ _escaped = json.encoder.encode_basestring_ascii
 @dataclass(frozen=True)
 class _Columns:
     """A list of records with the same keys, given column by column: fields
-    maps each key, in order, to the records' values at that key. Every
-    field holds one value per record; a shorter one is refused."""
+    maps each key, in order, to the records' values at that key, as a list,
+    a float64 array or _Labels. Every field holds one value per record; a
+    shorter one is refused."""
 
     fields: dict
 
@@ -95,9 +100,9 @@ def _once_each(fmt, values) -> list[str]:
     """fmt(values), with fmt called on each distinct value once where at
     most half of the values are distinct.
 
-    Rankings of symmetric networks repeat a few values thousands of times,
-    and key-bridge's grids each label about 90 times; a list with fewer
-    repeats is formatted whole, which costs less than finding them. A set
+    Lists from symmetric networks, such as key-group results and walk
+    rows, can repeat a few values many times; a list with fewer repeats is
+    formatted whole, which costs less than finding them. A set
     finds the distinct values, but it holds 0.0 and -0.0 as one, so when
     values repeat the zeros are given their texts by sign afterwards. NaNs
     never compare equal, so each keeps its own text.
@@ -113,6 +118,42 @@ def _once_each(fmt, values) -> list[str]:
         for i in itertools.compress(range(len(values)), map(operator.not_, values)):
             texts[i] = minus if math.copysign(1.0, values[i]) < 0 else plus
     return texts
+
+
+def _distinct_texts(fmt, values: np.ndarray) -> list[str]:
+    """fmt's text of each value of a float array, each distinct value
+    formatted once.
+
+    np.unique finds the distinct values and where each value sits among
+    them. It holds 0.0 and -0.0 as one, so zeros are given their texts by
+    sign afterwards; it holds every NaN as one, and every NaN prints alike.
+    """
+    distinct, at = np.unique(values, return_inverse=True)
+    texts = np.array(fmt(distinct.tolist()), dtype=object)[at]
+    zeros = np.flatnonzero(values == 0.0)
+    if zeros.size:
+        signed = np.array(fmt([0.0, -0.0]), dtype=object)
+        texts[zeros] = signed[np.signbit(values[zeros]).astype(np.intp)]
+    return texts.tolist()
+
+
+@dataclass(frozen=True)
+class _Labels:
+    """A column of labels held as arrays: record t's label is names[at[t]]."""
+
+    names: tuple[str, ...]
+    at: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.at)
+
+    def __getitem__(self, t: int) -> str:
+        return self.names[self.at[t]]
+
+    def texts(self, fmt) -> list[str]:
+        """fmt's text of each record's label, each label used formatted once."""
+        used, at = np.unique(self.at, return_inverse=True)
+        return np.array(fmt([self.names[k] for k in used.tolist()]), dtype=object)[at].tolist()
 
 
 def _json_floats(values) -> list[str]:
@@ -197,8 +238,11 @@ def _columns(fields: dict, indent: str) -> str:
     parts = [text for head in heads for text in (head, None)] * records
     stride = 2 * len(heads)
     for at, column in enumerate(fields.values()):
-        kinds = set(map(type, column))
-        if kinds <= _SCALARS:
+        if isinstance(column, np.ndarray):
+            texts = _distinct_texts(_json_floats, column)
+        elif isinstance(column, _Labels):
+            texts = column.texts(_json_strings)
+        elif (kinds := set(map(type, column))) <= _SCALARS:
             texts = _scalars(column, kinds)
         else:
             texts = [_value(v, inner + "  ") for v in column]
@@ -257,14 +301,18 @@ def _csv_floats(values) -> list[str]:
 def _emit_csv(table: _Columns, stream) -> None:
     """The header, then one row per record, each float as "%.6g" text.
 
-    A column of floats is formatted once per distinct value, a column that
-    mixes floats with other values cell by cell, and any other column is
-    written as it is. All rows go out in one writerows call.
+    A column of floats, as a list or a float64 array, is formatted once per
+    distinct value, a column that mixes floats with other values cell by
+    cell, _Labels by label, and any other column is written as it is. All
+    rows go out in one writerows call.
     """
     columns = []
     for column in table.fields.values():
-        kinds = set(map(type, column))
-        if kinds == {float}:
+        if isinstance(column, np.ndarray):
+            column = _distinct_texts(_csv_floats, column)
+        elif isinstance(column, _Labels):
+            column = column.texts(list)
+        elif (kinds := set(map(type, column))) == {float}:
             column = _once_each(_csv_floats, column)
         elif any(issubclass(kind, float) for kind in kinds):
             column = ["%.6g" % v if isinstance(v, float) else v for v in column]
@@ -472,19 +520,16 @@ def _cmd_key_group(args, out) -> int:
     return 0
 
 
-def _ranked_columns(ranked: bridge.RankedPairs) -> dict[str, list]:
-    """A ranking's entries field by field, in their field order: each
-    field's values as one list, the rows of key-bridge and link-value."""
-    values = ranked.values.tolist()
+def _ranked_columns(ranked: bridge.RankedPairs) -> dict:
+    """A ranking's entries field by field, in their field order, as the
+    arrays it holds: the rows of key-bridge and link-value."""
     if isinstance(ranked, bridge.BridgeRanking):
-        scores = {"index": values, "predicted_delta_aggregate": ranked.predicted.tolist()}
+        scores = {"index": ranked.values, "predicted_delta_aggregate": ranked.predicted}
     else:
-        scores = {"kind": [ranked.kind] * len(values), "value": values}
-    return {
-        "i": list(map(ranked.first.__getitem__, ranked.rows.tolist())),
-        "j": list(map(ranked.second.__getitem__, ranked.cols.tolist())),
-        **scores,
-    }
+        kinds = _Labels((ranked.kind,), np.zeros(len(ranked), dtype=np.intp))
+        scores = {"kind": kinds, "value": ranked.values}
+    return {"i": _Labels(ranked.first, ranked.rows), "j": _Labels(ranked.second, ranked.cols),
+            **scores}
 
 
 def _cmd_key_bridge(args, out) -> int:

@@ -39,8 +39,9 @@ ENUMERATION_CAP = 10_000_000
 # k x k blocks and the closed form's per-pair arrays.
 CHUNK = 4096
 
-# A pair's closed-form score is within _PAIR_SLACK * eps * max(b_unit) *
-# (b_p + b_q) (|x_p| + |x_q|) / det of _score's; derived in _pair_scores.
+# A pair's closed-form score is within _PAIR_SLACK * (eps * max(b_unit) *
+# (b_p + b_q) (|x_p| + |x_q|) / det + smallest subnormal * max(b_unit)^3) of
+# _score's; derived in _pair_scores.
 _PAIR_SLACK = 128.0
 
 
@@ -156,8 +157,17 @@ def _pair_scores(spec: GameSpec, low, groups) -> tuple[np.ndarray, np.ndarray, n
     The two differ by at most 87 e B ||u|| ||v||. (b_p + b_q) (|x_p| + |x_q|)
     / det bounds ||u|| ||v|| to within a factor 1 + 10 e B, and e B < 1e-3:
     M's spectral norm is below 1e9 in a certified game, so B < 1e9 sqrt(n),
-    and the enumeration cap keeps n below 4,500. The slack returned,
-    _PAIR_SLACK e B (b_p + b_q) (|x_p| + |x_q|) / det, covers both.
+    and the enumeration cap keeps n below 4,500.
+
+    Among subnormals, as with theta near 1e-310, rounding is absolute: each
+    operation may err by h, half the smallest subnormal, which no relative
+    bound covers. The LU's first pivot is at least 1/2, its second, det
+    over the first, above 1/(4B), and its multiplier at most 1, so _score
+    gathers at most (16 B^3 + 10 B^2 + 6 B + 3) h; the closed form divides
+    by det > 1/4 and gathers at most (16 B + 13) h; with B >= 1 both lie
+    within 64 B^3 h.
+    The slack returned, _PAIR_SLACK (e B (b_p + b_q) (|x_p| + |x_q|) / det
+    + s B^3) for s the smallest subnormal, covers all of these.
 
     _score's intermediates for a pair are at most 6 B (|t_p| + |t_q|) and its
     outputs 13 B^2 (|t_p| + |t_q|); the closed form's are at most
@@ -169,6 +179,7 @@ def _pair_scores(spec: GameSpec, low, groups) -> tuple[np.ndarray, np.ndarray, n
     b, t = spec.b_unit, spec.b
     big = float(b.max())
     unit = _PAIR_SLACK * np.finfo(float).eps * big
+    least = _PAIR_SLACK * np.finfo(float).smallest_subnormal * big * big * big
     p, q = groups[:, 0], groups[:, 1]
     m_pp, m_qq, m_pq = low[p, p], low[q, q], low[q, p]
     u_p, u_q, t_p, t_q = b[p], b[q], t[p], t[q]
@@ -177,7 +188,7 @@ def _pair_scores(spec: GameSpec, low, groups) -> tuple[np.ndarray, np.ndarray, n
         x_q = m_pp * t_q - m_pq * t_p
         det = m_pp * m_qq - m_pq * m_pq
         value = (u_p * x_p + u_q * x_q) / det
-        slack = unit * (u_p + u_q) * (abs(x_p) + abs(x_q)) / det
+        slack = unit * (u_p + u_q) * (abs(x_p) + abs(x_q)) / det + least
         direct = t_p + t_q
     limit = np.finfo(float).max / (64.0 * big * big)
     if abs(t).max() > limit:

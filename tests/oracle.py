@@ -1,5 +1,6 @@
 """Test oracles: readings of networks, interventions and walk matrices the
-library does not carry, and brute-force walk counts.
+library does not carry, brute-force walk counts, and the pairwise
+bridge-endpoint frontier.
 
 The walk counts are the oracle of record for the walk closed forms: a
 dynamic program over the adjacency counts discounted walks that keep off a
@@ -49,6 +50,16 @@ def node_removal(net: Network, labels) -> StructuralIntervention:
             if a[i, j] and (i in drop or j in drop):
                 entries.add((i, j, -1))
     return StructuralIntervention(frozenset(entries))
+
+
+def frontier_by_pairs(b: np.ndarray, m: np.ndarray, slack: float) -> np.ndarray:
+    """Indices of the nodes no other node strictly beats on (b, m), from
+    every pair at once: n x n tables, entry [i, t] comparing challenger t
+    with node i. t beats i when it is at least as good in both coordinates,
+    to within slack, and better by more than slack in one."""
+    at_least = (b >= b[:, None] - slack) & (m >= m[:, None] - slack)
+    better = (b > b[:, None] + slack) | (m > m[:, None] + slack)
+    return np.flatnonzero(~np.any(at_least & better, axis=1))
 
 
 def walk_entry(wm, i: int, j: int) -> float:

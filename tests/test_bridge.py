@@ -1,6 +1,7 @@
 import dataclasses
 import io
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,10 +25,11 @@ from netsurgeon import (
     spectral_radius,
 )
 from netsurgeon import cli
+from netsurgeon.bridge import FRONTIER_SLACK, _frontier
 from netsurgeon.graphs import certified_game, one_link_solve
 
 from .conftest import dense_inverse, eig_lambda_max, oracle_b, random_connected_graph, safe_delta
-from .oracle import degree, serialize
+from .oracle import degree, frontier_by_pairs, serialize
 
 
 @pytest.fixture(scope="module")
@@ -221,6 +223,79 @@ class TestParetoFrontier:
             assert gains[(winner.i, winner.j)] == pytest.approx(
                 winner.predicted_delta_aggregate, abs=1e-9
             )
+
+
+def _nudged(value: float, ulps: int) -> float:
+    """value moved by ulps units in the last place."""
+    for _ in range(abs(ulps)):
+        value = np.nextafter(value, np.inf if ulps > 0 else -np.inf)
+    return float(value)
+
+
+@st.composite
+def near_tied(draw, n):
+    """n coordinates, each but the first an earlier one plus a step of
+    0, +-0.5, +-1 or +-2 times the slack, computed as the frontier computes
+    x + slack, then moved by up to 2 ulps: exact ties, and gaps just below,
+    at and just above the slack. At 1e4 one ulp exceeds the slack."""
+    values = [draw(st.sampled_from([1e-3, 0.75, 1.0, 2.5, 1e4]))]
+    steps = st.sampled_from([0.0, 0.5, -0.5, 1.0, -1.0, 2.0, -2.0, 1e3])
+    for _ in range(n - 1):
+        near = draw(st.sampled_from(values)) + draw(steps) * FRONTIER_SLACK
+        values.append(_nudged(near, draw(st.integers(-2, 2))))
+    return np.array(values)
+
+
+@st.composite
+def frontier_points(draw):
+    n = draw(st.integers(1, 30))
+    b, m = draw(near_tied(n)), draw(near_tied(n))
+    if draw(st.booleans()):  # m falling as b rises: many points on the frontier
+        m = np.sort(m)[::-1][np.argsort(np.argsort(b))]
+    return b, m
+
+
+@settings(max_examples=400, deadline=None)
+@given(frontier_points())
+def test_frontier_matches_the_pairwise_rule(points):
+    b, m = points
+    assert np.array_equal(_frontier(b, m), frontier_by_pairs(b, m, FRONTIER_SLACK))
+    assert np.array_equal(_frontier(m, b), frontier_by_pairs(m, b, FRONTIER_SLACK))
+
+
+def test_frontier_memory_is_linear():
+    # 50,000 points, nearly all on the frontier: one n x n boolean table
+    # would be 2.5 GB; the sweeps hold a few arrays of n entries, about
+    # 42 bytes a point at their peak.
+    n = 50_000
+    rng = np.random.default_rng(11)
+    b = rng.random(n)
+    m = 1.0 - b + rng.choice([0.0, 1e-13, 1e-6], size=n)
+    tracemalloc.start()
+    try:
+        front = _frontier(b, m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert n // 2 < len(front) < n
+    assert peak < 100 * n
+
+
+def test_a_slice_of_a_ranking_is_a_ranking_of_its_entries(star_and_hubs):
+    spec = certify(random_connected_graph(np.random.default_rng(3), 9, 0.4), 0.1)
+    rankings = [rank_bridges(*star_and_hubs(0.2))] + [
+        link_values(spec, kind)[0] for kind in ("potential", "existing")
+    ]
+    cuts = [slice(2), slice(1, -1), slice(None, None, -1), slice(None, None, 2),
+            slice(-2, None), slice(3, 1), slice(100, None)]
+    for ranked in rankings:
+        entries = list(ranked)
+        for cut in cuts:
+            part = ranked[cut]
+            assert type(part) is type(ranked)
+            assert len(part) == len(entries[cut])
+            assert list(part) == entries[cut] and part == entries[cut]
+    assert rankings[0][:2] == list(rankings[0])[:2]
 
 
 def bridge_value(delta, b_i, m_ii, b_j, m_jj):
@@ -445,5 +520,14 @@ def test_rankings_give_their_entries_field_by_field(star_and_hubs):
     for ranked in rankings:
         entries = [dataclasses.asdict(e) for e in ranked]
         assert len(entries) == len(ranked) > 0
-        assert cli._ranked_columns(ranked) == {k: [e[k] for e in entries] for k in entries[0]}
+        fields = {k: [e[k] for e in entries] for k in entries[0]}
+        columns = cli._ranked_columns(ranked)
+        assert {k: list(column) for k, column in columns.items()} == fields
+        for emit in (cli._emit_json, cli._emit_csv):
+            printed = []
+            for table in (columns, fields):
+                out = io.StringIO()
+                emit(cli._Columns(table), out)
+                printed.append(out.getvalue())
+            assert printed[0] == printed[1]
     assert rankings[0][-1] == list(rankings[0])[-1]

@@ -13,6 +13,9 @@ at a time and formats each float cell on its own.
 The writers format each distinct value once, so payloads are also drawn
 from a small pool where values repeat: 0.0 beside -0.0, NaN, values with
 the same 6-digit text but different bits, and labels holding % and NUL.
+Columns held as arrays (a float64 array, or _Labels: names and an index
+array, as rankings give them) must print the bytes of the same columns
+given as lists, in JSON and in CSV.
 """
 
 import csv
@@ -25,7 +28,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from netsurgeon.cli import _Columns, _emit_csv, _emit_json, _floats, _once_each
+from netsurgeon.cli import _Columns, _emit_csv, _emit_json, _floats, _Labels, _once_each
 
 
 def _sig6(obj):
@@ -267,7 +270,7 @@ def test_once_each_dedups_only_where_at_most_half_are_distinct():
     assert formatted(few) == [few]
     half = [float(k % 50) for k in range(100)]
     assert [sorted(call) for call in formatted(half)] == [sorted(set(half)), [-0.0, 0.0]]
-    # A key-bridge grid of two 300-node circulants repeats each label 300 times.
+    # 300 labels, each repeated 300 times.
     grid = [f"a{k}" for k in range(300) for _ in range(300)]
     assert [sorted(call) for call in formatted(grid)] == [sorted(set(grid))]
 
@@ -347,3 +350,80 @@ def test_pooled_csv_matches_the_cell_by_cell_writer(size):
     fields = pooled_table(size, seed=size)
     fields["group"] = [" ".join(group) for group in fields["group"]]
     assert csv_written(fields) == csv_cell_by_cell(list(fields), zip(*fields.values()))
+
+
+# Floats an array column may hold: both zeros, integral values, the decimal
+# exponents 6 to 15 where %g and repr differ in form, subnormals, non-finite
+# values, and values with one 6-digit text but different bits.
+ARRAY_FLOATS = [
+    0.0, -0.0, 1.0, -3.0, 42.0, 1e6, 2.5e9, 1e15, -1e15, 9.999995e14, 1234567.0, 1e16,
+    5e-324, -5e-324, 1e-310, MIN_NORMAL, math.nan, math.inf, -math.inf,
+    0.1, float(np.nextafter(0.1, 1.0)), 1.0 / 3.0, 999999.5,
+]
+ARRAY_LABELS = ['say"hi', "back\\slash", "a,b", "José", "\U0001F600", "ü,\"", "100%", "a0", ""]
+
+
+@st.composite
+def array_tables(draw):
+    """Fields of float arrays and _Labels columns, with few or no repeats."""
+    size = draw(st.integers(0, 60))
+    names = tuple(draw(st.lists(st.one_of(st.sampled_from(ARRAY_LABELS), labels),
+                                min_size=1, max_size=8)))
+    fields = {}
+    for key in draw(st.lists(pooled_labels, min_size=1, max_size=4, unique=True)):
+        if draw(st.booleans()):
+            pool = draw(st.lists(st.one_of(st.sampled_from(ARRAY_FLOATS), text_floats),
+                                 min_size=1, max_size=size + 1))
+            values = draw(st.lists(st.sampled_from(pool), min_size=size, max_size=size))
+            fields[key] = np.array(values, dtype=np.float64)
+        else:
+            at = draw(st.lists(st.integers(0, len(names) - 1), min_size=size, max_size=size))
+            fields[key] = _Labels(names, np.array(at, dtype=np.intp))
+    return fields
+
+
+def as_lists(fields: dict) -> dict:
+    """The same columns as lists of floats and of labels."""
+    return {key: column.tolist() if isinstance(column, np.ndarray) else
+            [column.names[t] for t in column.at.tolist()] for key, column in fields.items()}
+
+
+def assert_arrays_print_as_lists(fields: dict) -> None:
+    lists = as_lists(fields)
+    rows = [dict(zip(lists, row)) for row in zip(*lists.values())]
+    assert written({"rows": _Columns(fields)}) == written({"rows": _Columns(lists)})
+    assert written({"rows": _Columns(fields)}) == reference({"rows": rows})
+    assert csv_written(fields) == csv_written(lists)
+    assert csv_written(fields) == csv_cell_by_cell(list(lists), zip(*lists.values()))
+
+
+@settings(max_examples=300, deadline=None)
+@given(array_tables())
+@example({"v": np.array([0.0, -0.0, 0.0, -0.0, 1.5, 1.5])})
+@example({"v": np.array([-0.0, math.nan, math.nan, -math.inf, 5e-324, -0.0, 1e15])})
+@example({"v": np.zeros(0), "i": _Labels(("a",), np.zeros(0, dtype=np.intp))})
+@example({"i": _Labels(('say"hi', "a,b", "José"), np.array([2, 0, 1, 2, 0]))})
+def test_array_columns_print_as_their_lists(fields):
+    assert_arrays_print_as_lists(fields)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_a_key_bridge_sized_grid_prints_as_its_lists(seed):
+    # 8,100 records, as on two 90-node circulants: each float column holds a
+    # handful of values, zeros of both signs among them, and each label
+    # repeats 90 times.
+    rng = np.random.default_rng(seed)
+    floats = np.array(ARRAY_FLOATS)
+    names = tuple(f"{label}{k}" for k, label in enumerate(ARRAY_LABELS * 10))
+    fields = {
+        "i": _Labels(names, np.repeat(rng.permutation(90), 90)),
+        "j": _Labels(names[::-1], np.tile(rng.permutation(90), 90)),
+        "index": floats[rng.integers(len(floats), size=8100)],
+        "predicted": rng.choice([0.0, -0.0, 12.5, 1e7], size=8100),
+    }
+    assert_arrays_print_as_lists(fields)
+
+
+def test_labels_columns_give_their_labels():
+    column = _Labels(("x", "y", "z"), np.array([2, 2, 0]))
+    assert len(column) == 3 and [column[t] for t in range(3)] == ["z", "z", "x"]

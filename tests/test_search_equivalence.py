@@ -283,6 +283,14 @@ def assert_pair_bound_holds(spec):
     return np.abs(value - d), slack, d
 
 
+@pytest.mark.parametrize("theta", [[0.0, 0.0, 2.2250738585e-313], [1e-320, 3e-321, -7e-322]])
+def test_closed_form_bound_holds_among_subnormals(theta):
+    # Rounding among subnormals is absolute: the two scores part by one
+    # subnormal step, where a bound relative to the score alone is 0.
+    net = Network.from_edges([("1", "2"), ("1", "3"), ("2", "3")])
+    assert_pair_bound_holds(certify(net, 0.3 / 2.0, np.array(theta)))
+
+
 @pytest.mark.parametrize("theta", ["unit", "weighted"])
 @pytest.mark.parametrize("frac", [0.5, 0.999, 0.999999])
 def test_closed_form_gap_grows_with_conditioning_and_stays_bounded(frac, theta):
