@@ -770,19 +770,19 @@ class GameSpec:
     - block(idx), M[idx][:, idx]: one forward solve Y = L^-1 E_idx and its
       Gram Y^T Y, O(n^2 |idx|) at half the cost of that solve, exactly
       symmetric.
-    - the held M: the first of influence(), influence_rows and
-      influence_less to run on a game inverts the factor by LAPACK dpotri,
-      about 2n^3/3 flops, and keeps M in space the factor already owns: M's
-      strict upper triangle in the factor array's, which no LAPACK routine
-      reads with L, and its diagonal as a vector. One reader (_held_read)
-      copies M from there in row strips: whole rows for influence_rows,
-      and for influence() (all of M, O(n^2)) and influence_less (M without
-      some nodes, less a symmetric update) only the lower half, which is
-      then mirrored, so those two are exactly symmetric. Beside it the
-      held M carries, once the first walk query has asked for them, the
-      largest entry of its evaluated residual (I - delta G) M - I and its
-      largest entry, O(nnz(G) n) for both, from which walk queries bound
-      their own residuals.
+    - the held M: the first of influence(), influence_rows, influence_less
+      and the exhaustive key-group search (which reads entries in place) to
+      run on a game inverts the factor by LAPACK dpotri, about 2n^3/3 flops,
+      and keeps M in space the factor already owns: M's strict upper
+      triangle in the factor array's, which no LAPACK routine reads with L,
+      and its diagonal as a vector. _held_read copies M from there in row
+      strips: whole rows for influence_rows, and for influence() (all of M,
+      O(n^2)) and influence_less (M without some nodes, less a symmetric
+      update) only the lower half, then mirrored, so those two are exactly
+      symmetric. Beside it the held M carries, once the first walk query
+      has asked for them, the largest entry of its evaluated residual
+      (I - delta G) M - I and its largest entry, O(nnz(G) n) for both,
+      from which walk queries bound their own residuals.
 
     These round differently, so the solved M[idx][:, idx], block(idx)
     and influence()[idx][:, idx] can differ in the last bit; each agrees
@@ -898,7 +898,7 @@ class GameSpec:
         """The rows of M at the runs [lo, hi) of sorted node indices, copied
         into dst (C order) and returned: across all n columns, or with lower
         only the lower triangle and diagonal of M at the runs' nodes, the
-        rest of dst left as it was. The one reader of the held M: it copies
+        rest of dst left as it was. The one copier of the held M: it copies
         row strips of the packed triangle, a strip of rows at a time across
         the diagonal, and reads M's upper half only for whole rows."""
         tri, diag = self._held_inverse()

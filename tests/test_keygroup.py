@@ -188,7 +188,7 @@ class TestTop:
 
 class TestExhaustiveWork:
     """The search solves only the pool that can place, and holds no array of
-    every subset: M's lower half is its one n x n array."""
+    every subset and no copy of M: it reads the held M in place."""
 
     @staticmethod
     def _er(n, seed, frac):
@@ -197,8 +197,9 @@ class TestExhaustiveWork:
         net = Network(tuple(str(i + 1) for i in range(n)), (a | a.T).astype(float))
         return certify(net, frac / spectral_radius(net))
 
-    def test_solves_only_the_pool(self, monkeypatch):
-        spec = self._er(160, 3, 0.5)
+    @staticmethod
+    def _solved(monkeypatch, spec, k):
+        """The groups _score solves in a top-3 search, which must match the full ranking's head."""
         solved, score = [], keygroup._score
 
         def counted(m_ss, *args):
@@ -206,25 +207,37 @@ class TestExhaustiveWork:
             return score(m_ss, *args)
 
         monkeypatch.setattr(keygroup, "_score", counted)
-        ranked = key_group_exhaustive(spec, 2, top=3)
+        ranked = key_group_exhaustive(spec, k, top=3)
         monkeypatch.undo()
-        assert ranked == key_group_exhaustive(spec, 2)[:3]
+        assert ranked == key_group_exhaustive(spec, k)[:3]
+        return sum(solved)
+
+    def test_solves_only_the_pool(self, monkeypatch):
         # Of 12,720 pairs only the few that can still place are solved.
-        assert 3 <= sum(solved) <= 30
+        assert 3 <= self._solved(monkeypatch, self._er(160, 3, 0.5), 2) <= 30
+
+    def test_solves_only_the_pool_of_triples(self, monkeypatch):
+        # Of 34,220 triples only the few that can still place are solved.
+        assert 3 <= self._solved(monkeypatch, self._er(60, 3, 0.5), 3) <= 30
 
     def test_holds_one_n_by_n_array(self):
-        n = 600
-        spec = self._er(n, 4, 0.5)
-        tracemalloc.start()
-        try:
-            key_group_exhaustive(spec, 2, top=1)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        # M's lower half (dpotri's array is freed first), and per chunk a
-        # few dozen arrays of CHUNK pairs; every pair's groups and scores
-        # would add about 2 n^2 x 8 bytes.
-        assert peak < n * n * 8 + 64 * keygroup.CHUNK * 8
+        peaks = []
+        for n in (300, 600):
+            spec = self._er(n, 4, 0.5)
+            spec._held_inverse()
+            tracemalloc.start()
+            try:
+                key_group_exhaustive(spec, 2, top=1)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            peaks.append(peak)
+        # With M held, the search reads it in place: per chunk a few dozen
+        # arrays of CHUNK pairs and a few of n entries, where a copy of M's
+        # lower half would add n^2 x 8 bytes, 2.9 MB at n = 600.
+        for n, peak in zip((300, 600), peaks):
+            assert peak < 64 * keygroup.CHUNK * 8 + 32 * n * 8
+        assert peaks[1] < 1.5 * peaks[0]
 
 
 class TestGreedy:

@@ -241,7 +241,7 @@ FRACTIONS = [0.3, 0.5, 0.9, 0.99, 0.999999]
     search_networks(),
     st.sampled_from(FRACTIONS),
     st.sampled_from(["unit", "positive", "mixed"]),
-    st.integers(1, 3),
+    st.integers(1, 4),
     st.sampled_from([1, 3, 15, "count - 1", None]),
     st.sampled_from([1, 7, 4096]),
     st.data(),
@@ -268,44 +268,50 @@ def test_streamed_search_equals_one_ranking_of_every_solve(net, frac, weights, k
     st.data(),
 )
 def test_closed_form_pair_scores_stay_within_their_bound(net, frac, weights, data):
-    assert_pair_bound_holds(game_near(net, frac, weights, data))
+    spec = game_near(net, frac, weights, data)
+    for k in (2, 3):
+        if k <= net.n:
+            assert_bound_holds(spec, k)
 
 
-def assert_pair_bound_holds(spec):
-    groups = np.array(list(itertools.combinations(range(spec.n), 2)), dtype=np.intp)
+def assert_bound_holds(spec, k):
+    """Every size-k group priced by its residual game (keygroup._priced)
+    against keygroup._score on its block of influence(): (gap, slack, score)."""
+    chunks = keygroup._priced(spec, spec._held_inverse(), k)
+    groups, value, slack = (np.concatenate(column) for column in zip(*chunks))
+    assert groups.tolist() == [list(c) for c in itertools.combinations(range(spec.n), k)]
     m = spec.influence()
-    value, slack, direct = keygroup._pair_scores(spec, m, groups)
-    d, want_direct = keygroup._score(
+    d, _ = keygroup._score(
         m[groups[:, :, None], groups[:, None, :]], spec.b[groups], spec.b_unit[groups]
     )
     assert np.all(np.abs(value - d) <= slack)
-    assert direct.tolist() == want_direct.tolist()
     return np.abs(value - d), slack, d
 
 
 @pytest.mark.parametrize("theta", [[0.0, 0.0, 2.2250738585e-313], [1e-320, 3e-321, -7e-322]])
 def test_closed_form_bound_holds_among_subnormals(theta):
-    # Rounding among subnormals is absolute: the two scores part by one
+    # Rounding among subnormals is absolute: the two scores can part by a
     # subnormal step, where a bound relative to the score alone is 0.
     net = Network.from_edges([("1", "2"), ("1", "3"), ("2", "3")])
-    assert_pair_bound_holds(certify(net, 0.3 / 2.0, np.array(theta)))
+    spec = certify(net, 0.3 / 2.0, np.array(theta))
+    for k in (2, 3):
+        assert_bound_holds(spec, k)
 
 
 @pytest.mark.parametrize("theta", ["unit", "weighted"])
 @pytest.mark.parametrize("frac", [0.5, 0.999, 0.999999])
 def test_closed_form_gap_grows_with_conditioning_and_stays_bounded(frac, theta):
-    # ER n = 160: near the bound the closed form and the solve part by
-    # about 1e-12 of the score, far past a fixed relative slack of 1e-12.
+    # ER n = 160: the residual game and the solve part by a few units in
+    # the last place at every conditioning, while the bound grows with
+    # max(b_unit) and still stays a small part of the score, so the pool
+    # stays small.
     net = random_graph(np.random.default_rng(160), 160, p=6.0 / 159)
     weights = np.random.default_rng(3).uniform(0.5, 2.0, net.n) if theta == "weighted" else None
     spec = certify(net, frac / eig_lambda_max(net), weights)
-    gap, slack, d = assert_pair_bound_holds(spec)
-    relative = float((gap / np.abs(d)).max())
-    assert relative < (1e-14 if frac == 0.5 else 1e-9)
-    if frac == 0.999999:
-        assert relative > 1e-12
-    # The bound stays a small part of the score, so the pool stays small.
-    assert float((slack / np.abs(d)).max()) < 1e-6
+    for k in (2, 3):
+        gap, slack, d = assert_bound_holds(spec, k)
+        assert float((gap / np.abs(d)).max()) < 1e-14
+        assert float((slack / np.abs(d)).max()) < 1e-6
 
 
 def refusal_or_ranking(spec, k, top):
@@ -349,7 +355,7 @@ def test_overflow_refusals_match_the_solve_over_every_group(frac, sign, tmp_path
             spec.b
         except InputError:
             continue  # the equilibrium itself overflows
-        for k, top in ((2, 1), (2, 3), (2, None), (1, 2), (3, 2)):
+        for k, top in ((2, 1), (2, 3), (2, None), (1, 2), (3, 2), (3, 1), (3, None), (4, 2)):
             want = refusal_or_ranking(spec, k, top)
             assert searched(spec, k, top) == want
             outcomes.add(want[0])
